@@ -87,6 +87,7 @@ from typing import Iterator, Optional, Sequence
 from repro.adl.acme import parse_acme, to_acme
 from repro.adl.dot import architecture_to_dot, mapping_to_dot
 from repro.adl.xadl import parse_xadl, to_xadl_xml
+from repro.core.consistency import EvaluationReport
 from repro.core.evaluator import Sosae
 from repro.core.implied import detect_implied_scenarios
 from repro.core.mapping import Mapping
@@ -237,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="shard the walkthrough stage across N worker processes "
-        "(static pipeline only; incompatible with --dynamic)",
+        "(default: 1 = in-process; --dynamic still runs in-process)",
     )
     _add_observability_arguments(demo)
 
@@ -1218,16 +1219,21 @@ def _build_spec_sosae(
     )
 
 
+def _evaluate(sosae: Sosae, workers: int, **options) -> EvaluationReport:
+    """``sosae.evaluate(**options)``, with the walkthrough stage sharded
+    across ``workers`` processes when there is more than one."""
+    if workers > 1:
+        return BatchEvaluator(workers=workers).evaluate(sosae, **options)
+    return sosae.evaluate(**options)
+
+
 def _run_evaluate(args: argparse.Namespace) -> int:
     sosae = _build_spec_sosae(
         args.scenarios, args.architecture, args.mapping, args.acme
     )
     with _observed(args) as obs:
         with obs.profiling():
-            if args.workers > 1:
-                report = BatchEvaluator(workers=args.workers).evaluate(sosae)
-            else:
-                report = sosae.evaluate()
+            report = _evaluate(sosae, args.workers)
         # Recording happens while the event bus (if any) is still live,
         # so the run-recorded event reaches the stream before it closes.
         _record_run(
@@ -1320,22 +1326,16 @@ def _run_demo(args: argparse.Namespace) -> int:
         runtime_config=demo.runtime_config,
     )
     include_dynamic = args.dynamic and demo.bindings is not None
-    if args.workers > 1 and include_dynamic:
-        raise ReproError(
-            "--workers shards the static pipeline only; drop --dynamic "
-            "(scenario bindings cannot cross a process boundary)"
-        )
     with _observed(args) as obs:
         with obs.profiling():
-            if args.workers > 1:
-                report = BatchEvaluator(workers=args.workers).evaluate(sosae)
-            else:
-                report = sosae.evaluate(
-                    include_dynamic=include_dynamic,
-                    dynamic_scenarios=(
-                        demo.dynamic_scenarios if include_dynamic else None
-                    ),
-                )
+            report = _evaluate(
+                sosae,
+                args.workers,
+                include_dynamic=include_dynamic,
+                dynamic_scenarios=(
+                    demo.dynamic_scenarios if include_dynamic else None
+                ),
+            )
         _record_run(
             args, f"demo-{args.system}-{args.variant}", report, obs
         )

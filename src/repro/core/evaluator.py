@@ -22,13 +22,17 @@ and — optionally — dynamic bindings and constraints) and
    on the simulated architecture.
 
 The result is one :class:`~repro.core.consistency.EvaluationReport`.
+Step 6 runs through a *walk executor* (:func:`walk_serially`, or the
+sharded :class:`repro.shard.BatchEvaluator` via
+:meth:`Sosae.evaluate_with`), so there is one stage sequence however
+the scenarios are walked.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
-from typing import Iterable, Iterator, Optional, Sequence
+from contextlib import contextmanager, nullcontext
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.adl.structure import Architecture
 from repro.adl.styles import check_style
@@ -157,6 +161,34 @@ def coverage_findings(
     return findings
 
 
+def evaluate_scenario(
+    engine: WalkthroughEngine, scenario: Scenario, scenario_set: ScenarioSet
+) -> ScenarioVerdict:
+    """Walk one scenario: statically, or with inverted polarity when it
+    is negative."""
+    if scenario.is_negative:
+        return evaluate_negative_scenario(engine, scenario, scenario_set)
+    return engine.walk_scenario(scenario, scenario_set)
+
+
+#: How the walkthrough stage walks the selected scenarios: ``(sosae,
+#: scenarios) -> verdicts``, one per scenario, in the order given.
+WalkExecutor = Callable[
+    ["Sosae", tuple[Scenario, ...]], Iterable[ScenarioVerdict]
+]
+
+
+def walk_serially(
+    sosae: "Sosae", scenarios: tuple[Scenario, ...]
+) -> Iterator[ScenarioVerdict]:
+    """The default walk executor: walk each scenario in this process.
+
+    Lazy, so the pipeline streams each verdict's findings before the
+    next scenario's events."""
+    for scenario in scenarios:
+        yield evaluate_scenario(sosae.engine, scenario, sosae.scenario_set)
+
+
 class Sosae:
     """Scenario and Ontology-based Software Architecture Evaluation."""
 
@@ -214,11 +246,29 @@ class Sosae:
         streams progress events — evaluation/stage/scenario boundaries
         and every finding. The report itself is identical either way.
         """
+        return self.evaluate_with(
+            walk_serially, scenario_names, include_dynamic, dynamic_scenarios
+        )
+
+    def evaluate_with(
+        self,
+        walk: WalkExecutor,
+        scenario_names: Optional[Iterable[str]] = None,
+        include_dynamic: bool = False,
+        dynamic_scenarios: Optional[Iterable[str]] = None,
+        **attributes,
+    ) -> EvaluationReport:
+        """:meth:`evaluate`, with the walkthrough stage run by ``walk``.
+
+        ``attributes`` annotate the ``evaluate`` and
+        ``evaluate.walkthrough`` spans (a sharded walk adds its worker
+        count)."""
         recorder = current_recorder()
         bus = current_event_bus()
         if not recorder.enabled and not bus.enabled:
             return self._evaluate(
-                scenario_names, include_dynamic, dynamic_scenarios
+                walk, scenario_names, include_dynamic, dynamic_scenarios,
+                attributes,
             )
         if bus.enabled:
             bus.emit(
@@ -231,9 +281,10 @@ class Sosae:
         started = time.perf_counter()
         index_stats_before = self.index.stats()
         # Coverage rides the same observed path: a fresh builder per
-        # evaluation, unless one is already installed (a shard worker's,
-        # or a deliberately disabled one from the overhead benchmark) —
-        # whoever installed it owns its finalization.
+        # evaluation, unless one is already installed (a deliberately
+        # disabled one from the overhead benchmark) — whoever installed
+        # it owns its finalization. A sharded walk sums its workers'
+        # counts into this builder.
         builder = (
             CoverageBuilder()
             if current_coverage() is NULL_COVERAGE
@@ -244,22 +295,22 @@ class Sosae:
             architecture=self.architecture.name,
             scenario_set=self.scenario_set.name,
             scenarios=len(self.scenario_set.scenarios),
+            **attributes,
         ) as span:
-            if builder is not None:
-                with use_coverage(builder):
-                    report = self._evaluate(
-                        scenario_names, include_dynamic, dynamic_scenarios
-                    )
-            else:
+            with (
+                use_coverage(builder) if builder is not None
+                else nullcontext()
+            ):
                 report = self._evaluate(
-                    scenario_names, include_dynamic, dynamic_scenarios
+                    walk, scenario_names, include_dynamic, dynamic_scenarios,
+                    attributes,
                 )
             span.set_attribute("consistent", report.consistent)
             span.set_attribute("findings", len(report.findings))
         if builder is not None:
             self._finish_coverage(builder, recorder, bus)
         if recorder.enabled:
-            self._record_index_stats(recorder, index_stats_before)
+            self.record_index_stats(recorder, index_stats_before)
             # Re-entrant accounting: one long-lived registry (the serve
             # loop's) sees these accumulate across evaluate() calls.
             recorder.counter("evaluate.runs").inc()
@@ -281,19 +332,21 @@ class Sosae:
 
     def _evaluate(
         self,
+        walk: WalkExecutor,
         scenario_names: Optional[Iterable[str]],
         include_dynamic: bool,
         dynamic_scenarios: Optional[Iterable[str]],
+        attributes: dict,
     ) -> EvaluationReport:
         recorder = current_recorder()
         bus = current_event_bus()
         findings: list[Inconsistency] = []
         with self._staged(recorder, bus, "validation", findings):
-            findings.extend(self._validation_findings())
+            findings.extend(validation_findings(self.scenario_set))
         with self._staged(recorder, bus, "style_check", findings):
-            findings.extend(self._style_findings())
+            findings.extend(style_findings(self.architecture))
         with self._staged(recorder, bus, "coverage", findings):
-            findings.extend(self._coverage_findings())
+            findings.extend(coverage_findings(self.mapping, self.scenario_set))
         with self._staged(
             recorder, bus, "constraints", findings,
             constraints=len(self.constraints),
@@ -316,10 +369,10 @@ class Sosae:
         verdict_list: list[ScenarioVerdict] = []
         walk_findings = 0
         with self._staged(
-            recorder, bus, "walkthrough", None, scenarios=len(selected)
+            recorder, bus, "walkthrough", None,
+            scenarios=len(selected), **attributes,
         ) as stage_findings:
-            for scenario in selected:
-                verdict = self._walk(scenario)
+            for verdict in walk(self, selected):
                 verdict_list.append(verdict)
                 verdict_findings = verdict.all_inconsistencies()
                 walk_findings += len(verdict_findings)
@@ -417,9 +470,10 @@ class Sosae:
         if bus.enabled:
             bus.emit(coverage_computed_event(matrix))
 
-    def _record_index_stats(self, recorder, before) -> None:
-        """Accrue this evaluation's index-cache activity to the metrics
-        registry (deltas, so repeated evaluations accumulate)."""
+    def record_index_stats(self, recorder, before) -> None:
+        """Accrue the index-cache activity since ``before`` (an
+        ``index.stats()`` snapshot) to the metrics registry (deltas, so
+        repeated evaluations accumulate)."""
         after = self.index.stats()
         recorder.counter("index.hits").inc(after.hits - before.hits)
         recorder.counter("index.misses").inc(after.misses - before.misses)
@@ -440,22 +494,6 @@ class Sosae:
         if scenario_names is None:
             return self.scenario_set.scenarios
         return tuple(self.scenario_set.get(name) for name in scenario_names)
-
-    def _walk(self, scenario: Scenario) -> ScenarioVerdict:
-        if scenario.is_negative:
-            return evaluate_negative_scenario(
-                self.engine, scenario, self.scenario_set
-            )
-        return self.engine.walk_scenario(scenario, self.scenario_set)
-
-    def _validation_findings(self) -> list[Inconsistency]:
-        return validation_findings(self.scenario_set)
-
-    def _style_findings(self) -> list[Inconsistency]:
-        return style_findings(self.architecture)
-
-    def _coverage_findings(self) -> list[Inconsistency]:
-        return coverage_findings(self.mapping, self.scenario_set)
 
     def _run_dynamic(
         self, dynamic_scenarios: Optional[Iterable[str]]

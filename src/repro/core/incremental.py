@@ -70,11 +70,11 @@ from repro.core.consistency import (
 from repro.core.constraints import Constraint, check_constraints
 from repro.core.evaluator import (
     coverage_findings,
+    evaluate_scenario,
     style_findings,
     validation_findings,
 )
 from repro.core.mapping import Mapping
-from repro.core.negative import evaluate_negative_scenario
 from repro.core.traceability import TraceabilityMatrix
 from repro.core.walkthrough import WalkthroughEngine, WalkthroughOptions
 from repro.errors import EvaluationError
@@ -505,13 +505,9 @@ def reevaluate(
     with engine.index.pinned():
         for scenario in scenario_set:
             if scenario.name in impacted or scenario.name not in previous_by_name:
-                if scenario.is_negative:
-                    verdict = evaluate_negative_scenario(
-                        engine, scenario, scenario_set
-                    )
-                else:
-                    verdict = engine.walk_scenario(scenario, scenario_set)
-                verdicts.append(verdict)
+                verdicts.append(
+                    evaluate_scenario(engine, scenario, scenario_set)
+                )
                 rewalked.append(scenario.name)
             else:
                 verdicts.append(previous_by_name[scenario.name])

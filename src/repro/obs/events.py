@@ -14,9 +14,9 @@ exactly: instrumentation sites fetch the module-level current bus
 (:func:`current_event_bus`) and check ``bus.enabled`` before building
 any event, so while streaming is off (the default
 :data:`NULL_EVENT_BUS`) the added cost is a single attribute load and a
-boolean branch (``benchmarks/test_bench_event_bus.py`` guards that the
-disabled path stays under 5% of the warm walkthrough). Turning the
-stream on is scoping a real :class:`EventBus`::
+boolean branch (the benchmark harness's ``obs.events.overhead_s``
+measures what a live bus adds). Turning the stream on is scoping a
+real :class:`EventBus`::
 
     bus = EventBus(heartbeat_interval=1.0,
                    metrics_source=recorder.metrics.to_dict)

@@ -281,9 +281,10 @@ class JobRegistry:
 
     def append(self, record: JobRecord) -> None:
         """Persist one transition (thread-safe; executors and the
-        submission path append concurrently)."""
-        with self._lock:
-            self.root.mkdir(parents=True, exist_ok=True)
+        submission path append concurrently). Holds the cross-process
+        :func:`~repro.obs.runs.registry_lock`, so a concurrent
+        :meth:`compact` cannot drop the line."""
+        with registry_lock(self.root), self._lock:
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(
                     json.dumps(record.to_dict(), sort_keys=True) + "\n"
@@ -432,8 +433,8 @@ class AuditLog:
             "spec_digest": spec_digest,
             "detail": detail,
         }
-        with self._lock:
-            self.root.mkdir(parents=True, exist_ok=True)
+        # The same lock order as compact(): file lock, then thread lock.
+        with registry_lock(self.root), self._lock:
             with self.path.open("a", encoding="utf-8") as handle:
                 handle.write(json.dumps(entry, sort_keys=True) + "\n")
 

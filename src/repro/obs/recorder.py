@@ -5,8 +5,9 @@ current recorder (:func:`current_recorder`) and call ``span`` /
 ``counter`` / ``histogram`` on whatever they get. By default that is the
 :data:`NULL_RECORDER`, whose every operation is a constant-time no-op on
 shared singletons — no allocation, no timing calls — so instrumented
-code costs nearly nothing while observability is off (the
-``benchmarks/test_bench_null_recorder.py`` guard quantifies "nearly").
+code costs nearly nothing while observability is off (the benchmark
+harness's ``obs.recorder.overhead_s`` measures what turning it on
+adds).
 
 Turning observability on is scoping a real :class:`Recorder`::
 

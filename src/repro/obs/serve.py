@@ -405,7 +405,7 @@ class ServeDaemon:
                 run_registry=registry,
                 bus=self.bus,
                 metrics=self.metrics,
-                evaluate=self._evaluate_job,
+                evaluate=self._evaluate_full,
                 tenant_quota=tenant_quota,
                 queue_limit=queue_limit,
                 executors=job_executors,
@@ -612,12 +612,14 @@ class ServeDaemon:
             ),
         )
 
-    def _evaluate_job(self, sosae):
-        """How the job manager evaluates a bundle: through the shared
-        :class:`~repro.shard.BatchEvaluator` pool when the daemon
-        shards, else in-process. Always called with ``eval_lock``
-        held, so sharing ``self._batch`` with the watch loop is safe."""
+    def _evaluate_full(self, sosae):
+        """A full evaluation of ``sosae`` (a watch-loop run or a job):
+        through the daemon's shared :class:`~repro.shard.BatchEvaluator`
+        when it shards, else in-process. Every caller holds
+        ``eval_lock``, so sharing ``self._batch`` is safe."""
         if self.workers > 1:
+            # Imported lazily: repro.shard imports repro.core which
+            # imports repro.obs.
             from repro.shard import BatchEvaluator
 
             if self._batch is None:
@@ -666,15 +668,7 @@ class ServeDaemon:
                     len(result.carried_over),
                 )
                 return result.report, True
-        if self.workers > 1:
-            # Imported lazily: repro.shard imports repro.core which
-            # imports repro.obs.
-            from repro.shard import BatchEvaluator
-
-            if self._batch is None:
-                self._batch = BatchEvaluator(workers=self.workers)
-            return self._batch.evaluate(self._sosae), False
-        return self._sosae.evaluate(), False
+        return self._evaluate_full(self._sosae), False
 
     def _incremental_eligible(
         self,

@@ -1,12 +1,13 @@
 """Sharded, multi-process evaluation (the ROADMAP's parallel engine,
 first cut).
 
-:class:`BatchEvaluator` fans the walkthrough stage of an evaluation out
-across a stdlib ``ProcessPoolExecutor``, merges the report with verdict
-and finding parity against single-process
-:meth:`~repro.core.evaluator.Sosae.evaluate`, and streams each worker's
-telemetry through :class:`~repro.obs.collector.TelemetryCollector` into
-one merged trace/metrics/event view. See ``docs/SHARD.md``.
+:class:`BatchEvaluator` is a walk executor for the one
+:class:`~repro.core.evaluator.Sosae` pipeline: it fans the walkthrough
+stage out across a stdlib ``ProcessPoolExecutor`` with verdict and
+finding parity against :meth:`~repro.core.evaluator.Sosae.evaluate`,
+and streams each worker's telemetry through
+:class:`~repro.obs.collector.TelemetryCollector` into one merged
+trace/metrics/event view. See ``docs/SHARD.md``.
 """
 
 from repro.shard.batch import BatchEvaluator, ShardStats, plan_shards

@@ -1,64 +1,52 @@
 """A minimal process-pool shard evaluator — the first concrete cut of
 the ROADMAP's sharded parallel evaluation engine.
 
-:class:`BatchEvaluator` runs the same pipeline as single-process
-:meth:`repro.core.evaluator.Sosae.evaluate`, but fans the walkthrough
-stage out across ``workers`` OS processes:
+:class:`BatchEvaluator` is a *walk executor* for the one evaluation
+pipeline, :meth:`repro.core.evaluator.Sosae.evaluate_with`: every stage
+runs in the parent exactly as in a serial evaluation, except that the
+walkthrough stage fans out across ``workers`` OS processes:
 
-* the parent runs the whole-artifact stages itself (validation, style,
-  coverage, constraints, behavior check) — they are cheap and their
-  findings must appear in the report in the same order as the
-  single-process pipeline;
-* the scenario set is split into ``workers`` contiguous shards (set
-  order preserved, so concatenating shard verdicts in shard order *is*
-  the single-process verdict order);
-* each worker receives the artifacts in serialized form once per
-  process (pool initializer), caches the built pipeline — including the
-  warm :class:`~repro.adl.index.CommunicationIndex` — per architecture
-  fingerprint, and records telemetry under the
+* the selected scenarios are split into ``workers`` contiguous shards
+  (set order preserved, so concatenating shard verdicts in shard order
+  *is* the single-process verdict order);
+* a fresh pool starts for each evaluation; each worker receives the
+  artifacts in serialized form through the pool initializer, builds its
+  own pipeline from them, and records telemetry under the
   :class:`~repro.obs.context.TraceContext` the parent minted for it;
 * worker partials stream through a
   :class:`~repro.obs.collector.TelemetryCollector` in completion order
   and merge deterministically: spans stitch under the parent's
   ``evaluate.walkthrough`` span, metrics fold into the parent registry,
-  and worker events are forwarded into the parent's live bus in
-  ``(shard, seq)`` order.
+  coverage counts and profiles fold into the parent's, and worker
+  events are forwarded into the parent's live bus in ``(shard, seq)``
+  order.
 
-The result is an :class:`~repro.core.consistency.EvaluationReport` with
-verdict and finding parity against ``Sosae.evaluate`` — same verdicts,
-same findings, same order — plus one merged telemetry view.
-
-Dynamic evaluation is out of scope: scenario bindings hold behavior
-closures that cannot cross a process boundary, so the static pipeline
-is what shards (matching ``Sosae.evaluate()``'s default).
+The result is the report ``Sosae.evaluate`` produces — same verdicts,
+same findings, same order — plus one merged telemetry view. Dynamic
+evaluation, when asked for, runs in the parent after the sharded walk.
 """
 
 from __future__ import annotations
 
 import threading
-import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from repro.adl.index import structural_fingerprint
 from repro.adl.xadl import to_xadl_xml
-from repro.core.consistency import EvaluationReport, Inconsistency
-from repro.core.constraints import check_constraints
-from repro.core.behavior_check import check_behavioral_support
+from repro.core.consistency import EvaluationReport, ScenarioVerdict
+# Not called here: the benchmark harness's traced pass wraps the name in
+# this module (benchmarks/harness/layers.py), so it must resolve.
+from repro.core.constraints import check_constraints  # noqa: F401
 from repro.core.evaluator import Sosae
 from repro.errors import EvaluationError
 from repro.obs.collector import MergedTelemetry, TelemetryCollector
 from repro.obs.context import TraceContext, new_trace_id
-from repro.obs.coverage import (
-    NULL_COVERAGE,
-    CoverageBuilder,
-    current_coverage,
-    use_coverage,
-)
-from repro.obs.events import EvaluationFinished, EvaluationStarted, current_event_bus
+from repro.obs.coverage import current_coverage
+from repro.obs.events import current_event_bus
 from repro.obs.profiler import current_profiler
 from repro.obs.recorder import current_recorder
+from repro.scenarioml.scenario import Scenario
 from repro.scenarioml.xml_io import to_scenarioml_xml
 from repro.shard.worker import ShardTask, init_worker, run_shard
 
@@ -130,213 +118,111 @@ class BatchEvaluator:
         self,
         sosae: Sosae,
         scenario_names: Optional[Iterable[str]] = None,
+        include_dynamic: bool = False,
+        dynamic_scenarios: Optional[Iterable[str]] = None,
     ) -> EvaluationReport:
-        """Run the static pipeline with the walkthrough stage sharded
-        across the pool. Same report as ``sosae.evaluate(...)``.
+        """``sosae.evaluate(...)`` with the walkthrough stage sharded
+        across the pool. Same report.
 
         Thread-safe for a shared instance: concurrent callers
         serialize, because the ``last_*`` attributes describe exactly
         one evaluation."""
         with self._lock:
-            return self._evaluate_locked(sosae, scenario_names)
+            return sosae.evaluate_with(
+                self._walk_sharded,
+                scenario_names,
+                include_dynamic,
+                dynamic_scenarios,
+                workers=self.workers,
+            )
 
-    def _evaluate_locked(
-        self,
-        sosae: Sosae,
-        scenario_names: Optional[Iterable[str]] = None,
-    ) -> EvaluationReport:
+    def _walk_sharded(
+        self, sosae: Sosae, scenarios: tuple[Scenario, ...]
+    ) -> tuple[ScenarioVerdict, ...]:
+        """The sharded walk executor. Runs inside the parent's
+        ``evaluate.walkthrough`` span, which the worker spans stitch
+        under."""
         recorder = current_recorder()
         bus = current_event_bus()
-        if bus.enabled:
-            bus.emit(
-                EvaluationStarted(
-                    architecture=sosae.architecture.name,
-                    scenario_set=sosae.scenario_set.name,
-                    scenarios=len(sosae.scenario_set.scenarios),
-                )
-            )
-        started = time.perf_counter()
-        # Same ownership rule as Sosae.evaluate: the parent's builder
-        # collects the whole-artifact stages, the workers' builders
-        # collect the sharded walkthrough, and the merged shard state is
-        # summed back into the parent's before finalization.
-        builder = (
-            CoverageBuilder()
-            if current_coverage() is NULL_COVERAGE
-            else None
-        )
-        with recorder.span(
-            "evaluate",
-            architecture=sosae.architecture.name,
-            scenario_set=sosae.scenario_set.name,
-            scenarios=len(sosae.scenario_set.scenarios),
-            workers=self.workers,
-        ) as span:
-            if builder is not None:
-                with use_coverage(builder):
-                    report = self._evaluate(
-                        sosae, scenario_names, recorder, bus
-                    )
-            else:
-                report = self._evaluate(sosae, scenario_names, recorder, bus)
-            span.set_attribute("consistent", report.consistent)
-            span.set_attribute("findings", len(report.findings))
-        if builder is not None:
-            sosae._finish_coverage(builder, recorder, bus)
-        if recorder.enabled:
-            recorder.counter("evaluate.runs").inc()
-            recorder.histogram("evaluate.wall_seconds").observe(
-                time.perf_counter() - started
-            )
-        if bus.enabled:
-            all_findings = report.all_inconsistencies()
-            bus.emit(
-                EvaluationFinished(
-                    consistent=report.consistent,
-                    findings=len(all_findings),
-                    scenarios_passed=len(report.passed_scenarios),
-                    scenarios_failed=len(report.failed_scenarios),
-                    wall_seconds=time.perf_counter() - started,
-                )
-            )
-        return report
-
-    # ------------------------------------------------------------------
-
-    def _evaluate(self, sosae, scenario_names, recorder, bus):
-        findings: list[Inconsistency] = []
-        with sosae._staged(recorder, bus, "validation", findings):
-            findings.extend(sosae._validation_findings())
-        with sosae._staged(recorder, bus, "style_check", findings):
-            findings.extend(sosae._style_findings())
-        with sosae._staged(recorder, bus, "coverage", findings):
-            findings.extend(sosae._coverage_findings())
-        with sosae._staged(
-            recorder, bus, "constraints", findings,
-            constraints=len(sosae.constraints),
-        ):
-            findings.extend(
-                check_constraints(sosae.architecture, sosae.constraints)
-            )
-        if sosae.behavior_options is not None:
-            with sosae._staged(recorder, bus, "behavior_check", findings):
-                findings.extend(
-                    check_behavioral_support(
-                        sosae.scenario_set,
-                        sosae.architecture,
-                        sosae.mapping,
-                        sosae.behavior_options,
-                    )
-                )
-
-        selected = tuple(
-            scenario.name
-            for scenario in sosae._selected_scenarios(scenario_names)
-        )
-        verdicts, walk_findings = self._walk_sharded(
-            sosae, selected, recorder, bus
-        )
-        return EvaluationReport(
-            architecture=sosae.architecture.name,
-            scenario_verdicts=verdicts,
-            findings=tuple(findings),
-            dynamic_verdicts=(),
-        )
-
-    def _walk_sharded(self, sosae, selected, recorder, bus):
         trace_id = (
             recorder.spans.context.trace_id
             if recorder.enabled and recorder.spans.context is not None
             else new_trace_id()
         )
         self.last_trace_id = trace_id
-        walk_findings = 0
-        with sosae._staged(
-            recorder, bus, "walkthrough", None,
-            scenarios=len(selected), workers=self.workers,
-        ) as stage_findings:
-            parent_span = (
-                recorder.spans.current_span() if recorder.enabled else None
-            )
-            parent_span_id = (
-                parent_span.span_id if parent_span is not None else None
-            )
-            chunks = plan_shards(selected, self.workers)
-            spec = {
-                "fingerprint": structural_fingerprint(sosae.architecture),
-                "scenarioml": to_scenarioml_xml(sosae.scenario_set),
-                "xadl": to_xadl_xml(sosae.architecture),
-                "mapping": sosae.mapping.to_json(),
-                "options": sosae.walkthrough_options,
-            }
-            # When the parent is profiling, workers sample their own
-            # walks at the same rate; the folded partials merge into
-            # one coherent profile via the collector + the parent
-            # profiler's ingest queue.
-            profiler = current_profiler()
-            profile_hz = profiler.hz if profiler.enabled else None
-            tasks = [
-                ShardTask(
+        parent_span = (
+            recorder.spans.current_span() if recorder.enabled else None
+        )
+        parent_span_id = (
+            parent_span.span_id if parent_span is not None else None
+        )
+        chunks = plan_shards(
+            tuple(scenario.name for scenario in scenarios), self.workers
+        )
+        spec = {
+            "scenarioml": to_scenarioml_xml(sosae.scenario_set),
+            "xadl": to_xadl_xml(sosae.architecture),
+            "mapping": sosae.mapping.to_json(),
+            "options": sosae.walkthrough_options,
+        }
+        # When the parent is profiling, workers sample their own walks at
+        # the same rate; the folded partials merge into one coherent
+        # profile via the collector + the parent profiler's ingest queue.
+        profiler = current_profiler()
+        profile_hz = profiler.hz if profiler.enabled else None
+        tasks = [
+            ShardTask(
+                shard=shard,
+                scenarios=chunk,
+                context=TraceContext(
+                    trace_id=trace_id,
                     shard=shard,
-                    scenarios=chunk,
-                    context=TraceContext(
-                        trace_id=trace_id,
-                        shard=shard,
-                        parent_span_id=parent_span_id,
-                    ),
-                    profile_hz=profile_hz,
-                )
-                for shard, chunk in enumerate(chunks, start=1)
-            ]
-            collector = TelemetryCollector(
-                parent=recorder if recorder.enabled else None
+                    parent_span_id=parent_span_id,
+                ),
+                profile_hz=profile_hz,
             )
-            by_shard: dict[int, list] = {}
-            with ProcessPoolExecutor(
-                max_workers=min(self.workers, len(tasks)) or 1,
-                mp_context=self.mp_context,
-                initializer=init_worker,
-                initargs=(spec,),
-            ) as pool:
-                pending = {pool.submit(run_shard, task) for task in tasks}
-                # Stream partials into the collector in completion order
-                # — the merge is arrival-order independent by design.
-                while pending:
-                    done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                    for future in done:
-                        result = future.result()
-                        by_shard[result["shard"]] = result["verdicts"]
-                        collector.ingest(result["partial"])
-            merged = collector.merge()
-            self.last_telemetry = merged
-            if profiler.enabled and merged.profile is not None:
-                profiler.ingest(merged.profile)
-            coverage = current_coverage()
-            if coverage.enabled and merged.coverage_state:
-                coverage.ingest_state(merged.coverage_state)
-            self.last_shard_stats = tuple(
-                ShardStats(
-                    shard=summary.shard,
-                    scenarios=len(tasks[summary.shard - 1].scenarios),
-                    wall_seconds=summary.wall_seconds,
-                )
-                for summary in merged.shards
+            for shard, chunk in enumerate(chunks, start=1)
+        ]
+        collector = TelemetryCollector(
+            parent=recorder if recorder.enabled else None
+        )
+        by_shard: dict[int, list] = {}
+        with ProcessPoolExecutor(
+            max_workers=min(self.workers, len(tasks)) or 1,
+            mp_context=self.mp_context,
+            initializer=init_worker,
+            initargs=(spec,),
+        ) as pool:
+            pending = {pool.submit(run_shard, task) for task in tasks}
+            # Stream partials into the collector in completion order —
+            # the merge is arrival-order independent by design.
+            while pending:
+                done, pending = wait(pending, return_when=FIRST_COMPLETED)
+                for future in done:
+                    result = future.result()
+                    by_shard[result["shard"]] = result["verdicts"]
+                    collector.ingest(result["partial"])
+        merged = collector.merge()
+        self.last_telemetry = merged
+        if profiler.enabled and merged.profile is not None:
+            profiler.ingest(merged.profile)
+        coverage = current_coverage()
+        if coverage.enabled and merged.coverage_state:
+            coverage.ingest_state(merged.coverage_state)
+        self.last_shard_stats = tuple(
+            ShardStats(
+                shard=summary.shard,
+                scenarios=len(tasks[summary.shard - 1].scenarios),
+                wall_seconds=summary.wall_seconds,
             )
-            if bus.enabled:
-                for event in merged.events:
-                    bus.forward(event)
-            # Contiguous shards in shard order restore set order exactly.
-            verdicts = tuple(
-                verdict
-                for shard in sorted(by_shard)
-                for verdict in by_shard[shard]
-            )
-            walk_findings = 0
-            for verdict in verdicts:
-                verdict_findings = verdict.all_inconsistencies()
-                walk_findings += len(verdict_findings)
-                if bus.enabled:
-                    for finding in verdict_findings:
-                        Sosae._emit_finding(bus, finding)
-            stage_findings["count"] = walk_findings
-        return verdicts, walk_findings
+            for summary in merged.shards
+        )
+        if bus.enabled:
+            for event in merged.events:
+                bus.forward(event)
+        # Contiguous shards in shard order restore set order exactly.
+        return tuple(
+            verdict
+            for shard in sorted(by_shard)
+            for verdict in by_shard[shard]
+        )

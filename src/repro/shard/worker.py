@@ -1,19 +1,20 @@
 """The worker-process half of :class:`repro.shard.BatchEvaluator`.
 
 Everything here is module-level (``ProcessPoolExecutor`` pickles
-references to it by qualified name). A worker is configured once per
-process by :func:`init_worker` with the *spec blob* — the evaluation
-artifacts in their serialized forms (ScenarioML XML, xADL XML, mapping
-JSON) plus the picklable options/constraints — and then runs any number
-of :func:`run_shard` tasks.
+references to it by qualified name). A worker is configured by
+:func:`init_worker` with the *spec blob* — the evaluation artifacts in
+their serialized forms (ScenarioML XML, xADL XML, mapping JSON) plus the
+picklable walkthrough options — and then runs any number of
+:func:`run_shard` tasks.
 
-The expensive part of a task is not walking scenarios but building the
-artifacts and warming the :class:`~repro.adl.index.CommunicationIndex`;
-both are cached per architecture *structural fingerprint* in the module
-global :data:`_PIPELINES`, so every task of the same evaluation (and
-every subsequent evaluation of an unchanged architecture, in a reused
-pool) hits a warm index. Each task records its telemetry under the
-:class:`~repro.obs.context.TraceContext` the parent handed it and
+The first task parses the spec into the process's one
+:class:`~repro.core.evaluator.Sosae`, whose engine owns a warm
+:class:`~repro.adl.index.CommunicationIndex`; later tasks in the same
+pool reuse it, and every :func:`init_worker` call discards it, so a
+pipeline never outlives the spec it was built from. A task walks its
+scenarios with :func:`~repro.core.evaluator.walk_serially`, the serial
+pipeline's own walk executor, records its telemetry under the
+:class:`~repro.obs.context.TraceContext` the parent handed it, and
 returns a picklable payload: the shard's verdicts (full-fidelity
 objects — message traces and provenance survive, which the report-JSON
 round-trip would drop) plus its telemetry partial.
@@ -25,9 +26,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.adl.xadl import parse_xadl
-from repro.core.negative import evaluate_negative_scenario
+from repro.core.evaluator import Sosae, walk_serially
 from repro.core.mapping import Mapping
-from repro.core.walkthrough import WalkthroughEngine, WalkthroughOptions
 from repro.errors import ReproError
 from repro.obs.collector import snapshot_partial
 from repro.obs.context import TraceContext
@@ -53,50 +53,44 @@ class ShardTask:
     profile_hz: Optional[float] = None
 
 
-# Per-process state, set once by the pool initializer.
+# Per-process state: the spec from the pool initializer, and the
+# pipeline built from it on first use.
 _SPEC: Optional[dict] = None
-
-# fingerprint -> (scenario_set, engine): the warm pipeline cache. The
-# engine owns the memoized CommunicationIndex, so every task against the
-# same architecture reuses one warm index per worker process.
-_PIPELINES: dict[str, tuple] = {}
+_SOSAE: Optional[Sosae] = None
 
 
 def init_worker(spec: dict) -> None:
-    """``ProcessPoolExecutor`` initializer: stash the spec blob."""
-    global _SPEC
+    """``ProcessPoolExecutor`` initializer: stash the spec blob and drop
+    any pipeline built from an earlier one (a forked worker inherits
+    its parent's module state)."""
+    global _SPEC, _SOSAE
     _SPEC = spec
-
-
-def _pipeline() -> tuple:
-    """The (scenario_set, engine) pair for the configured spec, built on
-    first use and cached by architecture fingerprint."""
-    if _SPEC is None:
-        raise ReproError(
-            "shard worker not initialized (init_worker never ran)"
-        )
-    fingerprint = _SPEC["fingerprint"]
-    cached = _PIPELINES.get(fingerprint)
-    if cached is not None:
-        return cached
-    scenario_set = parse_scenarioml(_SPEC["scenarioml"])
-    architecture = parse_xadl(_SPEC["xadl"])
-    mapping = Mapping.from_json(
-        _SPEC["mapping"], scenario_set.ontology, architecture
-    )
-    options: WalkthroughOptions = _SPEC["options"]
-    engine = WalkthroughEngine(architecture, mapping, options)
-    _PIPELINES[fingerprint] = (scenario_set, engine)
-    return _PIPELINES[fingerprint]
+    _SOSAE = None
 
 
 def run_shard(task: ShardTask) -> dict:
     """Walk one shard's scenarios; return verdicts + telemetry partial."""
-    scenario_set, engine = _pipeline()
+    global _SOSAE
+    if _SOSAE is None:  # the first task since init_worker
+        if _SPEC is None:
+            raise ReproError(
+                "shard worker not initialized (init_worker never ran)"
+            )
+        scenario_set = parse_scenarioml(_SPEC["scenarioml"])
+        architecture = parse_xadl(_SPEC["xadl"])
+        mapping = Mapping.from_json(
+            _SPEC["mapping"], scenario_set.ontology, architecture
+        )
+        _SOSAE = Sosae(
+            scenario_set,
+            architecture,
+            mapping,
+            walkthrough_options=_SPEC["options"],
+        )
+    sosae = _SOSAE
     recorder = Recorder(spans=SpanRecorder(context=task.context))
     bus = EventBus()
-    verdicts = []
-    stats_before = engine.index.stats()
+    stats_before = sosae.index.stats()
     # Sample this worker's own walk when the parent asked for it; the
     # folded profile rides home in the telemetry partial and merges
     # deterministically with every other shard's.
@@ -113,28 +107,11 @@ def run_shard(task: ShardTask) -> dict:
     with use(recorder), use_events(bus), use_coverage(coverage):
         with recorder.span(
             "shard", shard=task.shard, scenarios=len(task.scenarios)
-        ), engine.index.pinned():
-            for name in task.scenarios:
-                scenario = scenario_set.get(name)
-                if scenario.is_negative:
-                    verdict = evaluate_negative_scenario(
-                        engine, scenario, scenario_set
-                    )
-                else:
-                    verdict = engine.walk_scenario(scenario, scenario_set)
-                verdicts.append(verdict)
+        ), sosae.index.pinned():
+            scenarios = tuple(map(sosae.scenario_set.get, task.scenarios))
+            verdicts = list(walk_serially(sosae, scenarios))
     profile = profiler.stop() if profiler is not None else None
-    stats_after = engine.index.stats()
-    recorder.counter("index.hits").inc(stats_after.hits - stats_before.hits)
-    recorder.counter("index.misses").inc(
-        stats_after.misses - stats_before.misses
-    )
-    recorder.counter("index.invalidations").inc(
-        stats_after.invalidations - stats_before.invalidations
-    )
-    recorder.histogram("index.build_seconds").observe(
-        stats_after.build_seconds - stats_before.build_seconds
-    )
+    sosae.record_index_stats(recorder, stats_before)
     partial = snapshot_partial(
         shard=task.shard,
         trace_id=task.context.trace_id,

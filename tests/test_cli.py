@@ -750,10 +750,15 @@ class TestWorkersFlag:
         sharded = capsys.readouterr().out
         assert sharded == single
 
-    def test_demo_workers_rejects_dynamic(self, capsys):
-        status = main(["demo", "pims", "--dynamic", "--workers", "2"])
-        assert status == 2
-        assert "process boundary" in capsys.readouterr().err
+    def test_demo_workers_dynamic_matches_single_process_output(
+        self, capsys
+    ):
+        # The dynamic stage runs in the parent after the sharded walk.
+        assert main(["demo", "pims", "--dynamic"]) == 0
+        single = capsys.readouterr().out
+        assert "dynamic execution:" in single
+        assert main(["demo", "pims", "--dynamic", "--workers", "2"]) == 0
+        assert capsys.readouterr().out == single
 
     def test_evaluate_workers_from_spec_files(self, tmp_path, capsys):
         scenarios = tmp_path / "s.xml"

@@ -7,6 +7,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,26 @@ from repro.obs import (
 )
 from repro.core.evaluator import Sosae
 from repro.scenarioml.xml_io import to_scenarioml_xml
+
+
+def _append_during_compaction(monkeypatch, append, compact) -> None:
+    """Run ``compact()`` and, between its read and its rename, start
+    ``append()`` on another thread. An append that honors the registry
+    lock waits for the rename; one that does not lands first and is
+    overwritten."""
+    appender = threading.Thread(target=append)
+    rename = Path.replace
+
+    def replace_after_append(self, target):
+        appender.start()
+        appender.join(timeout=0.3)
+        return rename(self, target)
+
+    monkeypatch.setattr(Path, "replace", replace_after_append)
+    compact()
+    monkeypatch.setattr(Path, "replace", rename)
+    appender.join(timeout=10)
+    assert not appender.is_alive()
 
 
 @pytest.fixture
@@ -132,6 +153,21 @@ class TestJobRegistry:
         with pytest.raises(ReproError, match="line 2"):
             registry.load()
 
+    def test_append_from_another_registry_survives_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        compactor, appender = JobRegistry(tmp_path), JobRegistry(tmp_path)
+        compactor.append(self._record())
+        compactor.append(self._record(state="done", finished_at=1.0))
+        _append_during_compaction(
+            monkeypatch,
+            lambda: appender.append(self._record("j0002")),
+            lambda: compactor.compact(keep_days=0, now=10.0),
+        )
+        assert [r.job_id for r in JobRegistry(tmp_path).load()] == [
+            "j0001", "j0002",
+        ]
+
     def test_unknown_format_or_state_is_rejected(self):
         with pytest.raises(ReproError, match="format"):
             JobRecord.from_dict({"format": 99, "job_id": "j1", "state": "done"})
@@ -157,6 +193,27 @@ class TestAuditLog:
         assert first["spec_digest"] == "abc"
         assert second["actor"] == "anonymous"
         assert second["transition"] == "queued->running"
+
+    def test_append_from_another_log_survives_compaction(
+        self, tmp_path, monkeypatch
+    ):
+        compactor, appender = AuditLog(tmp_path), AuditLog(tmp_path)
+        for transition in ("queued", "queued->running"):
+            compactor.append(
+                timestamp=1.0, actor="dev", tenant="acme", job_id="j0001",
+                transition=transition,
+            )
+        _append_during_compaction(
+            monkeypatch,
+            lambda: appender.append(
+                timestamp=2.0, actor="dev", tenant="acme", job_id="j0002",
+                transition="queued",
+            ),
+            lambda: compactor.compact(frozenset({"j0001"})),
+        )
+        assert [e["job_id"] for e in AuditLog(tmp_path).entries()] == [
+            "j0001", "j0002",
+        ]
 
 
 class TestJobManagerInline:

@@ -13,15 +13,27 @@ matrix; the default exercises 1 (degenerate), 2, and 4.
 
 from __future__ import annotations
 
+import json
+import multiprocessing
 import os
 
 import pytest
 
+from repro.adl.xadl import to_xadl_xml
 from repro.core.evaluator import Sosae
+from repro.core.mapping import Mapping
 from repro.core.report_io import report_to_dict
 from repro.errors import EvaluationError
 from repro.obs import EventBus, Recorder, use, use_events
-from repro.shard import BatchEvaluator, ShardTask, plan_shards
+from repro.obs.context import TraceContext, new_trace_id
+from repro.scenarioml.xml_io import to_scenarioml_xml
+from repro.shard import (
+    BatchEvaluator,
+    ShardTask,
+    init_worker,
+    plan_shards,
+    run_shard,
+)
 from repro.systems.crash import build_crash
 from repro.systems.generators import SyntheticSpec, build_synthetic
 from repro.systems.pims import build_pims
@@ -106,6 +118,65 @@ class TestParity:
     def test_invalid_worker_count_rejected(self):
         with pytest.raises(EvaluationError):
             BatchEvaluator(workers=0)
+
+    def test_dynamic_stage_runs_after_sharded_walk(self):
+        pims = build_pims()
+        sosae = Sosae(
+            pims.scenarios,
+            pims.architecture,
+            pims.mapping,
+            bindings=pims.bindings,
+            walkthrough_options=pims.options,
+        )
+        options = {
+            "include_dynamic": True,
+            "dynamic_scenarios": ("get-share-prices",),
+        }
+        expected = sosae.evaluate(**options)
+        actual = BatchEvaluator(workers=2).evaluate(sosae, **options)
+        assert actual.dynamic_verdicts
+        assert report_to_dict(actual) == report_to_dict(expected)
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="needs the fork start method",
+    )
+    def test_forked_pool_ignores_pipeline_built_in_parent(self):
+        # Running the worker entry points in this process leaves a
+        # built pipeline behind, which a forked pool inherits. The pool
+        # must walk the spec it is given, not that pipeline, even when
+        # the architecture is unchanged and only the mapping differs.
+        pims = build_pims()
+        before = _sosae(pims, pims.excised_architecture())
+        init_worker({
+            "scenarioml": to_scenarioml_xml(before.scenario_set),
+            "xadl": to_xadl_xml(before.architecture),
+            "mapping": before.mapping.to_json(),
+            "options": before.walkthrough_options,
+        })
+        run_shard(ShardTask(
+            shard=1,
+            scenarios=(before.scenario_set.scenarios[0].name,),
+            context=TraceContext(trace_id=new_trace_id(), shard=1),
+        ))
+        document = json.loads(before.mapping.to_json())
+        del document["entries"]["initiateFunction"]
+        after = Sosae(
+            before.scenario_set,
+            before.architecture,
+            Mapping.from_json(
+                json.dumps(document),
+                before.scenario_set.ontology,
+                before.architecture,
+            ),
+            constraints=before.constraints,
+            walkthrough_options=before.walkthrough_options,
+        )
+        expected = after.evaluate()
+        actual = BatchEvaluator(
+            workers=2, mp_context=multiprocessing.get_context("fork")
+        ).evaluate(after)
+        assert report_to_dict(actual) == report_to_dict(expected)
 
 
 class TestMergedTelemetry:
