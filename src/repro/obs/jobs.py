@@ -9,13 +9,14 @@ job through its lifecycle::
     queued -> running -> done | failed
     (or straight to `rejected` when a quota or the bounded queue says no)
 
-Three persistent pieces mirror the run registry's append-only JSONL
-idiom (``docs/JOBS.md`` documents the formats):
+Three persistent pieces, each a view over one append-only
+:class:`~repro.obs.store.JsonlStore` (which owns the shared lock, the
+fingerprint-keyed row cache, torn-tail recovery and the atomic
+compaction rewrite; ``docs/JOBS.md`` documents the formats):
 
 * :class:`JobRegistry` — ``.repro-runs/jobs.jsonl``, one
   :class:`JobRecord` line *per transition* (the latest line per job id
-  wins on load), cached against the file's (mtime_ns, size)
-  fingerprint exactly like :class:`~repro.obs.runs.RunRegistry`.
+  wins on load).
 * :class:`AuditLog` — ``.repro-runs/audit.jsonl``, one line per
   transition recording who (actor), what (job, tenant, transition,
   spec digest), and when. Never read on the hot path; append-only.
@@ -46,7 +47,7 @@ import json
 import threading
 import time
 from collections import OrderedDict, deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Union
 
@@ -66,8 +67,8 @@ from repro.obs.promexp import (
     bounded_label_values,
 )
 from repro.obs.recorder import Recorder, use
-from repro.obs.runs import registry_lock
 from repro.obs.spans import SpanRecorder
+from repro.obs.store import JsonlStore
 
 __all__ = [
     "DEFAULT_QUEUE_LIMIT",
@@ -208,23 +209,9 @@ class JobRecord:
         return self.state in _TERMINAL_STATES
 
     def to_dict(self) -> dict:
-        return {
-            "format": _FORMAT_VERSION,
-            "job_id": self.job_id,
-            "tenant": self.tenant,
-            "state": self.state,
-            "label": self.label,
-            "spec_digest": self.spec_digest,
-            "submitted_at": self.submitted_at,
-            "started_at": self.started_at,
-            "finished_at": self.finished_at,
-            "run_id": self.run_id,
-            "reason": self.reason,
-            "error": self.error,
-            "consistent": self.consistent,
-            "findings": self.findings,
-            "wall_seconds": self.wall_seconds,
-        }
+        data = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        data["format"] = _FORMAT_VERSION
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "JobRecord":
@@ -235,88 +222,33 @@ class JobRecord:
             )
         if data.get("state") not in JOB_STATES:
             raise ReproError(f"unknown job state {data.get('state')!r}")
-        return cls(
-            job_id=data["job_id"],
-            tenant=data.get("tenant", ""),
-            state=data["state"],
-            label=data.get("label", ""),
-            spec_digest=data.get("spec_digest", ""),
-            submitted_at=data.get("submitted_at", 0.0),
-            started_at=data.get("started_at", 0.0),
-            finished_at=data.get("finished_at", 0.0),
-            run_id=data.get("run_id", ""),
-            reason=data.get("reason", ""),
-            error=data.get("error", ""),
-            consistent=data.get("consistent", True),
-            findings=data.get("findings", 0),
-            wall_seconds=data.get("wall_seconds", 0.0),
-        )
+        known = (spec.name for spec in fields(cls))
+        return cls(**{name: data[name] for name in known if name in data})
 
 
 class JobRegistry:
-    """The append-only job store: one record line per transition.
-
-    ``load()`` replays the file and keeps the *latest* line per job id
-    (submission order preserved), cached against the (mtime_ns, size)
-    fingerprint like :class:`~repro.obs.runs.RunRegistry` — the job
-    API polls this on every ``GET /jobs``.
-    """
+    """The job log: one :class:`JobRecord` line per transition in a
+    :class:`~repro.obs.store.JsonlStore`; ``load()`` keeps the *latest*
+    line per job id (submission order preserved)."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self._lock = threading.Lock()
-        self._cache: Optional[tuple[JobRecord, ...]] = None
-        self._cache_stamp: Optional[tuple[int, int]] = None
+        self._store = JsonlStore(self.root / _JOBS_FILE, JobRecord.from_dict)
 
     @property
     def path(self) -> Path:
-        return self.root / _JOBS_FILE
-
-    def _fingerprint(self) -> Optional[tuple[int, int]]:
-        try:
-            stat = self.path.stat()
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size)
+        return self._store.path
 
     def append(self, record: JobRecord) -> None:
         """Persist one transition (thread-safe; executors and the
-        submission path append concurrently). Holds the cross-process
-        :func:`~repro.obs.runs.registry_lock`, so a concurrent
-        :meth:`compact` cannot drop the line."""
-        with registry_lock(self.root), self._lock:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(record.to_dict(), sort_keys=True) + "\n"
-                )
-            self._cache = None
-            self._cache_stamp = None
+        submission path append concurrently)."""
+        self._store.append(record.to_dict())
 
     def load(self) -> tuple[JobRecord, ...]:
         """Latest state per job, in first-submission order."""
-        with self._lock:
-            stamp = self._fingerprint()
-            if self._cache is not None and stamp == self._cache_stamp:
-                return self._cache
-            latest: "OrderedDict[str, JobRecord]" = OrderedDict()
-            if self.path.exists():
-                text = self.path.read_text(encoding="utf-8")
-                for number, line in enumerate(text.splitlines(), start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = JobRecord.from_dict(json.loads(line))
-                    except (json.JSONDecodeError, KeyError) as error:
-                        raise ReproError(
-                            f"{self.path} line {number} is not a valid "
-                            f"job record: {error}"
-                        ) from None
-                    # Latest transition wins; dict insertion order (=
-                    # first submission) is kept for already-seen ids.
-                    latest[record.job_id] = record
-            self._cache = tuple(latest.values())
-            self._cache_stamp = stamp
-            return self._cache
+        # A re-assigned key keeps its first position: submission order.
+        latest = {record.job_id: record for record in self._store.rows()}
+        return tuple(latest.values())
 
     def compact(
         self, keep_days: float, now: Optional[float] = None
@@ -325,10 +257,7 @@ class JobRegistry:
         more than ``keep_days`` ago, drop its intermediate transition
         lines and keep only the latest (the one ``load()`` uses anyway).
         Non-terminal and recent jobs keep their full transition history.
-
-        Atomic (temp file + rename) and serve-safe: holds the same
-        cross-process :func:`~repro.obs.runs.registry_lock` appenders
-        hold, so a concurrent transition append cannot be lost.
+        Atomic and serve-safe (:meth:`~repro.obs.store.JsonlStore.rewrite`).
 
         Returns ``(stale_job_ids, stats)`` — the ids whose history was
         collapsed (the audit log compacts the same set) and
@@ -338,54 +267,19 @@ class JobRegistry:
                 f"jobs compact needs keep-days >= 0, got {keep_days}"
             )
         horizon = (time.time() if now is None else now) - keep_days * 86400.0
-        with registry_lock(self.root), self._lock:
-            rows: list[tuple[str, str]] = []  # (job_id, raw line)
-            latest_by_id: dict[str, JobRecord] = {}
-            last_index: dict[str, int] = {}
-            if self.path.exists():
-                text = self.path.read_text(encoding="utf-8")
-                for number, line in enumerate(text.splitlines(), start=1):
-                    if not line.strip():
-                        continue
-                    try:
-                        record = JobRecord.from_dict(json.loads(line))
-                    except (json.JSONDecodeError, KeyError) as error:
-                        raise ReproError(
-                            f"{self.path} line {number} is not a valid "
-                            f"job record: {error}"
-                        ) from None
-                    latest_by_id[record.job_id] = record
-                    last_index[record.job_id] = len(rows)
-                    rows.append((record.job_id, line))
-            stale: frozenset = frozenset()
-            dropped = 0
-            if rows:
-                stale = frozenset(
-                    job_id
-                    for job_id, record in latest_by_id.items()
-                    if record.terminal
-                    and record.finished_at
-                    and record.finished_at < horizon
-                )
-                kept_lines = [
-                    line
-                    for index, (job_id, line) in enumerate(rows)
-                    if job_id not in stale or index == last_index[job_id]
-                ]
-                dropped = len(rows) - len(kept_lines)
-                if dropped:
-                    staging = self.path.with_name(self.path.name + ".tmp")
-                    staging.write_text(
-                        "".join(line + "\n" for line in kept_lines),
-                        encoding="utf-8",
-                    )
-                    staging.replace(self.path)
-                self._cache = None
-                self._cache_stamp = None
-            return stale, {
-                "jobs_kept": len(rows) - dropped,
-                "jobs_dropped": dropped,
-            }
+        # Read before the rewrite takes the lock: a terminal job gains no
+        # more transitions, so no append can make this set wrong.
+        stale = frozenset(
+            record.job_id
+            for record in self.load()
+            if record.terminal
+            and record.finished_at
+            and record.finished_at < horizon
+        )
+        kept, dropped = _collapse_to_last_line(
+            self._store, lambda record: record.job_id, stale
+        )
+        return stale, {"jobs_kept": kept, "jobs_dropped": dropped}
 
     def jobs(self, tenant: Optional[str] = None) -> tuple[JobRecord, ...]:
         records = self.load()
@@ -402,16 +296,17 @@ class JobRegistry:
 
 class AuditLog:
     """Append-only who/what/when/digest trail, one JSON line per
-    lifecycle transition. Written on every transition, read only by
-    auditors (``sosae jobs`` never needs it to operate)."""
+    lifecycle transition (plain dicts in a
+    :class:`~repro.obs.store.JsonlStore`). Written on every transition,
+    read only by auditors (``sosae jobs`` never needs it to operate)."""
 
     def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
-        self._lock = threading.Lock()
+        self._store = JsonlStore(self.root / _AUDIT_FILE, dict)
 
     @property
     def path(self) -> Path:
-        return self.root / _AUDIT_FILE
+        return self._store.path
 
     def append(
         self,
@@ -424,61 +319,49 @@ class AuditLog:
         spec_digest: str = "",
         detail: str = "",
     ) -> None:
-        entry = {
-            "timestamp": timestamp,
-            "actor": actor or "anonymous",
-            "tenant": tenant,
-            "job_id": job_id,
-            "transition": transition,
-            "spec_digest": spec_digest,
-            "detail": detail,
-        }
-        # The same lock order as compact(): file lock, then thread lock.
-        with registry_lock(self.root), self._lock:
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(json.dumps(entry, sort_keys=True) + "\n")
+        self._store.append(
+            {
+                "timestamp": timestamp,
+                "actor": actor or "anonymous",
+                "tenant": tenant,
+                "job_id": job_id,
+                "transition": transition,
+                "spec_digest": spec_digest,
+                "detail": detail,
+            }
+        )
 
     def entries(self) -> tuple[dict, ...]:
         """Every audit entry, oldest first."""
-        if not self.path.exists():
-            return ()
-        rows = []
-        for line in self.path.read_text(encoding="utf-8").splitlines():
-            if line.strip():
-                rows.append(json.loads(line))
-        return tuple(rows)
+        return self._store.rows()
 
     def compact(self, job_ids: frozenset) -> dict:
         """Collapse the trail for ``job_ids`` to one line each (the
-        final transition). Entries for any other job survive verbatim.
-        Atomic via temp file + rename, under the same cross-process
-        lock appenders take."""
-        with registry_lock(self.root), self._lock:
-            if not self.path.exists() or not job_ids:
-                return {"audit_kept": len(self.entries()), "audit_dropped": 0}
-            rows: list[tuple[str, str]] = []  # (job_id, raw line)
-            last_index: dict[str, int] = {}
-            for line in self.path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                job_id = json.loads(line).get("job_id", "")
-                if job_id in job_ids:
-                    last_index[job_id] = len(rows)
-                rows.append((job_id, line))
-            kept = [
-                line
-                for index, (job_id, line) in enumerate(rows)
-                if job_id not in job_ids or index == last_index[job_id]
-            ]
-            dropped = len(rows) - len(kept)
-            if dropped:
-                staging = self.path.with_name(self.path.name + ".tmp")
-                staging.write_text(
-                    "".join(line + "\n" for line in kept),
-                    encoding="utf-8",
-                )
-                staging.replace(self.path)
-            return {"audit_kept": len(kept), "audit_dropped": dropped}
+        final transition). Entries for any other job survive verbatim."""
+        kept, dropped = _collapse_to_last_line(
+            self._store, lambda entry: entry.get("job_id", ""), job_ids
+        )
+        return {"audit_kept": kept, "audit_dropped": dropped}
+
+
+def _collapse_to_last_line(
+    store: JsonlStore, job_id_of: Callable, job_ids: frozenset
+) -> tuple[int, int]:
+    """Rewrite ``store`` so each of ``job_ids`` keeps only its last
+    line; every other line survives verbatim. Returns the kept and
+    dropped line counts."""
+
+    def select(rows) -> list[int]:
+        ids = [job_id_of(row) for row in rows]
+        last = {job_id: index for index, job_id in enumerate(ids)}
+        return [
+            index
+            for index, job_id in enumerate(ids)
+            if job_id not in job_ids or last[job_id] == index
+        ]
+
+    kept, dropped = store.rewrite(select)
+    return len(kept), len(dropped)
 
 
 def compact_job_logs(

@@ -30,21 +30,16 @@ import json
 import re
 import subprocess
 import time
-from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterator, Optional, Sequence, Union
-
-try:
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX fallback
-    fcntl = None  # type: ignore[assignment]
+from typing import Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.obs.anomaly import DEFAULT_ANOMALY_THRESHOLD, detect_step
 from repro.obs.events import RunRecorded, current_event_bus
 from repro.obs.profiler import Profile
 from repro.obs.spans import Span
+from repro.obs.store import JsonlStore, registry_lock
 
 __all__ = [
     "DEFAULT_RUNS_DIR",
@@ -70,28 +65,6 @@ DEFAULT_RUNS_DIR = ".repro-runs"
 _RUNS_FILE = "runs.jsonl"
 _PROFILES_DIR = "profiles"
 _FORMAT_VERSION = 1
-
-
-@contextmanager
-def registry_lock(root: Union[str, Path]) -> Iterator[None]:
-    """An exclusive cross-process lock on a registry directory.
-
-    Appenders (a serve daemon recording runs, job executors persisting
-    transitions) and compactors (``sosae runs/jobs compact``) both take
-    it, so a compaction's read-rewrite-rename cannot interleave with a
-    concurrent append and drop the appended line. Advisory ``flock`` on
-    a sidecar ``.lock`` file; a no-op where ``fcntl`` is unavailable."""
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    handle = (root / ".lock").open("a+", encoding="utf-8")
-    try:
-        if fcntl is not None:
-            fcntl.flock(handle, fcntl.LOCK_EX)
-        yield
-    finally:
-        if fcntl is not None:
-            fcntl.flock(handle, fcntl.LOCK_UN)
-        handle.close()
 
 
 def current_git_sha(cwd: Optional[Path] = None) -> Optional[str]:
@@ -234,84 +207,45 @@ class RunRecord:
     coverage: dict = field(default_factory=dict)  # CoverageMatrix.to_dict()
 
     def to_dict(self) -> dict:
-        return {
-            "format": _FORMAT_VERSION,
-            "run_id": self.run_id,
-            "label": self.label,
-            "timestamp": self.timestamp,
-            "git_sha": self.git_sha,
-            "wall_seconds": self.wall_seconds,
-            "consistent": self.consistent,
-            "scenarios_passed": self.scenarios_passed,
-            "scenarios_failed": self.scenarios_failed,
-            "findings": self.findings,
-            "report_digest": self.report_digest,
-            "metrics": self.metrics,
-            "stages": self.stages,
-            "scenarios": self.scenarios,
-            "profile": self.profile,
-            "tenant": self.tenant,
-            "job_id": self.job_id,
-            "coverage": self.coverage,
-        }
+        data = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        data["format"] = _FORMAT_VERSION
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunRecord":
+        """Fields added after format 1 keep their defaults when a record
+        lacks them — so records written before per-scenario costs
+        (``scenarios``), the profiler (``profile``: a pointer into
+        ``profiles/<run_id>.folded``), the job API (``tenant``/
+        ``job_id``) or coverage telemetry (``coverage``; also empty for
+        runs evaluated without a recorder or on the incremental fast
+        path) still load."""
         if data.get("format") != _FORMAT_VERSION:
             raise ReproError(
                 f"unsupported run record format {data.get('format')!r} "
                 f"(expected {_FORMAT_VERSION})"
             )
-        return cls(
-            run_id=data["run_id"],
-            label=data.get("label", ""),
-            timestamp=data.get("timestamp", 0.0),
-            git_sha=data.get("git_sha"),
-            wall_seconds=data.get("wall_seconds", 0.0),
-            consistent=data.get("consistent", True),
-            scenarios_passed=data.get("scenarios_passed", 0),
-            scenarios_failed=data.get("scenarios_failed", 0),
-            findings=data.get("findings", 0),
-            report_digest=data.get("report_digest", ""),
-            metrics=data.get("metrics", {}),
-            stages=data.get("stages", {}),
-            # Optional since the cost-attribution PR; records persisted
-            # before it simply have no per-scenario breakdown.
-            scenarios=data.get("scenarios", {}),
-            # Optional since the profiler PR: a pointer into
-            # ``.repro-runs/profiles/<run_id>.folded`` when the run was
-            # evaluated under ``--profile-hz``.
-            profile=data.get("profile", {}),
-            # Optional since the multi-tenant job API; single-tenant
-            # records simply carry empty scoping.
-            tenant=data.get("tenant", ""),
-            job_id=data.get("job_id", ""),
-            # Optional since the coverage-telemetry PR: the run's
-            # digest-verified element-level coverage matrix; runs
-            # evaluated without a recorder (or on the incremental fast
-            # path, which re-walks only dirty scenarios) carry none.
-            coverage=data.get("coverage", {}),
-        )
+        known = (spec.name for spec in fields(cls))
+        return cls(**{name: data[name] for name in known if name in data})
 
 
 class RunRegistry:
-    """The append-only JSONL store under ``.repro-runs/``.
+    """The run log under ``.repro-runs/``: a view over one
+    :class:`~repro.obs.store.JsonlStore` of :class:`RunRecord` rows.
 
-    Parsed records are cached against the file's (mtime_ns, size)
-    fingerprint, so the serve loop — which records a run and then reads
-    the window back for SLO rules, every run — stays O(new records)
-    instead of re-parsing the whole history each cycle. Out-of-process
-    appends change the fingerprint and invalidate the cache.
+    The store caches decoded records and extends the cache with each
+    append, so the serve loop — which records a run and then reads the
+    window back for SLO rules, every run — decodes each line once
+    instead of re-parsing the whole history each cycle.
     """
 
     def __init__(self, root: Union[str, Path] = DEFAULT_RUNS_DIR) -> None:
         self.root = Path(root)
-        self._cache: Optional[tuple[RunRecord, ...]] = None
-        self._cache_stamp: Optional[tuple[int, int]] = None
+        self._store = JsonlStore(self.root / _RUNS_FILE, RunRecord.from_dict)
 
     @property
     def path(self) -> Path:
-        return self.root / _RUNS_FILE
+        return self._store.path
 
     @property
     def profiles_dir(self) -> Path:
@@ -319,13 +253,6 @@ class RunRegistry:
 
     def profile_path(self, run_id: str) -> Path:
         return self.profiles_dir / f"{run_id}.folded"
-
-    def _fingerprint(self) -> Optional[tuple[int, int]]:
-        try:
-            stat = self.path.stat()
-        except OSError:
-            return None
-        return (stat.st_mtime_ns, stat.st_size)
 
     # ------------------------------------------------------------------
     # Recording
@@ -357,23 +284,9 @@ class RunRegistry:
         digest pointer, keeping ``runs.jsonl`` lines small.
         """
         roots = tuple(recorder.roots)
-        # Next id = highest existing numeric id + 1, NOT line count:
-        # after `runs compact` the file holds fewer lines than the
-        # highest id, and counting would mint colliding ids.
-        run_id = f"r{_next_run_number(self._load_all()):04d}"
-        profile_pointer: dict = {}
-        if profile is not None:
-            folded = profile.to_folded()
-            self.profiles_dir.mkdir(parents=True, exist_ok=True)
-            self.profile_path(run_id).write_text(folded, encoding="utf-8")
-            profile_pointer = {
-                "digest": profile.digest(),
-                "samples": profile.samples,
-                "stacks": len(profile.counts),
-                "hz": profile.hz,
-            }
-        record = RunRecord(
-            run_id=run_id,
+        folded = profile.to_folded() if profile is not None else None
+        draft = RunRecord(
+            run_id="",
             label=label,
             timestamp=time.time() if timestamp is None else timestamp,
             git_sha=git_sha if git_sha is not None else current_git_sha(),
@@ -390,23 +303,37 @@ class RunRegistry:
             metrics=recorder.metrics.to_dict(),
             stages=stage_summary(roots),
             scenarios=scenario_costs(roots),
-            profile=profile_pointer,
+            profile=(
+                {
+                    "digest": profile.digest(),
+                    "samples": profile.samples,
+                    "stacks": len(profile.counts),
+                    "hz": profile.hz,
+                }
+                if profile is not None
+                else {}
+            ),
             tenant=tenant,
             job_id=job_id,
             # The evaluation pipeline attaches its finalized
             # CoverageMatrix to the live recorder; runs evaluated
             # without one (incremental fast path) carry none.
             coverage=_recorder_coverage(recorder),
-        )
-        self.root.mkdir(parents=True, exist_ok=True)
-        with registry_lock(self.root):
-            with self.path.open("a", encoding="utf-8") as handle:
-                handle.write(
-                    json.dumps(record.to_dict(), sort_keys=True) + "\n"
-                )
-        if self._cache is not None:
-            self._cache = self._cache + (record,)
-            self._cache_stamp = self._fingerprint()
+        ).to_dict()
+
+        def mint(records: tuple[RunRecord, ...]) -> dict:
+            # Called under the append lock, against every process's
+            # appends, so two recorders never mint the same id. Next id
+            # = highest existing numeric id + 1, NOT line count: after
+            # `runs compact` the file holds fewer lines than the
+            # highest id, and counting would mint colliding ids.
+            run_id = f"r{_next_run_number(records):04d}"
+            if folded is not None:
+                self.profiles_dir.mkdir(parents=True, exist_ok=True)
+                self.profile_path(run_id).write_text(folded, encoding="utf-8")
+            return dict(draft, run_id=run_id)
+
+        record = self._store.append(mint)
         bus = current_event_bus()
         if bus.enabled:
             bus.emit(
@@ -425,52 +352,27 @@ class RunRegistry:
 
     def compact(self, keep: int) -> dict:
         """Rewrite ``runs.jsonl`` keeping only the newest ``keep``
-        records. Atomic (temp file + rename) and serve-safe (the same
-        :func:`registry_lock` appenders hold); profile artifacts of
-        dropped runs are deleted. Run ids are never reused —
+        records (atomic and serve-safe, see
+        :meth:`~repro.obs.store.JsonlStore.rewrite`); profile artifacts
+        of dropped runs are deleted. Run ids are never reused —
         :meth:`record` derives the next id from the highest surviving
         id, not the line count."""
         if keep < 1:
             raise ReproError(f"runs compact needs keep >= 1, got {keep}")
-        with registry_lock(self.root):
-            # Re-read under the lock: another process may have appended
-            # since our cache was stamped.
-            self._cache = None
-            records = self._load_all()
-            dropped = records[:-keep] if len(records) > keep else ()
-            kept = records[-keep:] if len(records) > keep else records
-            if dropped:
-                staging = self.path.with_name(self.path.name + ".tmp")
-                staging.write_text(
-                    "".join(
-                        json.dumps(record.to_dict(), sort_keys=True) + "\n"
-                        for record in kept
-                    ),
-                    encoding="utf-8",
-                )
-                staging.replace(self.path)
-                for record in dropped:
-                    if record.profile:
-                        try:
-                            self.profile_path(record.run_id).unlink()
-                        except OSError:
-                            pass
-            self._cache = tuple(kept)
-            self._cache_stamp = self._fingerprint()
+        kept, dropped = self._store.rewrite(
+            lambda records: range(max(0, len(records) - keep), len(records))
+        )
+        for record in dropped:
+            if record.profile:
+                try:
+                    self.profile_path(record.run_id).unlink()
+                except OSError:
+                    pass
         return {"kept": len(kept), "dropped": len(dropped)}
 
     # ------------------------------------------------------------------
     # Reading
     # ------------------------------------------------------------------
-
-    def _read_lines(self) -> list[str]:
-        if not self.path.exists():
-            return []
-        return [
-            line
-            for line in self.path.read_text(encoding="utf-8").splitlines()
-            if line.strip()
-        ]
 
     def load(self, tenant: Optional[str] = None) -> tuple[RunRecord, ...]:
         """Every recorded run, oldest first.
@@ -478,27 +380,10 @@ class RunRegistry:
         ``tenant`` narrows the history to that tenant's job runs —
         the scoping ``sosae runs list --tenant`` and tenant-scoped
         alert rules use."""
-        records = self._load_all()
+        records = self._store.rows()
         if tenant is None:
             return records
         return tuple(record for record in records if record.tenant == tenant)
-
-    def _load_all(self) -> tuple[RunRecord, ...]:
-        stamp = self._fingerprint()
-        if self._cache is not None and stamp == self._cache_stamp:
-            return self._cache
-        records = []
-        for number, line in enumerate(self._read_lines(), start=1):
-            try:
-                records.append(RunRecord.from_dict(json.loads(line)))
-            except (json.JSONDecodeError, KeyError) as error:
-                raise ReproError(
-                    f"{self.path} line {number} is not a valid run record: "
-                    f"{error}"
-                ) from None
-        self._cache = tuple(records)
-        self._cache_stamp = stamp
-        return self._cache
 
     def get(self, reference: str, tenant: Optional[str] = None) -> RunRecord:
         """A run by id, or by the aliases ``latest`` / ``previous``.

@@ -110,6 +110,7 @@ from repro.obs.runs import (
     stage_summary,
 )
 from repro.obs.spans import SpanRecorder
+from repro.obs.store import file_stamp
 
 __all__ = [
     "RunOutcome",
@@ -121,6 +122,10 @@ __all__ = [
 ]
 
 _LOG = get_logger("obs.serve")
+
+#: The largest ``POST /jobs`` body read: ~18x the biggest bundle built
+#: here (the 800-scenario synthetic system, ~0.9 MB as a request).
+MAX_JOB_BODY_BYTES = 16 * 1024 * 1024
 
 _SEVERITIES = ("info", "warning", "critical")
 
@@ -215,14 +220,10 @@ class SpecWatcher:
         self._fingerprint: Optional[tuple] = None
 
     def fingerprint(self) -> tuple:
-        stamps = []
-        for path in self.paths:
-            try:
-                stat = path.stat()
-                stamps.append((str(path), stat.st_mtime_ns, stat.st_size))
-            except OSError:
-                stamps.append((str(path), None, None))
-        return tuple(stamps)
+        return tuple(
+            (str(path), *(file_stamp(path) or (None, None)))
+            for path in self.paths
+        )
 
     def changed(self) -> bool:
         return bool(self.changed_paths())
@@ -1119,6 +1120,14 @@ class _ServeHandler(BaseHTTPRequestHandler):
                     400, {"error": "POST /jobs needs a JSON body"}
                 )
                 return
+            if length > MAX_JOB_BODY_BYTES:
+                # Refused unread, so the connection cannot be reused.
+                self._respond_json(
+                    413,
+                    {"error": f"body exceeds {MAX_JOB_BODY_BYTES} bytes"},
+                    close=True,
+                )
+                return
             raw = self.rfile.read(length)
             try:
                 payload = json.loads(raw.decode("utf-8"))
@@ -1200,16 +1209,23 @@ class _ServeHandler(BaseHTTPRequestHandler):
             return
         self._respond(200, "application/json", report)
 
-    def _respond(self, status: int, content_type: str, body: str) -> None:
+    def _respond(
+        self, status: int, content_type: str, body: str, close: bool = False
+    ) -> None:
         payload = body.encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        if close:
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
 
-    def _respond_json(self, status: int, data: dict) -> None:
-        self._respond(status, "application/json", json.dumps(data, sort_keys=True))
+    def _respond_json(
+        self, status: int, data: dict, close: bool = False
+    ) -> None:
+        body = json.dumps(data, sort_keys=True)
+        self._respond(status, "application/json", body, close)
 
     def _stream_events(self, daemon: ServeDaemon, query: str) -> None:
         params = parse_qs(query)

@@ -74,7 +74,21 @@ def _local(uri: str) -> str:
 # ----------------------------------------------------------------------
 
 def to_owl_xml(ontology: Ontology) -> str:
-    """Serialize a ScenarioML ontology to an OWL RDF/XML document."""
+    """Serialize a ScenarioML ontology to an OWL RDF/XML document.
+
+    A definition named like a reserved root class (``EventType``,
+    ``Term``) would share that class's IRI and not survive the round
+    trip, so it is refused with :class:`SerializationError`."""
+    for definition in (
+        *ontology.terms,
+        *ontology.instance_types,
+        *ontology.instances,
+        *ontology.event_types,
+    ):
+        if definition.name in (_EVENT_ROOT, _TERM_ROOT):
+            raise SerializationError(
+                f"{definition.name!r} is a reserved OWL root class name"
+            )
     root = ET.Element(_tag(RDF, "RDF"))
     header = ET.SubElement(root, _tag(OWL, "Ontology"))
     header.set(_tag(RDF, "about"), REPRO + ontology.name.replace(" ", "_"))

@@ -5,7 +5,9 @@ from __future__ import annotations
 import pytest
 
 from repro.adl.structure import Architecture, Direction, Interface
+from repro.core.evaluator import Sosae
 from repro.core.mapping import Mapping
+from repro.obs import Recorder, use
 from repro.scenarioml.events import SimpleEvent, TypedEvent
 from repro.scenarioml.ontology import Ontology, Parameter
 from repro.scenarioml.scenario import Scenario, ScenarioSet
@@ -115,6 +117,17 @@ def chain_mapping(
     mapping.map_event("destroy", "logic", "store")
     mapping.map_event("notify", "ui")
     return mapping
+
+
+@pytest.fixture
+def recorded_evaluation(small_scenarios, chain_architecture, chain_mapping):
+    """A real evaluation captured by a live recorder."""
+    recorder = Recorder()
+    with use(recorder):
+        report = Sosae(
+            small_scenarios, chain_architecture, chain_mapping
+        ).evaluate()
+    return report, recorder
 
 
 @pytest.fixture(scope="session")

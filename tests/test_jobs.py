@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from urllib.parse import urlsplit
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.obs import (
     validate_bundle,
 )
 from repro.core.evaluator import Sosae
+from repro.obs.serve import MAX_JOB_BODY_BYTES
 from repro.scenarioml.xml_io import to_scenarioml_xml
 
 
@@ -149,7 +152,6 @@ class TestJobRegistry:
         registry.append(self._record())
         with registry.path.open("a") as handle:
             handle.write("{broken\n")
-        registry._cache = None
         with pytest.raises(ReproError, match="line 2"):
             registry.load()
 
@@ -594,6 +596,32 @@ class TestJobsHttp:
             f"{base}/jobs", {"tenant": "no spaces!", "bundle": {}}
         )
         assert status == 400
+
+    def test_oversized_body_is_413_before_reading(self, job_daemon, bundle):
+        daemon, base, _ = job_daemon
+        parts = urlsplit(base)
+        with socket.create_connection(
+            (parts.hostname, parts.port), timeout=10
+        ) as conn:
+            # The declared body is never sent: the server must answer
+            # from the header alone.
+            conn.sendall(
+                b"POST /jobs HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\n\r\n" % (MAX_JOB_BODY_BYTES + 1)
+            )
+            response = conn.makefile("rb").read()
+        head, _, body = response.partition(b"\r\n\r\n")
+        assert head.split(b"\r\n")[0].split()[1] == b"413"
+        assert b"connection: close" in head.lower()
+        assert str(MAX_JOB_BODY_BYTES) in json.loads(body)["error"]
+        assert daemon.jobs.jobs() == ()
+        status, body = _post_json(
+            f"{base}/jobs", {"tenant": "acme", "bundle": bundle}
+        )
+        assert status == 202
+        record = daemon.jobs.wait(body["job"]["job_id"], timeout=30.0)
+        assert record.state == "done"
 
     def test_disabled_job_api_is_404(
         self, small_scenarios, chain_architecture, chain_mapping, bundle

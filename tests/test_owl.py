@@ -95,6 +95,18 @@ class TestRoundtrip:
         )
 
 
+class TestExportErrors:
+    @pytest.mark.parametrize("name", ["EventType", "Term"])
+    def test_reserved_root_class_names_rejected(self, name):
+        ontology = Ontology("o")
+        ontology.define_instance_type("thing")
+        ontology.define_event_type(
+            name, text="does [x]", parameters=[Parameter("x", "thing")]
+        )
+        with pytest.raises(SerializationError, match="reserved"):
+            to_owl_xml(ontology)
+
+
 class TestParsingErrors:
     def test_malformed_xml(self):
         with pytest.raises(SerializationError):

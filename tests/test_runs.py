@@ -58,17 +58,6 @@ def _histogram(count, mean):
     return {"type": "histogram", "count": count, "mean": mean}
 
 
-@pytest.fixture
-def recorded_evaluation(small_scenarios, chain_architecture, chain_mapping):
-    """A real evaluation captured by a live recorder."""
-    recorder = Recorder()
-    with use(recorder):
-        report = Sosae(
-            small_scenarios, chain_architecture, chain_mapping
-        ).evaluate()
-    return report, recorder
-
-
 class TestStageSummary:
     def test_aggregates_by_name_across_the_forest(self):
         root = _span("evaluate", 0.0, 1.0)
