@@ -3,7 +3,7 @@
 Two properties the ISSUE's acceptance bar names directly:
 
 1. With the profiler *off* (the default), the profiled path does
-   structurally zero work — ``current_profiler()`` is the module-level
+   structurally zero work — ``current_instruments().profiler`` is the
    ``NULL_PROFILER`` singleton and no ``sosae-profiler`` sampler thread
    exists, so there is nothing to measure, only structure to assert.
 2. With the profiler *on* at the default rate, the sampler thread's
@@ -24,12 +24,11 @@ import time
 from _timing import timed
 
 from repro.core.walkthrough import WalkthroughEngine
+from repro.obs.instruments import current_instruments, instrumented
 from repro.obs.profiler import (
     DEFAULT_PROFILE_HZ,
     NULL_PROFILER,
     SamplingProfiler,
-    current_profiler,
-    use_profiler,
 )
 from repro.systems.generators import SyntheticSpec, build_synthetic
 
@@ -76,12 +75,12 @@ def _median(values: list[float]) -> float:
 def test_bench_profiler_disabled_path_is_structurally_zero():
     system = build_synthetic(SPEC)
     engine = WalkthroughEngine(system.architecture, system.mapping)
-    assert current_profiler() is NULL_PROFILER
+    assert current_instruments().profiler is NULL_PROFILER
     assert _sampler_threads() == []
     engine.walk_all(system.scenarios)
     # The walkthrough itself never consults the profiler: with nothing
     # installed there is no sampler thread to pay for, before or after.
-    assert current_profiler() is NULL_PROFILER
+    assert current_instruments().profiler is NULL_PROFILER
     assert _sampler_threads() == []
 
 
@@ -99,7 +98,7 @@ def test_bench_profiler_overhead(benchmark):
                 baselines.append(_walk_seconds(engine, system.scenarios))
                 profiler = SamplingProfiler(hz=DEFAULT_PROFILE_HZ).start()
                 try:
-                    with use_profiler(profiler):
+                    with instrumented(profiler=profiler):
                         profileds.append(
                             _walk_seconds(engine, system.scenarios)
                         )

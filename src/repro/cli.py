@@ -134,6 +134,7 @@ from repro.obs import (
     events_from_jsonl,
     format_event,
     get_logger,
+    instrumented,
     iter_sse_events,
     load_rules,
     load_trace_file,
@@ -142,9 +143,6 @@ from repro.obs import (
     read_sse_events,
     render_job_list,
     render_profile,
-    use,
-    use_events,
-    use_profiler,
 )
 from repro.obs.profiler import _short_frame
 from repro.obs.events import event_from_dict, event_severity
@@ -1035,7 +1033,7 @@ class _Observed:
             return
         profiler = SamplingProfiler(hz=self.profile_hz).start()
         try:
-            with use_profiler(profiler):
+            with instrumented(profiler=profiler):
                 yield
         finally:
             self.profile = profiler.stop()
@@ -1063,7 +1061,7 @@ def _observed(args: argparse.Namespace) -> Iterator[_Observed]:
     recorder = Recorder()
     observed = _Observed(recorder, args.profile_hz)
     if args.events is None:
-        with use(recorder):
+        with instrumented(recorder=recorder):
             yield observed
         return
     bus = EventBus(
@@ -1072,7 +1070,7 @@ def _observed(args: argparse.Namespace) -> Iterator[_Observed]:
     )
     with JsonlSink(args.events) as sink:
         bus.subscribe(sink)
-        with use(recorder), use_events(bus):
+        with instrumented(recorder=recorder, events=bus):
             yield observed
     _LOG.info("wrote event stream to %s", args.events)
 

@@ -21,9 +21,9 @@ from repro.adl.index import communication_index
 from repro.adl.structure import Architecture
 from repro.core.consistency import Inconsistency, InconsistencyKind
 from repro.errors import EvaluationError
-from repro.obs.coverage import constraint_label, current_coverage
+from repro.obs.coverage import constraint_label
+from repro.obs.instruments import current_instruments
 from repro.obs.provenance import IndexQuery, Provenance
-from repro.obs.recorder import current_recorder
 
 
 class Constraint:
@@ -264,8 +264,8 @@ def check_constraints(
     architecture: Architecture, constraints: list[Constraint]
 ) -> list[Inconsistency]:
     """Check every constraint; return all violations."""
-    recorder = current_recorder()
-    coverage = current_coverage()
+    instruments = current_instruments()
+    recorder, coverage = instruments.recorder, instruments.coverage
     findings: list[Inconsistency] = []
     for constraint in constraints:
         violations = constraint.check(architecture)

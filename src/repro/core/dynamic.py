@@ -32,7 +32,7 @@ from repro.core.consistency import (
 )
 from repro.core.mapping import Mapping as EventMapping
 from repro.errors import EvaluationError
-from repro.obs.recorder import current_recorder
+from repro.obs.instruments import current_instruments
 from repro.scenarioml.events import Event, SimpleEvent, TypedEvent
 from repro.scenarioml.scenario import Scenario, ScenarioSet, TraceOptions
 from repro.sim.runtime import ArchitectureRuntime, RuntimeConfig
@@ -236,7 +236,7 @@ class DynamicEvaluator:
     ) -> DynamicVerdict:
         """Execute every bounded trace of the scenario; all must meet
         their expectations (polarity inverted for negative scenarios)."""
-        recorder = current_recorder()
+        recorder = current_instruments().recorder
         if recorder.enabled:
             with recorder.span(
                 "dynamic.scenario",

@@ -31,7 +31,7 @@ the scenarios are walked.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.adl.structure import Architecture
@@ -61,8 +61,6 @@ from repro.obs.coverage import (
     NULL_COVERAGE,
     CoverageBuilder,
     coverage_computed_event,
-    current_coverage,
-    use_coverage,
 )
 from repro.obs.events import (
     EvaluationFinished,
@@ -70,10 +68,9 @@ from repro.obs.events import (
     FindingEmitted,
     StageFinished,
     StageStarted,
-    current_event_bus,
 )
+from repro.obs.instruments import current_instruments, instrumented
 from repro.obs.provenance import MappingResolution, Provenance
-from repro.obs.recorder import current_recorder
 from repro.scenarioml.scenario import Scenario, ScenarioSet
 from repro.scenarioml.validation import IssueSeverity, validate_scenario_set
 from repro.sim.runtime import RuntimeConfig
@@ -239,10 +236,10 @@ class Sosae:
         execution requires bindings.
 
         With a live observability recorder installed
-        (:func:`repro.obs.recorder.use`), each stage runs inside a span
-        and the communication index's cache statistics accrue to the
-        metrics registry. With a live event bus installed
-        (:func:`repro.obs.events.use_events`), the pipeline additionally
+        (:func:`repro.obs.instruments.instrumented`), each stage runs
+        inside a span and the communication index's cache statistics
+        accrue to the metrics registry. With a live event bus installed,
+        the pipeline additionally
         streams progress events — evaluation/stage/scenario boundaries
         and every finding. The report itself is identical either way.
         """
@@ -263,8 +260,8 @@ class Sosae:
         ``attributes`` annotate the ``evaluate`` and
         ``evaluate.walkthrough`` spans (a sharded walk adds its worker
         count)."""
-        recorder = current_recorder()
-        bus = current_event_bus()
+        instruments = current_instruments()
+        recorder, bus = instruments.recorder, instruments.events
         if not recorder.enabled and not bus.enabled:
             return self._evaluate(
                 walk, scenario_names, include_dynamic, dynamic_scenarios,
@@ -287,7 +284,7 @@ class Sosae:
         # counts into this builder.
         builder = (
             CoverageBuilder()
-            if current_coverage() is NULL_COVERAGE
+            if instruments.coverage is NULL_COVERAGE
             else None
         )
         with recorder.span(
@@ -297,10 +294,7 @@ class Sosae:
             scenarios=len(self.scenario_set.scenarios),
             **attributes,
         ) as span:
-            with (
-                use_coverage(builder) if builder is not None
-                else nullcontext()
-            ):
+            with instrumented(coverage=builder or instruments.coverage):
                 report = self._evaluate(
                     walk, scenario_names, include_dynamic, dynamic_scenarios,
                     attributes,
@@ -338,8 +332,8 @@ class Sosae:
         dynamic_scenarios: Optional[Iterable[str]],
         attributes: dict,
     ) -> EvaluationReport:
-        recorder = current_recorder()
-        bus = current_event_bus()
+        instruments = current_instruments()
+        recorder, bus = instruments.recorder, instruments.events
         findings: list[Inconsistency] = []
         with self._staged(recorder, bus, "validation", findings):
             findings.extend(validation_findings(self.scenario_set))

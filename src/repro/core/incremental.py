@@ -79,7 +79,7 @@ from repro.core.traceability import TraceabilityMatrix
 from repro.core.walkthrough import WalkthroughEngine, WalkthroughOptions
 from repro.errors import EvaluationError
 from repro.obs.provenance import Provenance
-from repro.obs.recorder import current_recorder
+from repro.obs.instruments import current_instruments
 from repro.scenarioml.scenario import ScenarioSet
 
 __all__ = [
@@ -476,7 +476,7 @@ def reevaluate(
     ``carried_over=True`` provenance note. Dynamic verdicts are carried
     only across a no-op diff; re-run the full pipeline to refresh them.
     """
-    recorder = current_recorder()
+    recorder = current_instruments().recorder
     diff = diff_architectures(old_architecture, new_architecture)
     changed_types: frozenset[str] = frozenset()
     if tracker is not None:

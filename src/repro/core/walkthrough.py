@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 from repro.adl.index import CommunicationIndex, communication_index
@@ -53,13 +54,9 @@ from repro.obs.provenance import (
     MappingResolution,
     Provenance,
 )
-from repro.obs.events import (
-    ScenarioFinished,
-    ScenarioStarted,
-    current_event_bus,
-)
-from repro.obs.coverage import NULL_COVERAGE, current_coverage
-from repro.obs.recorder import current_recorder
+from repro.obs.events import ScenarioFinished, ScenarioStarted
+from repro.obs.coverage import NULL_COVERAGE
+from repro.obs.instruments import current_instruments
 from repro.scenarioml.events import Event, SimpleEvent, TypedEvent
 from repro.scenarioml.scenario import Scenario, ScenarioSet, TraceOptions
 
@@ -161,8 +158,8 @@ class WalkthroughEngine:
         (the communication index is pinned for the walk's duration);
         mutations between walks are picked up automatically."""
         traces = scenario_set.traces(scenario.name, self.options.trace_options)
-        recorder = current_recorder()
-        bus = current_event_bus()
+        instruments = current_instruments()
+        recorder, bus = instruments.recorder, instruments.events
         if bus.enabled:
             bus.emit(
                 ScenarioStarted(
@@ -238,12 +235,17 @@ class WalkthroughEngine:
     def _walk_trace(
         self, scenario: Scenario, index: int, trace: tuple[Event, ...]
     ) -> TraceWalkthrough:
-        # Observability cost discipline: fetch the recorder once per trace
-        # and batch counter updates into one flush, so a disabled recorder
-        # costs a single attribute check per trace, not per event.
-        recorder = current_recorder()
+        # Observability cost discipline: read the bundle once per trace
+        # and batch counter updates into one flush. An unobserved step
+        # calls `_walk_typed_event` directly: no span, no attributes.
+        instruments = current_instruments()
+        recorder, coverage = instruments.recorder, instruments.coverage
         enabled = recorder.enabled
-        coverage = current_coverage()
+        walk_step = (
+            partial(self._walk_observed_step, recorder)
+            if enabled
+            else self._walk_typed_event
+        )
         steps: list[WalkthroughStep] = []
         findings: list[Inconsistency] = []
         previous_components: Optional[tuple[str, ...]] = None
@@ -252,36 +254,20 @@ class WalkthroughEngine:
         fallbacks = 0
         for position, event in enumerate(trace):
             if isinstance(event, TypedEvent):
-                if enabled:
-                    typed_events += 1
-                    with recorder.span(
-                        "walkthrough.step",
-                        scenario=scenario.name,
-                        event=event.label,
-                        event_type=event.type_name,
-                    ) as step_span:
-                        step, step_findings, components = (
-                            self._walk_typed_event(
-                                scenario, event, previous_components,
-                                index, position, coverage,
-                            )
-                        )
-                        step_span.set_attribute("ok", step.ok)
-                    if components:
-                        resolutions += 1
-                        if not self.mapping.has_direct_mapping(
-                            event.type_name
-                        ):
-                            fallbacks += 1
-                else:
-                    step, step_findings, components = self._walk_typed_event(
-                        scenario, event, previous_components, index, position,
-                        coverage,
-                    )
+                typed_events += 1
+                step, step_findings, components = walk_step(
+                    scenario, event, previous_components, index, position,
+                    coverage,
+                )
                 steps.append(step)
                 findings.extend(step_findings)
                 if components:
                     previous_components = components
+                    resolutions += 1
+                    if enabled and not self.mapping.has_direct_mapping(
+                        event.type_name
+                    ):
+                        fallbacks += 1
             elif isinstance(event, SimpleEvent):
                 step, step_findings = self._walk_simple_event(
                     scenario, event, index, position
@@ -312,6 +298,20 @@ class WalkthroughEngine:
         return TraceWalkthrough(
             trace_index=index, steps=tuple(steps), inconsistencies=tuple(findings)
         )
+
+    def _walk_observed_step(
+        self, recorder, scenario: Scenario, event: TypedEvent, *args
+    ) -> tuple[WalkthroughStep, list[Inconsistency], tuple[str, ...]]:
+        """:meth:`_walk_typed_event` inside its ``walkthrough.step`` span."""
+        with recorder.span(
+            "walkthrough.step",
+            scenario=scenario.name,
+            event=event.label,
+            event_type=event.type_name,
+        ) as step_span:
+            result = self._walk_typed_event(scenario, event, *args)
+            step_span.set_attribute("ok", result[0].ok)
+        return result
 
     def _walk_typed_event(
         self,

@@ -1,23 +1,29 @@
 """Observability for the SOSAE evaluation pipeline.
 
 The pipeline (``Sosae.evaluate`` → walkthrough → communication index →
-simulator) is instrumented with nested spans and process-local metrics.
-By default every instrumentation site reports to the zero-overhead
-:class:`~repro.obs.recorder.NullRecorder`; installing a live
-:class:`~repro.obs.recorder.Recorder` (directly or via the CLI's
-``--profile`` / ``--trace-out`` / ``--metrics-out`` flags) captures a
-span tree per evaluation plus counters for mapping resolutions, index
-cache hits, walkthrough steps, and simulator message fates — without
-changing any evaluation result.
+simulator) is instrumented through one bundle of four channels
+(:class:`~repro.obs.instruments.Instruments`): a span/metrics
+recorder, a live event bus, a coverage builder and a sampling profiler.
+By default every channel is its zero-overhead null object; installing
+live ones with :func:`~repro.obs.instruments.instrumented` (directly or
+via the CLI's ``--profile`` / ``--trace-out`` / ``--metrics-out`` /
+``--events`` / ``--profile-hz`` flags) captures a span tree per
+evaluation plus counters for mapping resolutions, index cache hits,
+walkthrough steps, and simulator message fates — without changing any
+evaluation result. :func:`~repro.obs.instruments.current_instruments`
+is what instrumented code reads.
 
 Typical use::
 
-    from repro.obs import Recorder, render_profile, use
+    from repro.obs import Recorder, instrumented, render_profile
 
     recorder = Recorder()
-    with use(recorder):
+    with instrumented(recorder=recorder):
         report = sosae.evaluate()
     print(render_profile(recorder.roots, recorder.metrics))
+
+``use``, ``use_events`` and ``use_coverage`` install a single channel
+the same way.
 
 For *live* observation, :mod:`repro.obs.events` adds a typed telemetry
 event bus (``sosae evaluate --events out.jsonl`` streams it, ``sosae
@@ -43,14 +49,11 @@ from repro.obs.anomaly import (
     robust_zscore,
 )
 from repro.obs.collector import (
-    PARTIAL_FORMAT,
     MergedTelemetry,
     ShardSummary,
     TelemetryCollector,
     WorkerPartial,
     clock_anchor,
-    partial_from_jsonl,
-    partial_to_jsonl,
     snapshot_partial,
 )
 from repro.obs.context import (
@@ -69,10 +72,7 @@ from repro.obs.coverage import (
     constraint_label,
     coverage_computed_event,
     coverage_scalars,
-    current_coverage,
     diff_coverage,
-    set_coverage,
-    use_coverage,
 )
 from repro.obs.dashboard import build_dashboard, load_trace_file
 from repro.obs.events import (
@@ -99,14 +99,18 @@ from repro.obs.events import (
     SimMessageFate,
     StageFinished,
     StageStarted,
-    current_event_bus,
     event_from_dict,
     event_severity,
-    events_enabled,
     events_from_jsonl,
     format_event,
     read_events,
-    set_event_bus,
+)
+from repro.obs.instruments import (
+    Instruments,
+    current_instruments,
+    instrumented,
+    use,
+    use_coverage,
     use_events,
 )
 from repro.obs.jobs import (
@@ -150,12 +154,8 @@ from repro.obs.profiler import (
     Profile,
     ProfileDiff,
     SamplingProfiler,
-    current_profiler,
     diff_profiles,
     merge_profiles,
-    profiling_enabled,
-    set_profiler,
-    use_profiler,
 )
 from repro.obs.promexp import (
     DEFAULT_LABEL_TOP_K,
@@ -176,10 +176,6 @@ from repro.obs.recorder import (
     NULL_RECORDER,
     NullRecorder,
     Recorder,
-    current_recorder,
-    observability_enabled,
-    set_recorder,
-    use,
 )
 from repro.obs.runs import (
     DEFAULT_RUNS_DIR,
@@ -243,6 +239,7 @@ __all__ = [
     "Heartbeat",
     "Histogram",
     "IndexQuery",
+    "Instruments",
     "JobFinished",
     "JobManager",
     "JobRecord",
@@ -263,7 +260,6 @@ __all__ = [
     "NullEventBus",
     "NullProfiler",
     "NullRecorder",
-    "PARTIAL_FORMAT",
     "Profile",
     "ProfileDiff",
     "PromSample",
@@ -308,21 +304,18 @@ __all__ = [
     "coverage_computed_event",
     "coverage_samples",
     "coverage_scalars",
-    "current_coverage",
-    "current_event_bus",
     "current_git_sha",
-    "current_profiler",
-    "current_recorder",
+    "current_instruments",
     "detect_step",
     "diff_coverage",
     "diff_profiles",
     "diff_runs",
     "event_from_dict",
     "event_severity",
-    "events_enabled",
     "events_from_jsonl",
     "finding_id",
     "format_event",
+    "instrumented",
     "iter_sse_events",
     "get_logger",
     "load_rules",
@@ -332,11 +325,7 @@ __all__ = [
     "merge_profiles",
     "metrics_to_json",
     "new_trace_id",
-    "observability_enabled",
     "parse_rules",
-    "partial_from_jsonl",
-    "partial_to_jsonl",
-    "profiling_enabled",
     "prometheus_metric_name",
     "provenance_from_dict",
     "read_events",
@@ -349,10 +338,6 @@ __all__ = [
     "robust_zscore",
     "scalar_values",
     "scenario_costs",
-    "set_coverage",
-    "set_profiler",
-    "set_recorder",
-    "set_event_bus",
     "snapshot_partial",
     "span_id_for",
     "spans_from_chrome_trace",
@@ -362,8 +347,7 @@ __all__ = [
     "stage_summary",
     "tenant_samples",
     "use",
-    "validate_bundle",
     "use_coverage",
     "use_events",
-    "use_profiler",
+    "validate_bundle",
 ]

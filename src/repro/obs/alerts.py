@@ -79,7 +79,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.obs.anomaly import DEFAULT_ANOMALY_THRESHOLD, robust_zscore
-from repro.obs.events import AlertFired, AlertResolved, current_event_bus
+from repro.obs.events import AlertFired, AlertResolved
+from repro.obs.instruments import current_instruments
 from repro.obs.log import get_logger
 from repro.obs.runs import RunRecord, _metric_scalars, record_metric_value
 
@@ -510,7 +511,7 @@ class AlertEngine:
         runs: Sequence[RunRecord] = (),
         now: float = 0.0,
     ) -> list[Union[AlertFired, AlertResolved]]:
-        bus = current_event_bus()
+        bus = current_instruments().events
         transitions: list[Union[AlertFired, AlertResolved]] = []
         for state in self.states:
             rule = state.rule

@@ -24,25 +24,21 @@ The merge is deterministic and arrival-order independent:
 * event streams interleave sorted by ``(shard, seq)`` and are restamped
   with one global sequence, keeping each event's original timestamp.
 
-Partials travel either in memory (the ``ProcessPoolExecutor`` result
-path) or as a JSONL file per worker (:func:`partial_to_jsonl` /
-:func:`partial_from_jsonl`, :meth:`TelemetryCollector.ingest_file`): a
-``header`` record, one ``span`` record per span (the span-JSONL schema),
-one ``event`` record per event, and a ``metrics`` record.
+A partial is a frozen dataclass of plain values: it travels home as the
+``ProcessPoolExecutor`` task result, pickled as is.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field, replace
-from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from repro.errors import ReproError
-from repro.obs.coverage import CoverageBuilder
+from repro.obs.coverage import CoverageBuilder, CoverageMatrix
 from repro.obs.events import TelemetryEvent, event_from_dict
 from repro.obs.export import spans_from_jsonl, spans_to_jsonl
+from repro.obs.instruments import Instruments
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.profiler import Profile
 from repro.obs.recorder import Recorder
@@ -54,12 +50,8 @@ __all__ = [
     "TelemetryCollector",
     "WorkerPartial",
     "clock_anchor",
-    "partial_from_jsonl",
-    "partial_to_jsonl",
     "snapshot_partial",
 ]
-
-PARTIAL_FORMAT = 1
 
 
 def clock_anchor() -> float:
@@ -83,173 +75,26 @@ class WorkerPartial:
     profile_folded: str = ""          # Profile.to_folded(), "" when unprofiled
     coverage_state: dict = field(default_factory=dict)  # CoverageBuilder.state_dict()
 
-    def to_dict(self) -> dict:
-        data = {
-            "format": PARTIAL_FORMAT,
-            "shard": self.shard,
-            "trace_id": self.trace_id,
-            "anchor": self.anchor,
-            "spans_jsonl": self.spans_jsonl,
-            "metrics_state": self.metrics_state,
-            "events": list(self.events),
-        }
-        # Optional keys, like the from_dict defaults below: partials from
-        # unprofiled workers (and pre-profiler readers) keep their shape.
-        if self.profile_folded:
-            data["profile_folded"] = self.profile_folded
-        if self.coverage_state:
-            data["coverage_state"] = self.coverage_state
-        return data
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "WorkerPartial":
-        if data.get("format") != PARTIAL_FORMAT:
-            raise ReproError(
-                f"unsupported telemetry partial format {data.get('format')!r}"
-                f" (expected {PARTIAL_FORMAT})"
-            )
-        return cls(
-            shard=int(data["shard"]),
-            trace_id=data["trace_id"],
-            anchor=float(data.get("anchor", 0.0)),
-            spans_jsonl=data.get("spans_jsonl", ""),
-            metrics_state=data.get("metrics_state", {}),
-            events=tuple(data.get("events", [])),
-            profile_folded=data.get("profile_folded", ""),
-            coverage_state=data.get("coverage_state", {}),
-        )
-
 
 def snapshot_partial(
-    shard: int,
-    trace_id: str,
-    recorder: Recorder,
-    events: Sequence[TelemetryEvent] = (),
-    profile: Optional[Profile] = None,
-    coverage: Optional[CoverageBuilder] = None,
+    shard: int, trace_id: str, instruments: Instruments
 ) -> WorkerPartial:
-    """Freeze a worker's live recorder (and optionally its bus's
-    buffered events, its sampled profile, and its coverage builder)
-    into the serializable partial the parent ingests."""
+    """Freeze a worker's bundle — its recorder, its bus's buffered
+    events, its sampled profile and its coverage counts — into the
+    partial the parent ingests."""
+    profile = instruments.profiler.profile()
+    coverage = instruments.coverage
     return WorkerPartial(
         shard=shard,
         trace_id=trace_id,
         anchor=clock_anchor(),
-        spans_jsonl=spans_to_jsonl(recorder.roots),
-        metrics_state=recorder.metrics.state_dict(),
-        events=tuple(event.to_dict() for event in events),
+        spans_jsonl=spans_to_jsonl(instruments.recorder.roots),
+        metrics_state=instruments.recorder.metrics.state_dict(),
+        events=tuple(
+            event.to_dict() for event in instruments.events.events()
+        ),
         profile_folded=profile.to_folded() if profile else "",
-        coverage_state=coverage.state_dict() if coverage else {},
-    )
-
-
-# ----------------------------------------------------------------------
-# JSONL file form (one file or pipe per worker)
-# ----------------------------------------------------------------------
-
-
-def partial_to_jsonl(partial: WorkerPartial) -> str:
-    """Serialize a partial as stream-friendly JSON-lines: header first,
-    then spans, then events, then the metrics state."""
-    lines = [
-        json.dumps(
-            {
-                "record": "header",
-                "format": PARTIAL_FORMAT,
-                "shard": partial.shard,
-                "trace_id": partial.trace_id,
-                "anchor": partial.anchor,
-            },
-            sort_keys=True,
-        )
-    ]
-    for span_line in partial.spans_jsonl.splitlines():
-        if span_line.strip():
-            lines.append(
-                json.dumps(
-                    {"record": "span", "span": json.loads(span_line)},
-                    sort_keys=True,
-                )
-            )
-    lines.extend(
-        json.dumps({"record": "event", "event": event}, sort_keys=True)
-        for event in partial.events
-    )
-    if partial.profile_folded:
-        lines.append(
-            json.dumps(
-                {"record": "profile", "folded": partial.profile_folded},
-                sort_keys=True,
-            )
-        )
-    if partial.coverage_state:
-        lines.append(
-            json.dumps(
-                {"record": "coverage", "state": partial.coverage_state},
-                sort_keys=True,
-            )
-        )
-    lines.append(
-        json.dumps(
-            {"record": "metrics", "state": partial.metrics_state},
-            sort_keys=True,
-        )
-    )
-    return "\n".join(lines) + "\n"
-
-
-def partial_from_jsonl(text: str) -> WorkerPartial:
-    """Parse the :func:`partial_to_jsonl` form back into a partial."""
-    header: Optional[dict] = None
-    span_lines: list[str] = []
-    events: list[dict] = []
-    metrics_state: dict = {}
-    profile_folded = ""
-    coverage_state: dict = {}
-    for line_number, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as error:
-            raise ReproError(
-                f"telemetry partial line {line_number} is not valid JSON: "
-                f"{error}"
-            ) from None
-        kind = record.get("record")
-        if kind == "header":
-            header = record
-        elif kind == "span":
-            span_lines.append(json.dumps(record["span"], sort_keys=True))
-        elif kind == "event":
-            events.append(record["event"])
-        elif kind == "metrics":
-            metrics_state = record.get("state", {})
-        elif kind == "profile":
-            profile_folded = record.get("folded", "")
-        elif kind == "coverage":
-            coverage_state = record.get("state", {})
-        else:
-            raise ReproError(
-                f"telemetry partial line {line_number} has unknown record "
-                f"kind {kind!r}"
-            )
-    if header is None:
-        raise ReproError("telemetry partial has no header record")
-    if header.get("format") != PARTIAL_FORMAT:
-        raise ReproError(
-            f"unsupported telemetry partial format {header.get('format')!r} "
-            f"(expected {PARTIAL_FORMAT})"
-        )
-    return WorkerPartial(
-        shard=int(header["shard"]),
-        trace_id=header["trace_id"],
-        anchor=float(header.get("anchor", 0.0)),
-        spans_jsonl="\n".join(span_lines) + ("\n" if span_lines else ""),
-        metrics_state=metrics_state,
-        events=tuple(events),
-        profile_folded=profile_folded,
-        coverage_state=coverage_state,
+        coverage_state=coverage.state_dict() if coverage.enabled else {},
     )
 
 
@@ -294,7 +139,9 @@ class MergedTelemetry:
     profile: Optional[Profile] = None
     #: The shards' coverage counts summed in shard order (commutative,
     #: so arrival order cannot leak into it); ``{}`` when none carried
-    #: coverage. Feed into ``CoverageBuilder.ingest_state``.
+    #: coverage. :meth:`Instruments.absorb
+    #: <repro.obs.instruments.Instruments.absorb>` feeds it to the
+    #: parent's builder.
     coverage_state: dict = field(default_factory=dict)
 
     @property
@@ -304,6 +151,10 @@ class MergedTelemetry:
     @property
     def metrics(self) -> MetricsRegistry:
         return self.recorder.metrics
+
+    @property
+    def coverage(self) -> Optional[CoverageMatrix]:
+        return self.recorder.coverage
 
 
 class TelemetryCollector:
@@ -334,22 +185,11 @@ class TelemetryCollector:
         self._partials: list[WorkerPartial] = []
         self._merged: Optional[MergedTelemetry] = None
 
-    def ingest(self, partial: Union[WorkerPartial, dict]) -> None:
-        """Accept one worker's partial (object or its ``to_dict`` form),
-        in any arrival order."""
+    def ingest(self, partial: WorkerPartial) -> None:
+        """Accept one worker's partial, in any arrival order."""
         if self._merged is not None:
             raise ReproError("collector already merged; ingest before merge()")
-        if not isinstance(partial, WorkerPartial):
-            partial = WorkerPartial.from_dict(partial)
         self._partials.append(partial)
-
-    def ingest_jsonl(self, text: str) -> None:
-        """Accept one worker's partial in its JSONL file form."""
-        self.ingest(partial_from_jsonl(text))
-
-    def ingest_file(self, path: Union[str, Path]) -> None:
-        """Accept one worker's partial from its JSONL file."""
-        self.ingest_jsonl(Path(path).read_text(encoding="utf-8"))
 
     @property
     def partials(self) -> tuple[WorkerPartial, ...]:

@@ -17,9 +17,10 @@ mapping resolutions and witness paths:
 * **dead mappings** — direct mapping entries no scenario's resolution
   ever answered from (mapped pairs the corpus never exercises).
 
-Collection follows the recorder discipline: instrumented code fetches
-the module-level current builder (:func:`current_coverage`) and calls
-``record_*`` on whatever it gets. The default :data:`NULL_COVERAGE`
+Collection follows the recorder discipline: the builder is one channel
+of the instrument bundle (:mod:`repro.obs.instruments`), and
+instrumented code calls ``record_*`` on the current bundle's
+``coverage``. The default :data:`NULL_COVERAGE`
 no-ops every call, so the hooks cost one attribute check while coverage
 is off. The finalized :class:`CoverageMatrix` has a canonical compact
 JSON serialization and a sha256 digest; per-shard builder states merge
@@ -29,15 +30,14 @@ byte-identical to single-process.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from collections import Counter
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import TYPE_CHECKING, Iterable, Iterator, Optional, Union
+from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.obs.events import CoverageComputed
+from repro.obs.store import short_digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs <- core)
     from repro.core.mapping import Mapping
@@ -52,10 +52,7 @@ __all__ = [
     "constraint_label",
     "coverage_computed_event",
     "coverage_scalars",
-    "current_coverage",
     "diff_coverage",
-    "set_coverage",
-    "use_coverage",
 ]
 
 COVERAGE_FORMAT = 1
@@ -80,36 +77,6 @@ class NullCoverage:
 
 
 NULL_COVERAGE = NullCoverage()
-
-_current: Union[NullCoverage, "CoverageBuilder"] = NULL_COVERAGE
-
-
-def current_coverage() -> Union[NullCoverage, "CoverageBuilder"]:
-    """The coverage builder instrumented code should report to."""
-    return _current
-
-
-def set_coverage(
-    builder: Union[NullCoverage, "CoverageBuilder"],
-) -> Union[NullCoverage, "CoverageBuilder"]:
-    """Install a builder; returns the previous one (for restoring)."""
-    global _current
-    previous = _current
-    _current = builder
-    return previous
-
-
-@contextmanager
-def use_coverage(
-    builder: Union[NullCoverage, "CoverageBuilder"],
-) -> Iterator[Union[NullCoverage, "CoverageBuilder"]]:
-    """Install a coverage builder for the duration of the ``with`` block."""
-    previous = set_coverage(builder)
-    try:
-        yield builder
-    finally:
-        set_coverage(previous)
-
 
 @lru_cache(maxsize=4096)
 def _path_pairs(path: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
@@ -447,9 +414,7 @@ class CoverageMatrix:
         # cached_property writes straight into __dict__, which a frozen
         # dataclass permits; the matrix is immutable, so one hash per
         # instance is correct and spares re-serializing on every read.
-        return hashlib.sha256(
-            self.canonical_json().encode("utf-8")
-        ).hexdigest()[:16]
+        return short_digest(self.canonical_json())
 
     def to_dict(self) -> dict:
         return {**self.to_payload(), "digest": self.digest}

@@ -9,20 +9,19 @@ scenario walked, each finding (with its stable finding id), each
 simulator message fate, and periodic heartbeats carrying a metrics
 snapshot.
 
-The bus mirrors the :class:`~repro.obs.recorder.NullRecorder` pattern
-exactly: instrumentation sites fetch the module-level current bus
-(:func:`current_event_bus`) and check ``bus.enabled`` before building
-any event, so while streaming is off (the default
-:data:`NULL_EVENT_BUS`) the added cost is a single attribute load and a
-boolean branch (the benchmark harness's ``obs.events.overhead_s``
-measures what a live bus adds). Turning the stream on is scoping a
-real :class:`EventBus`::
+The bus is one channel of the instrument bundle
+(:mod:`repro.obs.instruments`): instrumentation sites read the current
+bundle's ``events`` and check ``enabled`` before building any event, so
+while streaming is off (the default :data:`NULL_EVENT_BUS`) the added
+cost is a single attribute load and a boolean branch (the benchmark
+harness's ``obs.events.overhead_s`` measures what a live bus adds).
+Turning the stream on is scoping a real :class:`EventBus`::
 
     bus = EventBus(heartbeat_interval=1.0,
                    metrics_source=recorder.metrics.to_dict)
     with JsonlSink("events.jsonl") as sink:
         bus.subscribe(sink)
-        with use_events(bus):
+        with instrumented(events=bus):
             sosae.evaluate()
 
 A live bus keeps a bounded ring buffer of recent events (for in-process
@@ -32,10 +31,6 @@ streams events to a JSON-lines file — the format ``sosae evaluate
 --events out.jsonl`` writes, ``sosae tail`` pretty-prints, and
 ``sosae dashboard`` renders as a timeline. Every event type round-trips
 through :meth:`TelemetryEvent.to_dict` / :func:`event_from_dict`.
-
-Like the recorder indirection, the current bus is deliberately *not*
-thread-local: the pipeline is synchronous, and a plain module global
-keeps the disabled fast path to one attribute load.
 """
 
 from __future__ import annotations
@@ -44,10 +39,9 @@ import json
 import threading
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Callable, ClassVar, Iterator, Optional, TextIO, Union
+from typing import Callable, ClassVar, Optional, TextIO, Union
 
 from repro.errors import ReproError
 
@@ -74,15 +68,11 @@ __all__ = [
     "SimMessageFate",
     "StageFinished",
     "StageStarted",
-    "current_event_bus",
     "event_from_dict",
-    "events_enabled",
     "events_from_jsonl",
     "format_event",
     "read_events",
-    "set_event_bus",
     "SEVERITY_LEVELS",
-    "use_events",
 ]
 
 
@@ -556,6 +546,9 @@ class NullEventBus:
         return "NullEventBus()"
 
 
+NULL_EVENT_BUS = NullEventBus()
+
+
 class EventBus:
     """A live, subscriber-based telemetry bus with a bounded buffer.
 
@@ -759,48 +752,6 @@ class JsonlSink:
     def __exit__(self, *exc_info) -> bool:
         self.close()
         return False
-
-
-# ----------------------------------------------------------------------
-# The current-bus indirection
-# ----------------------------------------------------------------------
-
-
-NULL_EVENT_BUS = NullEventBus()
-
-_current: Union[NullEventBus, EventBus] = NULL_EVENT_BUS
-
-
-def current_event_bus() -> Union[NullEventBus, EventBus]:
-    """The bus instrumented code should publish to right now."""
-    return _current
-
-
-def events_enabled() -> bool:
-    """Whether a live event bus is installed."""
-    return _current.enabled
-
-
-def set_event_bus(
-    bus: Union[NullEventBus, EventBus],
-) -> Union[NullEventBus, EventBus]:
-    """Install a bus; returns the previous one (for restoring)."""
-    global _current
-    previous = _current
-    _current = bus
-    return previous
-
-
-@contextmanager
-def use_events(
-    bus: Union[NullEventBus, EventBus],
-) -> Iterator[Union[NullEventBus, EventBus]]:
-    """Install a bus for the duration of the ``with`` block."""
-    previous = set_event_bus(bus)
-    try:
-        yield bus
-    finally:
-        set_event_bus(previous)
 
 
 # ----------------------------------------------------------------------

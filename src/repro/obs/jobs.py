@@ -58,17 +58,17 @@ from repro.obs.events import (
     JobRejected,
     JobStarted,
     JobSubmitted,
-    use_events,
 )
+from repro.obs.instruments import instrumented
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.promexp import (
     DEFAULT_LABEL_TOP_K,
     PromSample,
     bounded_label_values,
 )
-from repro.obs.recorder import Recorder, use
+from repro.obs.recorder import Recorder
 from repro.obs.spans import SpanRecorder
-from repro.obs.store import JsonlStore
+from repro.obs.store import JsonlStore, short_digest
 
 __all__ = [
     "DEFAULT_QUEUE_LIMIT",
@@ -751,9 +751,10 @@ class JobManager:
         begun = time.perf_counter()
         try:
             sosae = self._build(bundle)
-            # The lock makes installing the (module-global) recorder
-            # and bus safe: watched-spec runs in the serve loop take
-            # the same lock around their own install.
+            # The lock makes installing the (module-global) instrument
+            # bundle safe: watched-spec runs in the serve loop take the
+            # same lock around their own install. Recording happens
+            # inside the install, so RunRecorded reaches the job bus.
             with self.eval_lock:
                 recorder = Recorder(
                     spans=SpanRecorder(),
@@ -763,9 +764,8 @@ class JobManager:
                         else MetricsRegistry()
                     ),
                 )
-                with use_events(self.bus):
-                    with use(recorder):
-                        report = self._evaluate(sosae)
+                with instrumented(events=self.bus, recorder=recorder):
+                    report = self._evaluate(sosae)
                     run_id = ""
                     report_text = ""
                     if self.run_registry is not None:
@@ -788,9 +788,7 @@ class JobManager:
                             report_text = json.dumps(
                                 report_to_dict(report), sort_keys=True
                             )
-                            digest = hashlib.sha256(
-                                report_text.encode("utf-8")
-                            ).hexdigest()[:16]
+                            digest = short_digest(report_text)
                             self._last_report = report
                             self._last_report_text = report_text
                             self._last_report_digest = digest

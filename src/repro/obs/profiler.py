@@ -10,8 +10,8 @@ stdlib machinery only:
   configurable rate (``--profile-hz``). The profiled code runs
   completely unmodified — there are no hooks on the hot path, so the
   disabled cost is exactly zero work (the ``NULL_PROFILER`` default is
-  consulted only at orchestration boundaries, mirroring the
-  recorder/event-bus pattern).
+  the instrument bundle's profiler channel, consulted only at
+  orchestration boundaries).
 - :class:`Profile` aggregates samples into folded stacks keyed by
   ``(module, qualname, line)``. ``to_folded()`` renders the standard
   ``frame;frame;frame count`` text format (root first, leaf last) with
@@ -30,15 +30,14 @@ prefix on 3.10.
 
 from __future__ import annotations
 
-import hashlib
 import sys
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence
 
 from repro.errors import ReproError
+from repro.obs.store import short_digest
 
 __all__ = [
     "DEFAULT_PROFILE_HZ",
@@ -48,11 +47,7 @@ __all__ = [
     "Profile",
     "ProfileDiff",
     "SamplingProfiler",
-    "current_profiler",
     "diff_profiles",
-    "profiling_enabled",
-    "set_profiler",
-    "use_profiler",
 ]
 
 # A prime default keeps the sampling clock from phase-locking with
@@ -205,9 +200,7 @@ class Profile:
     def digest(self) -> str:
         """A short content digest of the folded form (the pointer
         ``RunRecord.profile`` stores next to the artifact path)."""
-        return hashlib.sha256(self.to_folded().encode("utf-8")).hexdigest()[
-            :16
-        ]
+        return short_digest(self.to_folded())
 
 
 class SamplingProfiler:
@@ -359,41 +352,6 @@ class NullProfiler:
 
 
 NULL_PROFILER = NullProfiler()
-
-_current: Union[NullProfiler, SamplingProfiler] = NULL_PROFILER
-
-
-def current_profiler() -> Union[NullProfiler, SamplingProfiler]:
-    """The profiler orchestration code should consult right now."""
-    return _current
-
-
-def profiling_enabled() -> bool:
-    """Whether a live sampling profiler is installed."""
-    return _current.enabled
-
-
-def set_profiler(
-    profiler: Union[NullProfiler, SamplingProfiler],
-) -> Union[NullProfiler, SamplingProfiler]:
-    """Install a profiler; returns the previous one (for restoring)."""
-    global _current
-    previous = _current
-    _current = profiler
-    return previous
-
-
-@contextmanager
-def use_profiler(
-    profiler: Union[NullProfiler, SamplingProfiler],
-) -> Iterator[Union[NullProfiler, SamplingProfiler]]:
-    """Install a profiler for the duration of the ``with`` block."""
-    previous = set_profiler(profiler)
-    try:
-        yield profiler
-    finally:
-        set_profiler(previous)
-
 
 # ----------------------------------------------------------------------
 # Differential profiles

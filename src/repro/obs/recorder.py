@@ -1,8 +1,8 @@
-"""The current-recorder indirection instrumented code talks to.
+"""The span/metrics recorder channel of the instrument bundle.
 
-Instrumentation sites never hold a recorder; they fetch the module-level
-current recorder (:func:`current_recorder`) and call ``span`` /
-``counter`` / ``histogram`` on whatever they get. By default that is the
+Instrumentation sites never hold a recorder; they read the current
+:class:`~repro.obs.instruments.Instruments` bundle and call ``span`` /
+``counter`` / ``histogram`` on its ``recorder``. By default that is the
 :data:`NULL_RECORDER`, whose every operation is a constant-time no-op on
 shared singletons — no allocation, no timing calls — so instrumented
 code costs nearly nothing while observability is off (the benchmark
@@ -12,31 +12,25 @@ adds).
 Turning observability on is scoping a real :class:`Recorder`::
 
     recorder = Recorder()
-    with use(recorder):
+    with instrumented(recorder=recorder):
         sosae.evaluate()
     print(recorder.spans.roots, recorder.metrics.to_dict())
-
-The indirection is deliberately *not* thread-local: the pipeline is
-synchronous, and a plain module global keeps the disabled fast path to a
-single attribute load.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.spans import Span, SpanRecorder
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.coverage import CoverageMatrix
 
 __all__ = [
     "NULL_RECORDER",
     "NullRecorder",
     "Recorder",
-    "current_recorder",
-    "observability_enabled",
-    "set_recorder",
-    "use",
 ]
 
 
@@ -116,6 +110,9 @@ class Recorder:
         # across recorders (the serve loop) hands it over empty.
         self.spans = spans if spans is not None else SpanRecorder()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        #: The evaluation's finalized coverage matrix, attached by the
+        #: pipeline; ``None`` for runs that computed none (incremental).
+        self.coverage: Optional[CoverageMatrix] = None
 
     def span(self, name: str, **attributes):
         """Open a nested span (context manager yielding the
@@ -144,37 +141,3 @@ class Recorder:
 
 
 NULL_RECORDER = NullRecorder()
-
-_current: Union[NullRecorder, Recorder] = NULL_RECORDER
-
-
-def current_recorder() -> Union[NullRecorder, Recorder]:
-    """The recorder instrumented code should report to right now."""
-    return _current
-
-
-def observability_enabled() -> bool:
-    """Whether a live recorder is installed."""
-    return _current.enabled
-
-
-def set_recorder(
-    recorder: Union[NullRecorder, Recorder],
-) -> Union[NullRecorder, Recorder]:
-    """Install a recorder; returns the previous one (for restoring)."""
-    global _current
-    previous = _current
-    _current = recorder
-    return previous
-
-
-@contextmanager
-def use(recorder: Union[NullRecorder, Recorder]) -> Iterator[
-    Union[NullRecorder, Recorder]
-]:
-    """Install a recorder for the duration of the ``with`` block."""
-    previous = set_recorder(recorder)
-    try:
-        yield recorder
-    finally:
-        set_recorder(previous)

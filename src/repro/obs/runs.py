@@ -25,21 +25,21 @@ only counted against the exit status — when an explicit
 
 from __future__ import annotations
 
-import hashlib
 import json
 import re
 import subprocess
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Any, Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.obs.anomaly import DEFAULT_ANOMALY_THRESHOLD, detect_step
-from repro.obs.events import RunRecorded, current_event_bus
+from repro.obs.events import RunRecorded
+from repro.obs.instruments import current_instruments
 from repro.obs.profiler import Profile
 from repro.obs.spans import Span
-from repro.obs.store import JsonlStore, registry_lock
+from repro.obs.store import JsonlStore, registry_lock, short_digest
 
 __all__ = [
     "DEFAULT_RUNS_DIR",
@@ -65,6 +65,10 @@ DEFAULT_RUNS_DIR = ".repro-runs"
 _RUNS_FILE = "runs.jsonl"
 _PROFILES_DIR = "profiles"
 _FORMAT_VERSION = 1
+
+
+#: ``RunRegistry.record``'s ``git_sha`` default: look the sha up.
+_LOOK_UP: Any = object()
 
 
 def current_git_sha(cwd: Optional[Path] = None) -> Optional[str]:
@@ -169,19 +173,12 @@ def _next_run_number(records: Sequence["RunRecord"]) -> int:
     return highest + 1
 
 
-def _recorder_coverage(recorder) -> dict:
-    """The serialized coverage matrix a recorder carries, if any."""
-    matrix = getattr(recorder, "coverage", None)
-    return matrix.to_dict() if matrix is not None else {}
-
-
 def _report_digest(report) -> str:
     """A stable digest of a report's JSON form (ignores key order)."""
     # Imported lazily: repro.core imports repro.obs, not the reverse.
     from repro.core.report_io import report_to_dict
 
-    canonical = json.dumps(report_to_dict(report), sort_keys=True)
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
+    return short_digest(json.dumps(report_to_dict(report), sort_keys=True))
 
 
 @dataclass(frozen=True)
@@ -263,7 +260,7 @@ class RunRegistry:
         label: str,
         report,
         recorder,
-        git_sha: Optional[str] = None,
+        git_sha: Optional[str] = _LOOK_UP,
         timestamp: Optional[float] = None,
         report_digest: Optional[str] = None,
         profile: Optional[Profile] = None,
@@ -278,6 +275,11 @@ class RunRegistry:
         reports) skip re-canonicalizing it — the digest is O(report) and
         dominates recording cost on large evaluations.
 
+        ``git_sha`` left out means "run ``git rev-parse`` now". A caller
+        that already looked passes its result, ``None`` included: outside
+        a checkout the lookup finds nothing, and repeating it on every
+        record would spawn a process per run.
+
         ``profile`` (a sampled :class:`~repro.obs.profiler.Profile`)
         is persisted as a folded-text artifact under
         ``profiles/<run_id>.folded``; the record itself carries only a
@@ -289,7 +291,7 @@ class RunRegistry:
             run_id="",
             label=label,
             timestamp=time.time() if timestamp is None else timestamp,
-            git_sha=git_sha if git_sha is not None else current_git_sha(),
+            git_sha=current_git_sha() if git_sha is _LOOK_UP else git_sha,
             wall_seconds=sum(root.wall_seconds for root in roots),
             consistent=report.consistent,
             scenarios_passed=len(report.passed_scenarios),
@@ -318,7 +320,11 @@ class RunRegistry:
             # The evaluation pipeline attaches its finalized
             # CoverageMatrix to the live recorder; runs evaluated
             # without one (incremental fast path) carry none.
-            coverage=_recorder_coverage(recorder),
+            coverage=(
+                recorder.coverage.to_dict()
+                if recorder.coverage is not None
+                else {}
+            ),
         ).to_dict()
 
         def mint(records: tuple[RunRecord, ...]) -> dict:
@@ -334,7 +340,7 @@ class RunRegistry:
             return dict(draft, run_id=run_id)
 
         record = self._store.append(mint)
-        bus = current_event_bus()
+        bus = current_instruments().events
         if bus.enabled:
             bus.emit(
                 RunRecorded(

@@ -81,8 +81,8 @@ from repro.obs.events import (
     EventBus,
     TelemetryEvent,
     event_from_dict,
-    use_events,
 )
+from repro.obs.instruments import instrumented
 from repro.obs.jobs import (
     DEFAULT_QUEUE_LIMIT,
     DEFAULT_TENANT_QUOTA,
@@ -93,7 +93,7 @@ from repro.obs.jobs import (
 )
 from repro.obs.log import get_logger
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.profiler import Profile, SamplingProfiler, use_profiler
+from repro.obs.profiler import NULL_PROFILER, Profile, SamplingProfiler
 from repro.obs.promexp import (
     CONTENT_TYPE,
     DEFAULT_LABEL_TOP_K,
@@ -101,7 +101,7 @@ from repro.obs.promexp import (
     bounded_label_values,
     render_prometheus,
 )
-from repro.obs.recorder import Recorder, use
+from repro.obs.recorder import Recorder
 from repro.obs.runs import (
     DEFAULT_RUNS_DIR,
     RunRegistry,
@@ -391,8 +391,8 @@ class ServeDaemon:
         self._httpd: Optional[_ServeHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
         # One lock serializes every evaluation — the watch loop's and
-        # the job executors' — because the recorder/event-bus
-        # indirections are module globals (see repro.obs.jobs).
+        # the job executors' — because the instrument bundle is one
+        # module global (see repro.obs.instruments).
         self.eval_lock = threading.Lock()
         self.tenant_label_top = tenant_label_top
         self.jobs: Optional[JobManager] = None
@@ -436,7 +436,18 @@ class ServeDaemon:
         started_wall = time.time()
         started = time.perf_counter()
         used_incremental = False
-        with self.eval_lock, use_events(self.bus):
+        recorder = Recorder(spans=SpanRecorder(), metrics=self.metrics)
+        # Continuous profiling samples each interval's evaluation
+        # (installing the profiler also makes a sharded run's workers
+        # sample themselves); a null profiler stands in when it is off.
+        profiler = (
+            SamplingProfiler(hz=self.profile_hz)
+            if self.profile_hz
+            else NULL_PROFILER
+        )
+        with self.eval_lock, instrumented(
+            events=self.bus, recorder=recorder, profiler=profiler
+        ):
             try:
                 previous_sosae = None
                 if self._sosae is None or rebuild:
@@ -447,56 +458,33 @@ class ServeDaemon:
                     # evaluation, and the sha only moves when the user
                     # commits — which touches the watched specs anyway.
                     self._git_sha = current_git_sha()
-                recorder = Recorder(
-                    spans=SpanRecorder(), metrics=self.metrics
-                )
-                profile: Optional[Profile] = None
-                with use(recorder):
-                    if self.profile_hz:
-                        # Continuous profiling: sample this interval's
-                        # evaluation (installing the profiler also makes
-                        # a sharded run's workers sample themselves).
-                        profiler = SamplingProfiler(hz=self.profile_hz)
-                        profiler.start()
-                        try:
-                            with use_profiler(profiler):
-                                report, used_incremental = (
-                                    self._produce_report(
-                                        previous_sosae,
-                                        changed_paths,
-                                        recorder,
-                                    )
-                                )
-                        finally:
-                            profile = profiler.stop()
-                        with self._lock:
-                            self._profiles.append(profile)
-                    else:
-                        report, used_incremental = self._produce_report(
-                            previous_sosae, changed_paths, recorder
-                        )
-                    # The digest is O(report); between interval runs of
-                    # an unchanged spec the report is identical, so an
-                    # equality check replaces a re-canonicalization.
-                    if (
-                        self._last_digest is None
-                        or report != self._last_report
-                    ):
-                        self._last_digest = _report_digest(report)
-                    self._last_report = report
-                    self._refresh_tracker(report)
-                    record = (
-                        self.registry.record(
-                            self.label,
-                            report,
-                            recorder,
-                            git_sha=self._git_sha,
-                            report_digest=self._last_digest,
-                            profile=profile,
-                        )
-                        if self.registry is not None
-                        else None
+                with profiler:
+                    report, used_incremental = self._produce_report(
+                        previous_sosae, changed_paths, recorder
                     )
+                profile: Optional[Profile] = profiler.profile()
+                if profile is not None:
+                    with self._lock:
+                        self._profiles.append(profile)
+                # The digest is O(report); between interval runs of an
+                # unchanged spec the report is identical, so an
+                # equality check replaces a re-canonicalization.
+                if self._last_digest is None or report != self._last_report:
+                    self._last_digest = _report_digest(report)
+                self._last_report = report
+                self._refresh_tracker(report)
+                record = (
+                    self.registry.record(
+                        self.label,
+                        report,
+                        recorder,
+                        git_sha=self._git_sha,
+                        report_digest=self._last_digest,
+                        profile=profile,
+                    )
+                    if self.registry is not None
+                    else None
+                )
             except ReproError as error:
                 with self._lock:
                     self._state.runs_failed += 1
@@ -545,8 +533,11 @@ class ServeDaemon:
             # scalars compare against the latest *earlier* run that
             # carries a matrix (incremental fast-path runs don't), so a
             # "newly uncovered" rule fires on the transition itself.
-            matrix = getattr(recorder, "coverage", None)
-            coverage_data = matrix.to_dict() if matrix is not None else {}
+            coverage_data = (
+                recorder.coverage.to_dict()
+                if recorder.coverage is not None
+                else {}
+            )
             if coverage_data:
                 previous_coverage = None
                 for past in reversed(history):

@@ -17,6 +17,7 @@ newline was written whole and stays a loud error.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import threading
@@ -32,9 +33,15 @@ except ImportError:  # pragma: no cover - non-POSIX fallback
 from repro.errors import ReproError
 from repro.obs.log import get_logger
 
-__all__ = ["JsonlStore", "file_stamp", "registry_lock"]
+__all__ = ["JsonlStore", "file_stamp", "registry_lock", "short_digest"]
 
 _log = get_logger(__name__)
+
+
+def short_digest(text: str) -> str:
+    """The 16-hex-digit sha256 prefix records carry as a content
+    digest: report, coverage matrix and profile digests."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
 @contextmanager

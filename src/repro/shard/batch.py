@@ -17,8 +17,9 @@ walkthrough stage fans out across ``workers`` OS processes:
   :class:`~repro.obs.collector.TelemetryCollector` in completion order
   and merge deterministically: spans stitch under the parent's
   ``evaluate.walkthrough`` span, metrics fold into the parent registry,
-  coverage counts and profiles fold into the parent's, and worker
-  events are forwarded into the parent's live bus in ``(shard, seq)``
+  and the parent's instrument bundle absorbs the rest in one step:
+  coverage counts and profiles fold into its builder and profiler, and
+  worker events are forwarded into its live bus in ``(shard, seq)``
   order.
 
 The result is the report ``Sosae.evaluate`` produces — same verdicts,
@@ -42,10 +43,7 @@ from repro.core.evaluator import Sosae
 from repro.errors import EvaluationError
 from repro.obs.collector import MergedTelemetry, TelemetryCollector
 from repro.obs.context import TraceContext, new_trace_id
-from repro.obs.coverage import current_coverage
-from repro.obs.events import current_event_bus
-from repro.obs.profiler import current_profiler
-from repro.obs.recorder import current_recorder
+from repro.obs.instruments import current_instruments
 from repro.scenarioml.scenario import Scenario
 from repro.scenarioml.xml_io import to_scenarioml_xml
 from repro.shard.worker import ShardTask, init_worker, run_shard
@@ -142,8 +140,8 @@ class BatchEvaluator:
         """The sharded walk executor. Runs inside the parent's
         ``evaluate.walkthrough`` span, which the worker spans stitch
         under."""
-        recorder = current_recorder()
-        bus = current_event_bus()
+        instruments = current_instruments()
+        recorder = instruments.recorder
         trace_id = (
             recorder.spans.context.trace_id
             if recorder.enabled and recorder.spans.context is not None
@@ -168,8 +166,11 @@ class BatchEvaluator:
         # When the parent is profiling, workers sample their own walks at
         # the same rate; the folded partials merge into one coherent
         # profile via the collector + the parent profiler's ingest queue.
-        profiler = current_profiler()
-        profile_hz = profiler.hz if profiler.enabled else None
+        profile_hz = (
+            instruments.profiler.hz
+            if instruments.profiler.enabled
+            else None
+        )
         tasks = [
             ShardTask(
                 shard=shard,
@@ -204,11 +205,7 @@ class BatchEvaluator:
                     collector.ingest(result["partial"])
         merged = collector.merge()
         self.last_telemetry = merged
-        if profiler.enabled and merged.profile is not None:
-            profiler.ingest(merged.profile)
-        coverage = current_coverage()
-        if coverage.enabled and merged.coverage_state:
-            coverage.ingest_state(merged.coverage_state)
+        instruments.absorb(merged)
         self.last_shard_stats = tuple(
             ShardStats(
                 shard=summary.shard,
@@ -217,9 +214,6 @@ class BatchEvaluator:
             )
             for summary in merged.shards
         )
-        if bus.enabled:
-            for event in merged.events:
-                bus.forward(event)
         # Contiguous shards in shard order restore set order exactly.
         return tuple(
             verdict

@@ -31,10 +31,11 @@ from repro.core.mapping import Mapping
 from repro.errors import ReproError
 from repro.obs.collector import snapshot_partial
 from repro.obs.context import TraceContext
-from repro.obs.coverage import CoverageBuilder, use_coverage
-from repro.obs.events import EventBus, use_events
-from repro.obs.profiler import SamplingProfiler
-from repro.obs.recorder import Recorder, use
+from repro.obs.coverage import CoverageBuilder
+from repro.obs.events import EventBus
+from repro.obs.instruments import instrumented
+from repro.obs.profiler import NULL_PROFILER, SamplingProfiler
+from repro.obs.recorder import Recorder
 from repro.obs.spans import SpanRecorder
 from repro.scenarioml.xml_io import parse_scenarioml
 
@@ -88,40 +89,32 @@ def run_shard(task: ShardTask) -> dict:
             walkthrough_options=_SPEC["options"],
         )
     sosae = _SOSAE
-    recorder = Recorder(spans=SpanRecorder(context=task.context))
-    bus = EventBus()
     stats_before = sosae.index.stats()
-    # Sample this worker's own walk when the parent asked for it; the
-    # folded profile rides home in the telemetry partial and merges
-    # deterministically with every other shard's.
-    profiler = (
-        SamplingProfiler(hz=task.profile_hz).start()
-        if task.profile_hz
-        else None
-    )
-    # Each shard accumulates its own coverage counts; the raw state
-    # rides home in the partial and the parent sums all shards (the
-    # parent finalizes against the full element universe, so merged
-    # coverage is byte-identical to a single-process run).
-    coverage = CoverageBuilder()
-    with use(recorder), use_events(bus), use_coverage(coverage):
-        with recorder.span(
+    # The shard's own bundle. It samples its walk when the parent asked
+    # for it, and it accumulates its own coverage counts; the parent
+    # merges every shard's profile and sums their counts, finalizing
+    # against the full element universe, so merged output is
+    # byte-identical to a single-process run.
+    with instrumented(
+        recorder=Recorder(spans=SpanRecorder(context=task.context)),
+        events=EventBus(),
+        coverage=CoverageBuilder(),
+        profiler=(
+            SamplingProfiler(hz=task.profile_hz)
+            if task.profile_hz
+            else NULL_PROFILER
+        ),
+    ) as instruments, instruments.profiler:
+        with instruments.recorder.span(
             "shard", shard=task.shard, scenarios=len(task.scenarios)
         ), sosae.index.pinned():
             scenarios = tuple(map(sosae.scenario_set.get, task.scenarios))
             verdicts = list(walk_serially(sosae, scenarios))
-    profile = profiler.stop() if profiler is not None else None
-    sosae.record_index_stats(recorder, stats_before)
-    partial = snapshot_partial(
-        shard=task.shard,
-        trace_id=task.context.trace_id,
-        recorder=recorder,
-        events=bus.events(),
-        profile=profile,
-        coverage=coverage,
-    )
+    sosae.record_index_stats(instruments.recorder, stats_before)
     return {
         "shard": task.shard,
         "verdicts": verdicts,
-        "partial": partial.to_dict(),
+        "partial": snapshot_partial(
+            task.shard, task.context.trace_id, instruments
+        ),
     }

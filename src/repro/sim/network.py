@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from repro.errors import SimulationError
-from repro.obs.events import SimMessageFate, current_event_bus
-from repro.obs.recorder import current_recorder
+from repro.obs.events import SimMessageFate
+from repro.obs.instruments import current_instruments
 from repro.sim.engine import Simulator
 from repro.sim.node import Message, Node
 from repro.sim.trace import MessageTrace, TraceEventKind
@@ -36,7 +36,7 @@ def _emit_message_fate(
     fate: str, element: str, message: Message, detail: str = ""
 ) -> None:
     """Stream one message fate to the live event bus (free when off)."""
-    bus = current_event_bus()
+    bus = current_instruments().events
     if bus.enabled:
         bus.emit(
             SimMessageFate(
@@ -147,7 +147,7 @@ class NetworkChannel:
         self.trace.record(
             self.simulator.now, TraceEventKind.SEND, source.name, message
         )
-        current_recorder().counter("sim.messages.sent").inc()
+        current_instruments().recorder.counter("sim.messages.sent").inc()
         _emit_message_fate("sent", source.name, message)
         if policy.drop_rate and self._rng.random() < policy.drop_rate:
             drop_delay = policy.latency + self._rng.uniform(0.0, policy.jitter)
@@ -178,7 +178,7 @@ class NetworkChannel:
             message,
             detail="lost in transit",
         )
-        current_recorder().counter("sim.messages.dropped").inc()
+        current_instruments().recorder.counter("sim.messages.dropped").inc()
         _emit_message_fate(
             "dropped", destination.name, message, "lost in transit"
         )
@@ -193,7 +193,7 @@ class NetworkChannel:
                 destination.name,
                 message,
             )
-            current_recorder().counter("sim.messages.delivered").inc()
+            current_instruments().recorder.counter("sim.messages.delivered").inc()
             _emit_message_fate("delivered", destination.name, message)
             destination.deliver(message)
             return
@@ -204,7 +204,7 @@ class NetworkChannel:
             message,
             detail="destination is down",
         )
-        current_recorder().counter("sim.messages.rejected").inc()
+        current_instruments().recorder.counter("sim.messages.rejected").inc()
         _emit_message_fate(
             "rejected", destination.name, message, "destination is down"
         )
@@ -241,7 +241,7 @@ class NetworkChannel:
                 notice,
                 detail=f"{destination.name} unavailable",
             )
-            current_recorder().counter("sim.failure_notices").inc()
+            current_instruments().recorder.counter("sim.failure_notices").inc()
             _emit_message_fate(
                 "failure-notice",
                 sender.name,

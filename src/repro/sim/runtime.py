@@ -37,7 +37,7 @@ from repro.adl.behavior import Action, ActionKind, Statechart, StatechartInstanc
 from repro.adl.c2 import above_graph
 from repro.adl.structure import Architecture
 from repro.errors import SimulationError
-from repro.obs.recorder import current_recorder
+from repro.obs.instruments import current_instruments
 from repro.sim.engine import Simulator
 from repro.sim.failures import FailureInjector
 from repro.sim.network import (
@@ -196,7 +196,7 @@ class ArchitectureRuntime:
                 message,
                 detail="no outgoing link" + (f" on interface {via!r}" if via else ""),
             )
-            current_recorder().counter("sim.messages.dropped").inc()
+            current_instruments().recorder.counter("sim.messages.dropped").inc()
             _emit_message_fate("dropped", element, message, "no outgoing link")
 
     def _connector_handler(self, node: Node, message: Message) -> None:
@@ -215,7 +215,7 @@ class ArchitectureRuntime:
                 message,
                 detail="ttl exhausted",
             )
-            current_recorder().counter("sim.messages.dropped").inc()
+            current_instruments().recorder.counter("sim.messages.dropped").inc()
             _emit_message_fate("dropped", node.name, message, "ttl exhausted")
             return
         neighbors = self._forwarding_targets(node.name, message)

@@ -10,7 +10,9 @@ and the merge sorts by ``(shard, trace_id)``, never arrival order.
 from __future__ import annotations
 
 import json
+import pickle
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -21,15 +23,12 @@ from repro.obs import (
     Recorder,
     TelemetryCollector,
     TraceContext,
-    WorkerPartial,
     chrome_trace_json,
-    partial_from_jsonl,
-    partial_to_jsonl,
+    instrumented,
     render_prometheus,
     snapshot_partial,
     spans_to_jsonl,
     use,
-    use_events,
 )
 from repro.obs.events import ScenarioFinished, ScenarioStarted
 from repro.obs.spans import SpanRecorder
@@ -47,7 +46,7 @@ def _worker_partial(shard: int, scenarios=("a", "b"), parent=None):
         )
     )
     bus = EventBus()
-    with use(recorder), use_events(bus):
+    with instrumented(recorder=recorder, events=bus) as instruments:
         with recorder.span("shard", shard=shard):
             for name in scenarios:
                 bus.emit(ScenarioStarted(scenario=f"{name}{shard}", traces=1))
@@ -62,9 +61,7 @@ def _worker_partial(shard: int, scenarios=("a", "b"), parent=None):
                         findings=0, wall_seconds=0.01,
                     )
                 )
-    return snapshot_partial(
-        shard=shard, trace_id=TRACE, recorder=recorder, events=bus.events()
-    )
+    return snapshot_partial(shard, TRACE, instruments)
 
 
 def _merge(partials):
@@ -75,37 +72,10 @@ def _merge(partials):
 
 
 class TestPartialTransport:
-    def test_dict_round_trip(self):
+    def test_pickle_round_trip(self):
+        # The pool ships the frozen dataclass itself.
         partial = _worker_partial(1)
-        assert WorkerPartial.from_dict(partial.to_dict()) == partial
-
-    def test_jsonl_round_trip(self):
-        partial = _worker_partial(2)
-        assert partial_from_jsonl(partial_to_jsonl(partial)) == partial
-
-    def test_jsonl_rejects_missing_header(self):
-        with pytest.raises(ReproError, match="no header"):
-            partial_from_jsonl('{"record": "metrics", "state": {}}\n')
-
-    def test_jsonl_rejects_unknown_record_kind(self):
-        text = partial_to_jsonl(_worker_partial(1))
-        text += '{"record": "mystery"}\n'
-        with pytest.raises(ReproError, match="unknown record"):
-            partial_from_jsonl(text)
-
-    def test_dict_rejects_wrong_format(self):
-        data = _worker_partial(1).to_dict()
-        data["format"] = 99
-        with pytest.raises(ReproError, match="format"):
-            WorkerPartial.from_dict(data)
-
-    def test_ingest_file(self, tmp_path):
-        partial = _worker_partial(1)
-        path = tmp_path / "partial.jsonl"
-        path.write_text(partial_to_jsonl(partial), encoding="utf-8")
-        collector = TelemetryCollector()
-        collector.ingest_file(path)
-        assert collector.partials == (partial,)
+        assert pickle.loads(pickle.dumps(partial)) == partial
 
 
 class TestDeterministicMerge:
@@ -217,9 +187,7 @@ class TestParentStitching:
         # Pretend shard 2's process clock anchor sits 100s ahead of
         # shard 1's: after rebasing, shard 2's spans must land ~100s
         # later on the shared timeline.
-        skewed = WorkerPartial.from_dict(
-            {**second.to_dict(), "anchor": second.anchor + 100.0}
-        )
+        skewed = replace(second, anchor=second.anchor + 100.0)
         aligned = _merge([first, second])
         shifted = _merge([first, skewed])
         delta = (

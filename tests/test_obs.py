@@ -13,9 +13,7 @@ from repro.obs import (
     NullRecorder,
     Recorder,
     SpanRecorder,
-    current_recorder,
-    observability_enabled,
-    set_recorder,
+    current_instruments,
     use,
 )
 
@@ -242,8 +240,8 @@ class TestMetrics:
 
 class TestRecorderIndirection:
     def test_default_is_null_and_disabled(self):
-        assert current_recorder() is NULL_RECORDER
-        assert not observability_enabled()
+        assert current_instruments().recorder is NULL_RECORDER
+        assert not NULL_RECORDER.enabled
 
     def test_null_recorder_is_inert(self):
         null = NullRecorder()
@@ -259,28 +257,17 @@ class TestRecorderIndirection:
 
     def test_use_scopes_the_recorder(self):
         recorder = Recorder()
-        assert current_recorder() is NULL_RECORDER
         with use(recorder) as installed:
             assert installed is recorder
-            assert current_recorder() is recorder
-            assert observability_enabled()
-        assert current_recorder() is NULL_RECORDER
+            assert current_instruments().recorder is recorder
+        assert current_instruments().recorder is NULL_RECORDER
 
     def test_use_restores_on_exception(self):
         recorder = Recorder()
         with pytest.raises(RuntimeError):
             with use(recorder):
                 raise RuntimeError("boom")
-        assert current_recorder() is NULL_RECORDER
-
-    def test_set_recorder_returns_previous(self):
-        recorder = Recorder()
-        previous = set_recorder(recorder)
-        try:
-            assert previous is NULL_RECORDER
-            assert current_recorder() is recorder
-        finally:
-            set_recorder(previous)
+        assert current_instruments().recorder is NULL_RECORDER
 
     def test_recorder_bundles_spans_and_metrics(self):
         recorder = Recorder()

@@ -26,13 +26,14 @@ from repro.obs import (
     RunRegistry,
     compact_job_logs,
     coverage_scalars,
-    current_coverage,
+    current_instruments,
     diff_coverage,
     format_event,
     use,
     use_coverage,
+    use_events,
 )
-from repro.obs.events import CoverageComputed, EventBus, use_events
+from repro.obs.events import CoverageComputed, EventBus
 from repro.scenarioml.events import TypedEvent
 from repro.scenarioml.ontology import Ontology, Parameter
 from repro.scenarioml.scenario import Scenario, ScenarioSet
@@ -91,7 +92,7 @@ def _evaluate_matrix(sosae) -> CoverageMatrix:
 
 class TestCoverageBuilder:
     def test_null_coverage_is_default_and_inert(self):
-        assert current_coverage() is NULL_COVERAGE
+        assert current_instruments().coverage is NULL_COVERAGE
         assert not NULL_COVERAGE.enabled
         # No-ops, never raises.
         NULL_COVERAGE.record_resolution("x", ("a",), ("x",))
@@ -101,8 +102,8 @@ class TestCoverageBuilder:
     def test_use_coverage_installs_and_restores(self):
         builder = CoverageBuilder()
         with use_coverage(builder):
-            assert current_coverage() is builder
-        assert current_coverage() is NULL_COVERAGE
+            assert current_instruments().coverage is builder
+        assert current_instruments().coverage is NULL_COVERAGE
 
     def test_state_merge_is_commutative(self):
         def touch(builder, seed):

@@ -34,13 +34,11 @@ from repro.obs import (
     SimMessageFate,
     StageFinished,
     StageStarted,
-    current_event_bus,
+    current_instruments,
     event_from_dict,
-    events_enabled,
     events_from_jsonl,
     format_event,
     read_events,
-    set_event_bus,
     use,
     use_events,
 )
@@ -284,8 +282,8 @@ class TestEventBus:
 
 class TestCurrentBus:
     def test_null_bus_is_the_default_and_inert(self):
-        assert current_event_bus() is NULL_EVENT_BUS
-        assert not events_enabled()
+        assert current_instruments().events is NULL_EVENT_BUS
+        assert not NULL_EVENT_BUS.enabled
         NULL_EVENT_BUS.emit(StageStarted(stage="ignored"))
         assert NULL_EVENT_BUS.events() == ()
         unsubscribe = NULL_EVENT_BUS.subscribe(lambda event: None)
@@ -296,24 +294,14 @@ class TestCurrentBus:
         bus = EventBus()
         with use_events(bus) as active:
             assert active is bus
-            assert current_event_bus() is bus
-            assert events_enabled()
-        assert current_event_bus() is NULL_EVENT_BUS
+            assert current_instruments().events is bus
+        assert current_instruments().events is NULL_EVENT_BUS
 
     def test_use_events_restores_on_error(self):
         with pytest.raises(RuntimeError):
             with use_events(EventBus()):
                 raise RuntimeError("boom")
-        assert current_event_bus() is NULL_EVENT_BUS
-
-    def test_set_event_bus_returns_previous(self):
-        bus = EventBus()
-        previous = set_event_bus(bus)
-        try:
-            assert previous is NULL_EVENT_BUS
-            assert current_event_bus() is bus
-        finally:
-            set_event_bus(previous)
+        assert current_instruments().events is NULL_EVENT_BUS
 
 
 class TestJsonlSink:

@@ -9,6 +9,7 @@ hooks on the profiled path), and zero-sample profiles flow through
 
 from __future__ import annotations
 
+import pickle
 import random
 import threading
 import time
@@ -18,20 +19,16 @@ import pytest
 from repro.errors import ReproError
 from repro.obs import (
     NULL_PROFILER,
+    Instruments,
     NullProfiler,
     Profile,
     SamplingProfiler,
     TelemetryCollector,
     WorkerPartial,
-    current_profiler,
+    current_instruments,
     diff_profiles,
     merge_profiles,
-    partial_from_jsonl,
-    partial_to_jsonl,
-    profiling_enabled,
-    set_profiler,
     snapshot_partial,
-    use_profiler,
 )
 from repro.obs.recorder import Recorder
 
@@ -110,8 +107,8 @@ class TestSamplingProfiler:
 
 class TestNullProfiler:
     def test_is_the_module_default(self):
-        assert current_profiler() is NULL_PROFILER
-        assert not profiling_enabled()
+        assert current_instruments().profiler is NULL_PROFILER
+        assert not NULL_PROFILER.enabled
 
     def test_does_no_work(self):
         null = NullProfiler()
@@ -125,23 +122,6 @@ class TestNullProfiler:
             thread.name == "sosae-profiler"
             for thread in threading.enumerate()
         )
-
-    def test_use_profiler_installs_and_restores(self):
-        profiler = SamplingProfiler(hz=50.0)
-        with use_profiler(profiler) as installed:
-            assert installed is profiler
-            assert current_profiler() is profiler
-            assert profiling_enabled()
-        assert current_profiler() is NULL_PROFILER
-
-    def test_set_profiler_returns_the_previous_one(self):
-        profiler = SamplingProfiler(hz=50.0)
-        previous = set_profiler(profiler)
-        try:
-            assert previous is NULL_PROFILER
-            assert current_profiler() is profiler
-        finally:
-            set_profiler(previous)
 
 
 class TestProfile:
@@ -230,17 +210,16 @@ class TestDeterministicMerge:
     bytes regardless of arrival order — the acceptance property."""
 
     def _shard_partial(self, shard: int) -> WorkerPartial:
-        recorder = Recorder()
-        profile = _profile(
+        profiler = SamplingProfiler(hz=97.0)
+        profiler.ingest(_profile(
             {
                 (f"m:shared:{1}",): shard,
                 (f"m:shard{shard}:1", f"m:leaf:{shard}"): 2 * shard,
             },
             wall=0.125,
-        )
-        return snapshot_partial(
-            shard=shard, trace_id=TRACE, recorder=recorder, profile=profile
-        )
+        ))
+        instruments = Instruments(recorder=Recorder(), profiler=profiler)
+        return snapshot_partial(shard, TRACE, instruments)
 
     def test_arrival_order_independent_byte_identical(self):
         partials = [self._shard_partial(shard) for shard in (1, 2, 3, 4)]
@@ -259,19 +238,18 @@ class TestDeterministicMerge:
             assert merge(shuffled) == baseline
 
     def test_unprofiled_shards_leave_profile_none(self):
-        recorder = Recorder()
         collector = TelemetryCollector()
         collector.ingest(
-            snapshot_partial(shard=1, trace_id=TRACE, recorder=recorder)
+            snapshot_partial(1, TRACE, Instruments(recorder=Recorder()))
         )
         assert collector.merge().profile is None
 
-    def test_profile_survives_dict_and_jsonl_transport(self):
+    def test_profile_survives_pickle_transport(self):
         partial = self._shard_partial(2)
-        assert WorkerPartial.from_dict(partial.to_dict()) == partial
-        assert partial_from_jsonl(partial_to_jsonl(partial)) == partial
+        shipped = pickle.loads(pickle.dumps(partial))
+        assert shipped == partial
         merged = TelemetryCollector()
-        merged.ingest(partial_from_jsonl(partial_to_jsonl(partial)))
+        merged.ingest(shipped)
         profile = merged.merge().profile
         assert profile is not None
         assert profile.counts[("m:shared:1",)] == 2

@@ -6,13 +6,19 @@ import json
 
 import pytest
 
+import repro.obs.runs
+from repro.adl.xadl import to_xadl_xml
 from repro.core.evaluator import Sosae
 from repro.errors import ReproError
 from repro.obs import (
+    AuditLog,
+    JobManager,
+    JobRegistry,
     Profile,
     Recorder,
     RunRecord,
     RunRegistry,
+    ServeDaemon,
     attribute_runs,
     bisect_runs,
     diff_runs,
@@ -22,6 +28,7 @@ from repro.obs import (
     use,
 )
 from repro.obs.spans import Span
+from repro.scenarioml.xml_io import to_scenarioml_xml
 
 
 def _span(name: str, start: float, end: float) -> Span:
@@ -609,3 +616,73 @@ class TestTenantScoping:
         (loaded,) = registry.load()
         assert loaded.tenant == ""
         assert loaded.job_id == ""
+
+
+class TestGitShaLookup:
+    """Outside a git checkout the sha lookup finds nothing; a caller that
+    already looked passes that ``None`` on instead of looking again."""
+
+    @pytest.fixture
+    def spawns(self, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        calls = []
+        real_run = repro.obs.runs.subprocess.run
+
+        def counting_run(command, *args, **kwargs):
+            calls.append(command)
+            return real_run(command, *args, **kwargs)
+
+        monkeypatch.setattr(repro.obs.runs.subprocess, "run", counting_run)
+        return calls
+
+    def test_serve_ticks_look_up_once(
+        self, spawns, tmp_path, small_scenarios, chain_architecture,
+        chain_mapping,
+    ):
+        daemon = ServeDaemon(
+            lambda: Sosae(small_scenarios, chain_architecture, chain_mapping),
+            registry=RunRegistry(tmp_path / "runs"),
+        )
+        for _ in range(5):
+            assert daemon.run_once().ok
+        assert len(spawns) == 1
+        assert {record.git_sha for record in daemon.registry.load()} == {
+            None
+        }
+
+    def test_job_manager_looks_up_once(
+        self, spawns, tmp_path, small_scenarios, chain_architecture,
+        chain_mapping,
+    ):
+        bundle = {
+            "scenarioml": to_scenarioml_xml(small_scenarios),
+            "xadl": to_xadl_xml(chain_architecture),
+            "mapping": chain_mapping.to_json(),
+        }
+        manager = JobManager(
+            registry=JobRegistry(tmp_path),
+            audit=AuditLog(tmp_path),
+            run_registry=RunRegistry(tmp_path),
+            executors=0,
+        )
+        for tenant in ("a", "b", "c"):
+            manager.submit(bundle, tenant)
+        assert manager.run_pending() == 3
+        assert len(RunRegistry(tmp_path).load()) == 3
+        assert len(spawns) == 1
+
+    def test_only_an_omitted_sha_triggers_a_lookup(
+        self, spawns, tmp_path, small_scenarios, chain_architecture,
+        chain_mapping,
+    ):
+        report = Sosae(
+            small_scenarios, chain_architecture, chain_mapping
+        ).evaluate()
+        registry = RunRegistry(tmp_path / "runs")
+        registry.record("looked-up", report, Recorder())
+        registry.record("known-none", report, Recorder(), git_sha=None)
+        registry.record("known", report, Recorder(), git_sha="abc123")
+        assert len(spawns) == 1
+        assert [record.git_sha for record in registry.load()] == [
+            None, None, "abc123"
+        ]

@@ -24,7 +24,15 @@ from repro.core.evaluator import Sosae
 from repro.core.mapping import Mapping
 from repro.core.report_io import report_to_dict
 from repro.errors import EvaluationError
-from repro.obs import EventBus, Recorder, use, use_events
+from repro.obs import (
+    CoverageBuilder,
+    EventBus,
+    Recorder,
+    SamplingProfiler,
+    instrumented,
+    use,
+    use_events,
+)
 from repro.obs.context import TraceContext, new_trace_id
 from repro.scenarioml.xml_io import to_scenarioml_xml
 from repro.shard import (
@@ -237,6 +245,45 @@ class TestMergedTelemetry:
         assert len(set(seqs)) == len(seqs)
         # Scenario events from the workers made the trip.
         assert any(kind == "scenario-finished" for kind in kinds)
+
+    @pytest.mark.parametrize("workers", _worker_counts())
+    def test_all_four_channels_cross_the_process_boundary(self, workers):
+        system = build_synthetic(SyntheticSpec(scenarios=120, seed=3))
+        sosae = _sosae(system)
+        serial = Recorder()
+        with instrumented(recorder=serial):
+            sosae.evaluate()
+        recorder, bus = Recorder(), EventBus()
+        builder = CoverageBuilder()
+        profiler = SamplingProfiler(hz=2000.0)
+        evaluator = BatchEvaluator(workers=workers)
+        with instrumented(
+            recorder=recorder, events=bus, coverage=builder, profiler=profiler
+        ), profiler:
+            evaluator.evaluate(sosae)
+        # Coverage: the shards' counts summed into the installed builder.
+        matrix = builder.finalize(sosae.scenario_set, sosae.mapping)
+        assert matrix.digest == serial.coverage.digest
+        # Events: every worker's scenario events reached the parent bus.
+        finished = [
+            event.scenario
+            for event in bus.events()
+            if event.kind == "scenario-finished"
+        ]
+        names = [scenario.name for scenario in sosae.scenario_set.scenarios]
+        assert sorted(finished) == sorted(names)
+        # Spans: one shard lane per shard, stitched into one tree.
+        shards = len(evaluator.last_shard_stats)
+        assert shards == min(workers, len(names))
+        (root,) = recorder.roots
+        lanes = {span.shard for span in root.iter_spans() if span.name == "shard"}
+        assert lanes == set(range(1, shards + 1))
+        # Profile: the merged shard profile folded into the parent's.
+        shard_profile = evaluator.last_telemetry.profile
+        assert shard_profile is not None and shard_profile.samples
+        parent_profile = profiler.profile()
+        for stack, count in shard_profile.counts.items():
+            assert parent_profile.counts.get(stack, 0) >= count
 
     def test_shard_stats_cover_all_scenarios(self):
         sosae = _sosae(build_pims())
