@@ -1221,7 +1221,8 @@ def _evaluate(sosae: Sosae, workers: int, **options) -> EvaluationReport:
     """``sosae.evaluate(**options)``, with the walkthrough stage sharded
     across ``workers`` processes when there is more than one."""
     if workers > 1:
-        return BatchEvaluator(workers=workers).evaluate(sosae, **options)
+        with BatchEvaluator(workers=workers) as batch:
+            return batch.evaluate(sosae, **options)
     return sosae.evaluate(**options)
 
 

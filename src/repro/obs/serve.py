@@ -770,7 +770,8 @@ class ServeDaemon:
         self._stop.set()
 
     def shutdown(self) -> None:
-        """Stop the loop and tear the HTTP server down."""
+        """Stop the loop, tear the HTTP server down, and reap the shard
+        pool's workers."""
         self._stop.set()
         if self.jobs is not None:
             self.jobs.close()
@@ -781,6 +782,8 @@ class ServeDaemon:
         if self._http_thread is not None:
             self._http_thread.join(timeout=5)
             self._http_thread = None
+        if self._batch is not None:
+            self._batch.close()
 
     # ------------------------------------------------------------------
     # Endpoint bodies (read by the handler, computed under the lock)

@@ -3,7 +3,8 @@ first cut).
 
 :class:`BatchEvaluator` is a walk executor for the one
 :class:`~repro.core.evaluator.Sosae` pipeline: it fans the walkthrough
-stage out across a stdlib ``ProcessPoolExecutor`` with verdict and
+stage out across a stdlib ``ProcessPoolExecutor`` that it keeps until
+:meth:`~repro.shard.batch.BatchEvaluator.close`, with verdict and
 finding parity against :meth:`~repro.core.evaluator.Sosae.evaluate`,
 and streams each worker's telemetry through
 :class:`~repro.obs.collector.TelemetryCollector` into one merged
@@ -11,13 +12,12 @@ trace/metrics/event view. See ``docs/SHARD.md``.
 """
 
 from repro.shard.batch import BatchEvaluator, ShardStats, plan_shards
-from repro.shard.worker import ShardTask, init_worker, run_shard
+from repro.shard.worker import ShardTask, run_shard
 
 __all__ = [
     "BatchEvaluator",
     "ShardStats",
     "ShardTask",
-    "init_worker",
     "plan_shards",
     "run_shard",
 ]

@@ -9,9 +9,9 @@ walkthrough stage fans out across ``workers`` OS processes:
 * the selected scenarios are split into ``workers`` contiguous shards
   (set order preserved, so concatenating shard verdicts in shard order
   *is* the single-process verdict order);
-* a fresh pool starts for each evaluation; each worker receives the
-  artifacts in serialized form through the pool initializer, builds its
-  own pipeline from them, and records telemetry under the
+* one pool, kept until :meth:`BatchEvaluator.close`, runs every
+  evaluation; each task ships the serialized artifacts, which a worker
+  parses only when they changed, and records telemetry under the
   :class:`~repro.obs.context.TraceContext` the parent minted for it;
 * worker partials stream through a
   :class:`~repro.obs.collector.TelemetryCollector` in completion order
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -46,7 +47,7 @@ from repro.obs.context import TraceContext, new_trace_id
 from repro.obs.instruments import current_instruments
 from repro.scenarioml.scenario import Scenario
 from repro.scenarioml.xml_io import to_scenarioml_xml
-from repro.shard.worker import ShardTask, init_worker, run_shard
+from repro.shard.worker import ShardTask, run_shard
 
 __all__ = ["BatchEvaluator", "ShardStats", "plan_shards"]
 
@@ -58,13 +59,6 @@ class ShardStats:
     shard: int
     scenarios: int
     wall_seconds: float
-
-    def to_dict(self) -> dict:
-        return {
-            "shard": self.shard,
-            "scenarios": self.scenarios,
-            "wall_seconds": self.wall_seconds,
-        }
 
 
 def plan_shards(
@@ -87,13 +81,10 @@ def plan_shards(
 
 class BatchEvaluator:
     """Evaluate a :class:`~repro.core.evaluator.Sosae` across worker
-    processes, with merged telemetry and report parity."""
+    processes, with merged telemetry and report parity. The pool starts
+    with the first evaluation and is kept until :meth:`close`."""
 
-    def __init__(
-        self,
-        workers: int = 2,
-        mp_context=None,
-    ) -> None:
+    def __init__(self, workers: int = 2, mp_context=None) -> None:
         if workers < 1:
             raise EvaluationError(
                 f"BatchEvaluator needs workers >= 1, got {workers}"
@@ -103,12 +94,28 @@ class BatchEvaluator:
         # One evaluator instance may be shared across threads (the
         # serve daemon hands the same pool to its watch loop and its
         # job executors); `last_*` below are per-evaluation state, so
-        # evaluations must not interleave.
-        self._lock = threading.Lock()
+        # evaluations must not interleave. Reentrant: a broken pool is
+        # closed from inside an evaluation.
+        self._lock = threading.RLock()
         #: The most recent evaluation's per-shard stats and telemetry.
         self.last_shard_stats: tuple[ShardStats, ...] = ()
         self.last_telemetry: Optional[MergedTelemetry] = None
         self.last_trace_id: Optional[str] = None
+        self._pool: Optional[ProcessPoolExecutor] = None
+
+    def close(self) -> None:
+        """Shut the pool down and reap its workers. Idempotent; a later
+        evaluation starts a new pool."""
+        with self._lock:
+            if self._pool is not None:
+                self._pool.shutdown(cancel_futures=True)
+                self._pool = None
+
+    def __enter__(self) -> "BatchEvaluator":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
 
@@ -180,6 +187,7 @@ class BatchEvaluator:
                     shard=shard,
                     parent_span_id=parent_span_id,
                 ),
+                spec=spec,
                 profile_hz=profile_hz,
             )
             for shard, chunk in enumerate(chunks, start=1)
@@ -188,13 +196,12 @@ class BatchEvaluator:
             parent=recorder if recorder.enabled else None
         )
         by_shard: dict[int, list] = {}
-        with ProcessPoolExecutor(
-            max_workers=min(self.workers, len(tasks)) or 1,
-            mp_context=self.mp_context,
-            initializer=init_worker,
-            initargs=(spec,),
-        ) as pool:
-            pending = {pool.submit(run_shard, task) for task in tasks}
+        if self._pool is None:
+            self._pool = ProcessPoolExecutor(
+                max_workers=self.workers, mp_context=self.mp_context
+            )
+        try:
+            pending = {self._pool.submit(run_shard, task) for task in tasks}
             # Stream partials into the collector in completion order —
             # the merge is arrival-order independent by design.
             while pending:
@@ -203,6 +210,11 @@ class BatchEvaluator:
                     result = future.result()
                     by_shard[result["shard"]] = result["verdicts"]
                     collector.ingest(result["partial"])
+        except BrokenProcessPool as error:
+            # A dead worker breaks the pool for good: drop it, so the
+            # next evaluation starts a new one.
+            self.close()
+            raise EvaluationError(f"shard pool broke: {error}") from error
         merged = collector.merge()
         self.last_telemetry = merged
         instruments.absorb(merged)

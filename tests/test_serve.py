@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import multiprocessing
 import os
 import re
 import threading
@@ -409,6 +410,15 @@ class TestShardedServe:
         assert "sosae_serve_shard_workers 2" in text
         assert 'sosae_serve_shard_wall_seconds{shard="1"}' in text
         assert 'sosae_serve_shard_scenarios{shard="1"}' in text
+        daemon.shutdown()
+
+    def test_shutdown_reaps_the_kept_pool(self, build):
+        before = set(multiprocessing.active_children())
+        daemon = ServeDaemon(build, workers=2)
+        assert daemon.run_once().ok and daemon.run_once().ok
+        assert len(set(multiprocessing.active_children()) - before) == 2
+        daemon.shutdown()
+        assert set(multiprocessing.active_children()) <= before
 
     def test_single_worker_exposes_no_shard_gauges(self, build):
         daemon = ServeDaemon(build)
@@ -427,6 +437,7 @@ class TestShardedServe:
         assert json.loads(sharded.report_json()) == json.loads(
             single.report_json()
         )
+        sharded.shutdown()
 
 
 class TestContinuousProfiling:

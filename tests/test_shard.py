@@ -15,14 +15,16 @@ from __future__ import annotations
 
 import json
 import multiprocessing
+import multiprocessing.connection
 import os
+import signal
 
 import pytest
 
 from repro.adl.xadl import to_xadl_xml
 from repro.core.evaluator import Sosae
 from repro.core.mapping import Mapping
-from repro.core.report_io import report_to_dict
+from repro.core.report_io import report_to_dict, report_to_json
 from repro.errors import EvaluationError
 from repro.obs import (
     CoverageBuilder,
@@ -38,7 +40,6 @@ from repro.scenarioml.xml_io import to_scenarioml_xml
 from repro.shard import (
     BatchEvaluator,
     ShardTask,
-    init_worker,
     plan_shards,
     run_shard,
 )
@@ -61,6 +62,15 @@ def _sosae(built, architecture=None) -> Sosae:
         constraints=getattr(built, "constraints", ()),
         walkthrough_options=getattr(built, "options", None),
     )
+
+
+def _spec(sosae: Sosae) -> dict:
+    return {
+        "scenarioml": to_scenarioml_xml(sosae.scenario_set),
+        "xadl": to_xadl_xml(sosae.architecture),
+        "mapping": sosae.mapping.to_json(),
+        "options": sosae.walkthrough_options,
+    }
 
 
 def _assert_parity(sosae: Sosae, workers: int) -> BatchEvaluator:
@@ -150,41 +160,70 @@ class TestParity:
         reason="needs the fork start method",
     )
     def test_forked_pool_ignores_pipeline_built_in_parent(self):
-        # Running the worker entry points in this process leaves a
-        # built pipeline behind, which a forked pool inherits. The pool
-        # must walk the spec it is given, not that pipeline, even when
-        # the architecture is unchanged and only the mapping differs.
+        # Running the worker entry point in this process leaves a built
+        # pipeline behind, which a forked pool inherits. One kept pool
+        # must walk the spec each evaluation ships — not that pipeline,
+        # nor one built for an earlier evaluation — across a mapping-only
+        # edit, an architecture-only edit and returns to the first spec,
+        # as serve alternates between watched-spec ticks and job bundles.
         pims = build_pims()
-        before = _sosae(pims, pims.excised_architecture())
-        init_worker({
-            "scenarioml": to_scenarioml_xml(before.scenario_set),
-            "xadl": to_xadl_xml(before.architecture),
-            "mapping": before.mapping.to_json(),
-            "options": before.walkthrough_options,
-        })
-        run_shard(ShardTask(
-            shard=1,
-            scenarios=(before.scenario_set.scenarios[0].name,),
-            context=TraceContext(trace_id=new_trace_id(), shard=1),
-        ))
-        document = json.loads(before.mapping.to_json())
+        first = _sosae(pims, pims.excised_architecture())
+        document = json.loads(first.mapping.to_json())
         del document["entries"]["initiateFunction"]
-        after = Sosae(
-            before.scenario_set,
-            before.architecture,
+        mapping_edit = Sosae(
+            first.scenario_set,
+            first.architecture,
             Mapping.from_json(
                 json.dumps(document),
-                before.scenario_set.ontology,
-                before.architecture,
+                first.scenario_set.ontology,
+                first.architecture,
             ),
-            constraints=before.constraints,
-            walkthrough_options=before.walkthrough_options,
+            constraints=first.constraints,
+            walkthrough_options=first.walkthrough_options,
         )
-        expected = after.evaluate()
-        actual = BatchEvaluator(
+        architecture_edit = _sosae(pims)
+        run_shard(ShardTask(
+            shard=1,
+            scenarios=(first.scenario_set.scenarios[0].name,),
+            context=TraceContext(trace_id=new_trace_id(), shard=1),
+            spec=_spec(mapping_edit),
+        ))
+        sequence = (first, mapping_edit, first, architecture_edit, first)
+        expected = [report_to_dict(sosae.evaluate()) for sosae in sequence]
+        assert expected[0] != expected[1] != expected[3] != expected[0]
+        with BatchEvaluator(
             workers=2, mp_context=multiprocessing.get_context("fork")
-        ).evaluate(after)
-        assert report_to_dict(actual) == report_to_dict(expected)
+        ) as evaluator:
+            actual = [
+                report_to_dict(evaluator.evaluate(sosae)) for sosae in sequence
+            ]
+        assert actual == expected
+
+    def test_dead_worker_fails_one_evaluation_then_pool_recovers(self):
+        sosae = _sosae(build_pims())
+        expected = report_to_json(sosae.evaluate())
+        before = set(multiprocessing.active_children())
+        with BatchEvaluator(workers=2) as evaluator:
+            evaluator.evaluate(sosae)
+            victim = next(iter(set(multiprocessing.active_children()) - before))
+            os.kill(victim.pid, signal.SIGKILL)
+            assert multiprocessing.connection.wait([victim.sentinel], timeout=10)
+            with pytest.raises(EvaluationError, match="shard pool broke"):
+                evaluator.evaluate(sosae)
+            assert report_to_json(evaluator.evaluate(sosae)) == expected
+
+    def test_close_reaps_workers_and_is_idempotent(self):
+        sosae = _sosae(build_pims())
+        before = set(multiprocessing.active_children())
+        evaluator = BatchEvaluator(workers=2)
+        evaluator.evaluate(sosae)
+        evaluator.evaluate(sosae)
+        workers = set(multiprocessing.active_children()) - before
+        assert len(workers) == 2
+        evaluator.close()
+        evaluator.close()
+        assert not workers & set(multiprocessing.active_children())
+        assert all(worker.exitcode is not None for worker in workers)
 
 
 class TestMergedTelemetry:
@@ -316,5 +355,6 @@ class TestShardTaskTransport:
             scenarios=("a", "b"),
             context=TraceContext(trace_id="t" * 16, shard=1,
                                  parent_span_id="s0.3"),
+            spec=_spec(_sosae(build_pims())),
         )
         assert pickle.loads(pickle.dumps(task)) == task
