@@ -29,6 +29,9 @@ from repro.obs.provenance import provenance_from_dict
 
 _FORMAT_VERSION = 1
 
+#: The string escaper ``json.dumps`` uses by default (``ensure_ascii``).
+_encode_string = json.encoder.encode_basestring_ascii
+
 
 # ----------------------------------------------------------------------
 # Serialization
@@ -62,8 +65,106 @@ def report_to_dict(report: EvaluationReport) -> dict:
 
 
 def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
-    """Serialize a report to JSON text."""
-    return json.dumps(report_to_dict(report), indent=indent)
+    """Serialize a report to indent-2 JSON text, byte for byte what
+    ``json.dumps(report_to_dict(report), indent=2)`` writes.
+
+    The layout is fixed: ``indent`` is accepted only as ``2``, for
+    callers that pass it explicitly.
+    """
+    if indent != 2:
+        raise ValueError(
+            f"report JSON is indent-2 only, got indent={indent!r}"
+        )
+    return indent2_json(report_to_dict(report))
+
+
+def indent2_json(value) -> str:
+    """``json.dumps(value, indent=2)``, byte for byte, without the
+    stdlib's indented path.
+
+    CPython runs its C encoder only when ``indent`` is ``None``; with an
+    indent it walks the value through a chain of pure-Python generators.
+    This writer appends pieces to a list instead: strings go through the
+    same C escaper ``json.dumps`` uses, ``None`` and the booleans are
+    written inline, and every other scalar is handed to ``json.dumps``,
+    so numbers (``NaN`` included) and unserializable values (a
+    ``TypeError``) come out exactly as there. Each element of an array
+    at depth 0 or 1 -- one scenario verdict, one finding -- is joined
+    into its own string, so the piece list never holds a whole report.
+    """
+    prefixes: dict = {}  # str key -> its '"key": ' text
+
+    def key_prefix(key) -> str:
+        if isinstance(key, str):
+            prefix = prefixes[key] = _encode_string(key) + ": "
+            return prefix
+        if isinstance(key, (int, float)) or key is None:
+            return '"' + json.dumps(key) + '": '
+        raise TypeError(
+            f"keys must be str, int, float, bool or None, "
+            f"not {key.__class__.__name__}"
+        )
+
+    def write(value, out: list, pad: str) -> None:
+        # ``pad`` is the newline and indent of the line ``value`` ends on.
+        append = out.append
+        if isinstance(value, str):
+            append(_encode_string(value))
+        elif value is None:
+            append("null")
+        elif value is True:
+            append("true")
+        elif value is False:
+            append("false")
+        elif isinstance(value, dict):
+            if not value:
+                append("{}")
+                return
+            inner = pad + "  "
+            comma = "," + inner
+            separator = "{" + inner
+            for key, item in value.items():
+                append(separator)
+                append(prefixes.get(key) or key_prefix(key))
+                # The common leaves are written here, saving a call each.
+                if item.__class__ is str:
+                    append(_encode_string(item))
+                elif item is True:
+                    append("true")
+                elif item is False:
+                    append("false")
+                elif item is None:
+                    append("null")
+                else:
+                    write(item, out, inner)
+                separator = comma
+            append(pad + "}")
+        elif isinstance(value, (list, tuple)):
+            if not value:
+                append("[]")
+                return
+            inner = pad + "  "
+            comma = "," + inner
+            separator = "[" + inner
+            chunked = len(pad) <= 3  # an array at depth 0 or 1
+            for item in value:
+                append(separator)
+                if item.__class__ is str:
+                    append(_encode_string(item))
+                elif chunked:
+                    element: list = []
+                    write(item, element, inner)
+                    append("".join(element))
+                else:
+                    write(item, out, inner)
+                separator = comma
+            append(pad + "]")
+        else:
+            append(json.dumps(value))
+
+    pieces: list = []
+    write(value, pieces, "\n")
+    return "".join(pieces)
 
 
 def _verdict_to_dict(verdict: ScenarioVerdict) -> dict:

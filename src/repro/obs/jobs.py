@@ -461,7 +461,7 @@ class JobManager:
         from repro.obs.runs import current_git_sha
 
         self._git_sha = current_git_sha()
-        self._last_report = None
+        self._last_report_document = None
         self._last_report_text = ""
         self._last_report_digest = ""
         self._cond = threading.Condition()
@@ -774,22 +774,21 @@ class JobManager:
                         # the canonical dumps IS what _report_digest
                         # hashes, and the report cache stores it as-is.
                         # Same-spec resubmissions (the common retrigger
-                        # case) skip even that: an equality check
-                        # against the previous report is far cheaper
-                        # than re-rendering it, mirroring the serve
-                        # loop's cached-digest optimization. Safe under
-                        # eval_lock, which is held here.
+                        # case) skip even that: comparing documents is
+                        # far cheaper than re-rendering one, as in the
+                        # serve loop (whose comment says why the
+                        # document, not the report, is the key). Safe
+                        # under eval_lock, which is held here.
                         from repro.core.report_io import report_to_dict
 
-                        if report == self._last_report:
+                        document = report_to_dict(report)
+                        if document == self._last_report_document:
                             report_text = self._last_report_text
                             digest = self._last_report_digest
                         else:
-                            report_text = json.dumps(
-                                report_to_dict(report), sort_keys=True
-                            )
+                            report_text = json.dumps(document, sort_keys=True)
                             digest = short_digest(report_text)
-                            self._last_report = report
+                            self._last_report_document = document
                             self._last_report_text = report_text
                             self._last_report_digest = digest
                         run = self.run_registry.record(

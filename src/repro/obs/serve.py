@@ -383,7 +383,10 @@ class ServeDaemon:
         self._sosae = None
         self._git_sha: Optional[str] = None
         self._last_report = None
-        self._last_digest: Optional[str] = None
+        # (report_to_dict document, digest, indent-2 /report text) of
+        # the last report; digest and text are rendered again only when
+        # a run's document differs.
+        self._last_rendered: Optional[tuple[dict, str, str]] = None
         self._state = _ServeState()
         self._lock = threading.Lock()
         self._stop = threading.Event()
@@ -431,7 +434,8 @@ class ServeDaemon:
         goes through the incremental re-evaluation path instead of a
         full pipeline (with automatic full-evaluation fallback).
         """
-        from repro.core.report_io import report_to_json  # core imports obs
+        # Imported lazily: core imports obs.
+        from repro.core.report_io import report_to_dict, report_to_json
 
         started_wall = time.time()
         started = time.perf_counter()
@@ -466,12 +470,23 @@ class ServeDaemon:
                 if profile is not None:
                     with self._lock:
                         self._profiles.append(profile)
-                # The digest is O(report); between interval runs of an
-                # unchanged spec the report is identical, so an
-                # equality check replaces a re-canonicalization.
-                if self._last_digest is None or report != self._last_report:
-                    self._last_digest = _report_digest(report)
+                # Digest and /report text are costly to render, and
+                # between interval runs of an unchanged spec the report
+                # is the same document. The key is the document, not the
+                # report: report equality ignores a finding's
+                # provenance, which the JSON carries.
+                document = report_to_dict(report)
+                if (
+                    self._last_rendered is None
+                    or document != self._last_rendered[0]
+                ):
+                    self._last_rendered = (
+                        document,
+                        _report_digest(report),
+                        report_to_json(report),
+                    )
                 self._last_report = report
+                _, digest, report_json = self._last_rendered
                 self._refresh_tracker(report)
                 record = (
                     self.registry.record(
@@ -479,7 +494,7 @@ class ServeDaemon:
                         report,
                         recorder,
                         git_sha=self._git_sha,
-                        report_digest=self._last_digest,
+                        report_digest=digest,
                         profile=profile,
                     )
                     if self.registry is not None
@@ -566,7 +581,7 @@ class ServeDaemon:
             state.last_run_wall_seconds = wall
             state.consistent = report.consistent
             state.findings = findings
-            state.report_json = report_to_json(report)
+            state.report_json = report_json
             state.metrics_snapshot = snapshot
             state.stages = stage_summary(recorder.roots)
             state.alerts = self.engine.to_dict()
@@ -576,7 +591,6 @@ class ServeDaemon:
                 if self._batch is not None and not used_incremental
                 else ()
             )
-            report_json = state.report_json
         if self.jobs is not None and record is not None:
             # Watched-spec runs join the job runs in the /report/<id>
             # cache, so any recorded run id resolves to its report.

@@ -2,16 +2,22 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.core.evaluator import Sosae
 from repro.core.mapping import Mapping
 from repro.core.report_io import (
     compare_reports,
+    indent2_json,
     report_from_json,
+    report_to_dict,
     report_to_json,
 )
 from repro.errors import SerializationError
+from repro.systems.crash import build_crash_mapping
+from repro.systems.generators import SyntheticSpec, build_synthetic
 
 
 def evaluate(scenarios, architecture, mapping):
@@ -184,3 +190,112 @@ class TestComparison:
         ).evaluate()
         comparison = compare_reports(baseline, current)
         assert comparison.regressions == ("get-share-prices",)
+
+
+def assert_stdlib_bytes(report):
+    """``report_to_json`` writes exactly what the stdlib writes."""
+    assert report_to_json(report) == json.dumps(
+        report_to_dict(report), indent=2
+    )
+
+
+class TestIndent2Writer:
+    @pytest.mark.parametrize("variant", ["intact", "excised"])
+    def test_pims_with_constraints_and_options(self, pims, variant):
+        architecture = (
+            pims.excised_architecture()
+            if variant == "excised"
+            else pims.architecture
+        )
+        report = Sosae(
+            pims.scenarios,
+            architecture,
+            pims.mapping.rebind(architecture),
+            constraints=pims.constraints,
+            walkthrough_options=pims.options,
+        ).evaluate()
+        assert report.consistent is (variant == "intact")
+        assert_stdlib_bytes(report)
+
+    @pytest.mark.parametrize("variant", ["intact", "insecure"])
+    def test_crash(self, crash, variant):
+        from repro.sim.network import ChannelPolicy
+        from repro.sim.runtime import RuntimeConfig
+
+        architecture = (
+            crash.insecure_architecture()
+            if variant == "insecure"
+            else crash.architecture
+        )
+        report = Sosae(
+            crash.scenarios,
+            architecture,
+            build_crash_mapping(crash.ontology, architecture),
+            bindings=crash.bindings,
+            walkthrough_options=crash.options,
+            runtime_config=RuntimeConfig(
+                policy=ChannelPolicy(latency=1.0, failure_detection=True)
+            ),
+        ).evaluate(include_dynamic=True)
+        assert report.dynamic_verdicts
+        assert_stdlib_bytes(report)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_synthetic_seeds(self, seed):
+        system = build_synthetic(SyntheticSpec(scenarios=40, seed=seed))
+        assert_stdlib_bytes(
+            Sosae(
+                system.scenarios, system.architecture, system.mapping
+            ).evaluate()
+        )
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {},
+            [],
+            (),
+            {"a": {}, "b": [], "c": [[], {}], "d": [{}, [[]]]},
+            [[[1, [2, {"x": []}]]], {"y": ({"z": ()},)}],
+            ("tuple", ("nested",)),
+            "caf\u00e9 \u2603 \U0001f600",
+            'quote " backslash \\ slash /',
+            "control \x00\x01\x1f \n\r\t\b\f \x7f",
+            {"caf\u00e9\n\"key\"": "value"},
+            2**80,
+            -(2**70),
+            [1e-7, 0.1, -0.0, 1e300, 3.0, float("nan"), float("inf")],
+            [None, True, False, 0, 1],
+            {"none": None, "yes": True, "no": False, "zero": 0},
+            {1: "int", 2.5: "float", False: "bool", None: "null"},
+            None,
+            True,
+            17,
+        ],
+    )
+    def test_hand_built_values(self, value):
+        assert indent2_json(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [
+            {"a": {1, 2}},
+            [object()],
+            b"bytes",
+            {(1, 2): "tuple key"},
+            {"deep": [{"x": [frozenset()]}]},
+        ],
+    )
+    def test_what_the_stdlib_rejects_is_a_type_error(self, value):
+        with pytest.raises(TypeError):
+            json.dumps(value, indent=2)
+        with pytest.raises(TypeError):
+            indent2_json(value)
+
+    def test_indent_is_fixed_at_two(
+        self, small_scenarios, chain_architecture, chain_mapping
+    ):
+        report = evaluate(small_scenarios, chain_architecture, chain_mapping)
+        assert report_to_json(report, 2) == report_to_json(report)
+        with pytest.raises(ValueError, match="indent-2"):
+            report_to_json(report, 4)

@@ -11,20 +11,28 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from dataclasses import replace
 
 import pytest
 
+import repro.core.report_io
+from repro.adl.xadl import to_xadl_xml
+from repro.core.consistency import Inconsistency, InconsistencyKind
 from repro.core.evaluator import Sosae
+from repro.core.report_io import report_to_dict
 from repro.errors import ReproError
 from repro.obs import (
     AlertRule,
     Profile,
+    Provenance,
     RunRegistry,
     RunRecorded,
     ServeDaemon,
     SpecWatcher,
     read_sse_events,
 )
+from repro.obs.store import short_digest
+from repro.scenarioml.xml_io import to_scenarioml_xml
 
 
 class TestSpecWatcher:
@@ -298,6 +306,108 @@ class TestIncrementalServe:
         arch_path.write_text("v2 with a longer body")
         daemon.serve_loop(poll=0.001, max_runs=1)
         assert daemon.health()["incremental_hits"] == 1
+
+
+def indent2(report) -> str:
+    return json.dumps(report_to_dict(report), indent=2)
+
+
+class TestReportRendering:
+    @pytest.fixture
+    def counted_renders(self, monkeypatch):
+        """Counts ``report_to_json`` calls (serve looks it up per tick)."""
+        calls = []
+        render = repro.core.report_io.report_to_json
+
+        def counting(report, *args):
+            calls.append(report)
+            return render(report, *args)
+
+        monkeypatch.setattr(repro.core.report_io, "report_to_json", counting)
+        return calls
+
+    def test_unchanged_ticks_render_once_and_edits_rerender(
+        self, counted_renders, small_scenarios, chain_architecture,
+        chain_mapping,
+    ):
+        state = {"architecture": chain_architecture}
+
+        def build():
+            architecture = state["architecture"]
+            return Sosae(
+                small_scenarios,
+                architecture,
+                chain_mapping.rebind(architecture),
+            )
+
+        daemon = ServeDaemon(build)
+        assert daemon.run_once().ok and daemon.run_once().ok
+        assert len(counted_renders) == 1
+        text = daemon.report_json()
+        assert text == indent2(build().evaluate())
+        assert daemon.run_once().ok
+        assert daemon.report_json() is text
+
+        edited = chain_architecture.clone("edited")
+        edited.excise_links_between("logic", "logic-store")
+        state["architecture"] = edited
+        outcome = daemon.run_once(rebuild=True)
+        assert outcome.ok and outcome.consistent is False
+        assert len(counted_renders) == 2
+        assert daemon.report_json() == indent2(build().evaluate())
+
+    def test_a_provenance_only_change_reaches_digest_report_and_jobs(
+        self, monkeypatch, tmp_path, build, small_scenarios,
+        chain_architecture, chain_mapping,
+    ):
+        base = build().evaluate()
+
+        def variant(conclusion):
+            finding = Inconsistency(
+                kind=InconsistencyKind.MISSING_LINK,
+                message="no path",
+                elements=("a", "b"),
+                provenance=Provenance(conclusion=conclusion),
+            )
+            return replace(base, findings=(finding,))
+
+        first, second = variant("first cause"), variant("second cause")
+        assert first == second  # report equality ignores provenance
+        # Two serve ticks, then two jobs, each evaluating to one variant.
+        scripted = iter((first, second, first, second))
+        monkeypatch.setattr(
+            Sosae, "evaluate", lambda self, *a, **kw: next(scripted)
+        )
+        daemon = ServeDaemon(
+            build,
+            registry=RunRegistry(tmp_path / "runs"),
+            jobs=True,
+            job_executors=0,
+        )
+        canonical = json.dumps(report_to_dict(second), sort_keys=True)
+        try:
+            daemon.run_once()
+            tick = daemon.run_once()
+            assert daemon.registry.get(tick.run_id).report_digest == (
+                short_digest(canonical)
+            )
+            assert daemon.report_json() == indent2(second)
+            assert daemon.jobs.report_json(tick.run_id) == indent2(second)
+
+            bundle = {
+                "scenarioml": to_scenarioml_xml(small_scenarios),
+                "xadl": to_xadl_xml(chain_architecture),
+                "mapping": chain_mapping.to_json(),
+            }
+            jobs = [daemon.jobs.submit(bundle, "acme") for _ in range(2)]
+            assert daemon.jobs.run_pending() == 2
+            run_id = daemon.jobs.get(jobs[1].job_id).run_id
+            assert daemon.jobs.report_json(run_id) == canonical
+            assert daemon.registry.get(run_id).report_digest == (
+                short_digest(canonical)
+            )
+        finally:
+            daemon.shutdown()
 
 
 @pytest.fixture
