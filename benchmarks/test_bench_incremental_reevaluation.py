@@ -33,6 +33,7 @@ from _timing import record_timing, timed
 
 from repro.core.evaluator import Sosae
 from repro.core.incremental import DependencyTracker, reevaluate
+from repro.core.report_io import report_to_json
 from repro.scenarioml.scenario import ScenarioSet
 from repro.systems.pims import GET_SHARE_PRICES, build_pims
 
@@ -148,12 +149,9 @@ def test_bench_incremental_reevaluation(benchmark):
     assert incremental.report.consistent == full.consistent
     assert not incremental.report.consistent
 
-    # Finding parity: same stage findings as the full pipeline
-    # (finding identity ignores provenance, so carried_over notes on
-    # carried findings do not affect the comparison).
-    assert sorted(f.finding_id for f in incremental.report.findings) == sorted(
-        f.finding_id for f in full.findings
-    )
+    # Report parity: the incremental report is the full pipeline's,
+    # byte for byte.
+    assert report_to_json(incremental.report) == report_to_json(full)
 
     # The excision dirties exactly the scenarios whose witness paths
     # crossed the removed adjacency: get-share-prices and its replicas.

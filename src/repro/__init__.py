@@ -109,7 +109,6 @@ from repro.core import (
     TraceabilityMatrix,
     WalkthroughEngine,
     WalkthroughOptions,
-    compute_coverage,
     evaluate_negative_scenario,
     render_report,
 )
@@ -191,7 +190,6 @@ __all__ = [
     "check_style",
     "communication_index",
     "communication_path",
-    "compute_coverage",
     "diff_architectures",
     "evaluate_negative_scenario",
     "parse_acme",

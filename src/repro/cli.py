@@ -1486,8 +1486,7 @@ def _coverage_matrix(registry: RunRegistry, reference: str) -> CoverageMatrix:
     if not record.coverage:
         raise ReproError(
             f"run {record.run_id} carries no coverage matrix (it was "
-            "recorded on the incremental fast path, or by a version "
-            "without coverage)"
+            "recorded by a version without coverage)"
         )
     try:
         return CoverageMatrix.from_dict(record.coverage)

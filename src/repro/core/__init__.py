@@ -54,7 +54,6 @@ from repro.core.dynamic import (
     ScenarioBindings,
 )
 from repro.core.traceability import TraceabilityMatrix
-from repro.core.coverage import CoverageReport, compute_coverage
 from repro.core.evaluator import Sosae
 from repro.core.report import render_report
 from repro.core.ranking import (
@@ -87,7 +86,6 @@ from repro.core.report_io import (
 __all__ = [
     "BehaviorCheckOptions",
     "Constraint",
-    "CoverageReport",
     "ImpliedScenario",
     "ImpliedScenarioReport",
     "IncrementalResult",
@@ -118,7 +116,6 @@ __all__ = [
     "WalkthroughStep",
     "check_behavioral_support",
     "compare_reports",
-    "compute_coverage",
     "detect_implied_scenarios",
     "evaluate_negative_scenario",
     "impacted_scenario_names",

@@ -22,10 +22,11 @@ and — optionally — dynamic bindings and constraints) and
    on the simulated architecture.
 
 The result is one :class:`~repro.core.consistency.EvaluationReport`.
-Step 6 runs through a *walk executor* (:func:`walk_serially`, or the
-sharded :class:`repro.shard.BatchEvaluator` via
-:meth:`Sosae.evaluate_with`), so there is one stage sequence however
-the scenarios are walked.
+Step 6 runs through a *walk executor* (:func:`walk_serially`, the
+sharded :class:`repro.shard.BatchEvaluator`, or incremental
+re-evaluation's carry-over walk, via :meth:`Sosae.evaluate_with`), so
+there is one stage sequence however the verdicts are produced. The
+run's element coverage is derived from the finished verdicts.
 """
 
 from __future__ import annotations
@@ -253,20 +254,37 @@ class Sosae:
         scenario_names: Optional[Iterable[str]] = None,
         include_dynamic: bool = False,
         dynamic_scenarios: Optional[Iterable[str]] = None,
+        reused_findings: Optional[dict[str, Sequence[Inconsistency]]] = None,
         **attributes,
     ) -> EvaluationReport:
         """:meth:`evaluate`, with the walkthrough stage run by ``walk``.
 
+        ``reused_findings`` maps a findings stage (``"validation"``,
+        ``"coverage"``, ...) to findings that stand in for recomputing
+        it; the caller vouches that the stage's inputs did not change
+        (incremental re-evaluation does). The stage still runs inside
+        its span and streams its findings.
+
         ``attributes`` annotate the ``evaluate`` and
         ``evaluate.walkthrough`` spans (a sharded walk adds its worker
-        count)."""
+        count).
+
+        The installed coverage builder, when enabled, is fed from the
+        finished report's verdicts; while the recorder or event bus is
+        live and no builder is installed, a fresh one is finalized
+        onto the recorder and announced on the bus."""
         instruments = current_instruments()
         recorder, bus = instruments.recorder, instruments.events
+        coverage = instruments.coverage
+        reused = reused_findings or {}
         if not recorder.enabled and not bus.enabled:
-            return self._evaluate(
+            report = self._evaluate(
                 walk, scenario_names, include_dynamic, dynamic_scenarios,
-                attributes,
+                reused, attributes,
             )
+            if coverage.enabled:
+                coverage.record_verdicts(report.scenario_verdicts, self.mapping)
+            return report
         if bus.enabled:
             bus.emit(
                 EvaluationStarted(
@@ -280,13 +298,9 @@ class Sosae:
         # Coverage rides the same observed path: a fresh builder per
         # evaluation, unless one is already installed (a deliberately
         # disabled one from the overhead benchmark) — whoever installed
-        # it owns its finalization. A sharded walk sums its workers'
-        # counts into this builder.
-        builder = (
-            CoverageBuilder()
-            if instruments.coverage is NULL_COVERAGE
-            else None
-        )
+        # it owns its finalization.
+        builder = CoverageBuilder() if coverage is NULL_COVERAGE else None
+        coverage = builder or coverage
         with recorder.span(
             "evaluate",
             architecture=self.architecture.name,
@@ -294,11 +308,13 @@ class Sosae:
             scenarios=len(self.scenario_set.scenarios),
             **attributes,
         ) as span:
-            with instrumented(coverage=builder or instruments.coverage):
+            with instrumented(coverage=coverage):
                 report = self._evaluate(
                     walk, scenario_names, include_dynamic, dynamic_scenarios,
-                    attributes,
+                    reused, attributes,
                 )
+            if coverage.enabled:
+                coverage.record_verdicts(report.scenario_verdicts, self.mapping)
             span.set_attribute("consistent", report.consistent)
             span.set_attribute("findings", len(report.findings))
         if builder is not None:
@@ -330,50 +346,59 @@ class Sosae:
         scenario_names: Optional[Iterable[str]],
         include_dynamic: bool,
         dynamic_scenarios: Optional[Iterable[str]],
+        reused: dict[str, Sequence[Inconsistency]],
         attributes: dict,
     ) -> EvaluationReport:
         instruments = current_instruments()
         recorder, bus = instruments.recorder, instruments.events
         findings: list[Inconsistency] = []
-        with self._staged(recorder, bus, "validation", findings):
-            findings.extend(validation_findings(self.scenario_set))
-        with self._staged(recorder, bus, "style_check", findings):
-            findings.extend(style_findings(self.architecture))
-        with self._staged(recorder, bus, "coverage", findings):
-            findings.extend(coverage_findings(self.mapping, self.scenario_set))
-        with self._staged(
-            recorder, bus, "constraints", findings,
-            constraints=len(self.constraints),
-        ):
-            findings.extend(
-                check_constraints(self.architecture, self.constraints)
-            )
+        stages = [
+            ("validation", lambda: validation_findings(self.scenario_set), {}),
+            ("style_check", lambda: style_findings(self.architecture), {}),
+            (
+                "coverage",
+                lambda: coverage_findings(self.mapping, self.scenario_set),
+                {},
+            ),
+            (
+                "constraints",
+                lambda: check_constraints(self.architecture, self.constraints),
+                {"constraints": len(self.constraints)},
+            ),
+        ]
         if self.behavior_options is not None:
-            with self._staged(recorder, bus, "behavior_check", findings):
+            stages.append((
+                "behavior_check",
+                lambda: check_behavioral_support(
+                    self.scenario_set,
+                    self.architecture,
+                    self.mapping,
+                    self.behavior_options,
+                ),
+                {},
+            ))
+        for stage, compute, stage_attributes in stages:
+            with self._staged(
+                recorder, bus, stage, findings, **stage_attributes
+            ):
                 findings.extend(
-                    check_behavioral_support(
-                        self.scenario_set,
-                        self.architecture,
-                        self.mapping,
-                        self.behavior_options,
-                    )
+                    reused[stage] if stage in reused else compute()
                 )
 
         selected = self._selected_scenarios(scenario_names)
         verdict_list: list[ScenarioVerdict] = []
-        walk_findings = 0
         with self._staged(
             recorder, bus, "walkthrough", None,
             scenarios=len(selected), **attributes,
         ) as stage_findings:
             for verdict in walk(self, selected):
                 verdict_list.append(verdict)
-                verdict_findings = verdict.all_inconsistencies()
-                walk_findings += len(verdict_findings)
+                # Only the event stream reads walk findings here.
                 if bus.enabled:
+                    verdict_findings = verdict.all_inconsistencies()
+                    stage_findings["count"] += len(verdict_findings)
                     for finding in verdict_findings:
                         self._emit_finding(bus, finding)
-            stage_findings["count"] = walk_findings
         verdicts = tuple(verdict_list)
 
         dynamic_verdicts: tuple[DynamicVerdict, ...] = ()

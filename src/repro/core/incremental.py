@@ -41,46 +41,40 @@ outside the region provably keep every connectivity answer, so the
 comparison cost is proportional to the affected region, not the
 architecture.
 
-Findings are refreshed per pipeline stage rather than copied verbatim:
-stages whose inputs the diff cannot have touched carry their findings
-over (annotated with a ``carried_over=True`` provenance note); stages
-whose inputs changed are recomputed from scratch.
+:func:`reevaluate` runs the one evaluation pipeline,
+:meth:`Sosae.evaluate_with <repro.core.evaluator.Sosae.evaluate_with>`,
+with a carry-over walk executor (the previous verdict for a clean
+scenario, a fresh walk for a dirty one) and the previous validation and
+mapping-coverage findings reused when their inputs did not change. Its
+report, telemetry and coverage matrix are those of a full evaluation of
+the new architecture.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from repro.adl.diff import ArchitectureDiff, diff_architectures
 from repro.adl.index import (
     CommunicationIndex,
     communication_index,
     reachability_affected_region,
-    structural_seeds,
 )
 from repro.adl.structure import Architecture
 from repro.core.consistency import (
     EvaluationReport,
-    Inconsistency,
     InconsistencyKind,
     ScenarioVerdict,
 )
-from repro.core.constraints import Constraint, check_constraints
-from repro.core.evaluator import (
-    coverage_findings,
-    evaluate_scenario,
-    style_findings,
-    validation_findings,
-)
+from repro.core.constraints import Constraint
+from repro.core.evaluator import Sosae, evaluate_scenario
 from repro.core.mapping import Mapping
 from repro.core.traceability import TraceabilityMatrix
-from repro.core.walkthrough import WalkthroughEngine, WalkthroughOptions
+from repro.core.walkthrough import WalkthroughOptions
 from repro.errors import EvaluationError
-from repro.obs.provenance import Provenance
 from repro.obs.instruments import current_instruments
-from repro.scenarioml.scenario import ScenarioSet
+from repro.scenarioml.scenario import Scenario, ScenarioSet
 
 __all__ = [
     "DependencyTracker",
@@ -90,12 +84,6 @@ __all__ = [
     "impacted_scenario_names",
     "reevaluate",
 ]
-
-CARRIED_OVER_NOTE = (
-    "carried_over=True: finding carried from the previous evaluation "
-    "(its dependencies are unaffected by the architecture diff)"
-)
-
 
 class StaleTrackerError(EvaluationError):
     """A :class:`DependencyTracker` was offered for an architecture other
@@ -109,11 +97,9 @@ class IncrementalResult:
     report: EvaluationReport
     rewalked: tuple[str, ...]
     carried_over: tuple[str, ...]
-    #: Finding stages recomputed because the diff touched their inputs.
-    recomputed_stages: tuple[str, ...] = ()
-    #: Finding stages whose previous findings were carried (with a
-    #: ``carried_over=True`` provenance note).
-    carried_stages: tuple[str, ...] = ()
+    #: Findings stages whose previous findings were reused because the
+    #: diff cannot have touched their inputs; every other stage ran.
+    reused_stages: tuple[str, ...] = ()
     #: Whether the dirty set came from a :class:`DependencyTracker`
     #: (vs. the trace-link fallback).
     used_tracker: bool = False
@@ -466,15 +452,13 @@ def reevaluate(
     :class:`StaleTrackerError` (callers should fall back to a full
     evaluation).
 
-    Findings are refreshed per stage: validation findings are recomputed
-    when the scenario set changed, style findings when the diff is
-    structural, coverage findings when the scenario set, mapping entries,
-    or component population changed, and constraint findings (when
-    ``constraints`` are given) when any constraint's declared
-    :meth:`~repro.core.constraints.Constraint.dependencies` intersect the
-    diff's affected region. Unrefreshed findings are carried with a
-    ``carried_over=True`` provenance note. Dynamic verdicts are carried
-    only across a no-op diff; re-run the full pipeline to refresh them.
+    The report comes from the evaluation pipeline itself, so it equals
+    a full :meth:`~repro.core.evaluator.Sosae.evaluate` of the new
+    architecture: clean scenarios carry their previous verdicts, dirty
+    and new ones are walked. Validation findings are reused unless the
+    scenario names changed, and mapping-coverage findings unless the
+    scenario names, the mapping entries or the component population
+    changed; style and constraint findings are always recomputed.
     """
     recorder = current_instruments().recorder
     diff = diff_architectures(old_architecture, new_architecture)
@@ -493,160 +477,81 @@ def reevaluate(
         impacted = impacted_scenario_names(
             scenario_set, mapping, diff, old_architecture, new_architecture
         )
-    rebound = mapping.rebind(new_architecture)
-    engine = WalkthroughEngine(new_architecture, rebound, options)
-
-    verdicts: list[ScenarioVerdict] = []
-    rewalked: list[str] = []
-    carried: list[str] = []
-    previous_by_name = {
-        verdict.scenario: verdict for verdict in previous.scenario_verdicts
+    carried = {
+        verdict.scenario: verdict
+        for verdict in previous.scenario_verdicts
+        if verdict.scenario not in impacted
     }
-    with engine.index.pinned():
-        for scenario in scenario_set:
-            if scenario.name in impacted or scenario.name not in previous_by_name:
-                verdicts.append(
-                    evaluate_scenario(engine, scenario, scenario_set)
+    names = [scenario.name for scenario in scenario_set]
+    rewalked = tuple(name for name in names if name not in carried)
+    carried_over = tuple(name for name in names if name in carried)
+    scenario_names_changed = set(names) != {
+        verdict.scenario for verdict in previous.scenario_verdicts
+    }
+    reuse = {
+        "validation": not scenario_names_changed,
+        "coverage": not (
+            scenario_names_changed
+            or changed_types
+            or diff.added_components
+            or diff.removed_components
+        ),
+    }
+    reused_findings = {
+        stage: [
+            finding
+            for finding in previous.findings
+            if _STAGE_OF_KIND.get(finding.kind) == stage
+        ]
+        for stage, reusable in reuse.items()
+        if reusable
+    }
+
+    def carry_over(
+        sosae: Sosae, scenarios: tuple[Scenario, ...]
+    ) -> Iterator[ScenarioVerdict]:
+        # One pin for every re-walk, not a fingerprint check per walk.
+        with sosae.index.pinned():
+            for scenario in scenarios:
+                verdict = carried.get(scenario.name)
+                yield (
+                    verdict
+                    if verdict is not None
+                    else evaluate_scenario(
+                        sosae.engine, scenario, sosae.scenario_set
+                    )
                 )
-                rewalked.append(scenario.name)
-            else:
-                verdicts.append(previous_by_name[scenario.name])
-                carried.append(scenario.name)
 
-    scenario_names_changed = {
-        scenario.name for scenario in scenario_set
-    } != set(previous_by_name)
-    findings, recomputed_stages, carried_stages = _refresh_findings(
-        previous,
+    sosae = Sosae(
         scenario_set,
-        old_architecture,
         new_architecture,
-        rebound,
-        diff,
-        constraints,
-        changed_types,
-        scenario_names_changed,
+        mapping.rebind(new_architecture),
+        constraints=constraints,
+        walkthrough_options=options,
     )
-    dynamic_verdicts = (
-        previous.dynamic_verdicts
-        if diff.is_empty and not scenario_names_changed
-        else ()
+    report = sosae.evaluate_with(
+        carry_over,
+        reused_findings=reused_findings,
+        rewalked=len(rewalked),
+        carried=len(carried_over),
     )
-
     if recorder.enabled:
         recorder.counter("incremental.reevaluations").inc()
         recorder.counter("incremental.rewalked_scenarios").inc(len(rewalked))
-        recorder.counter("incremental.carried_scenarios").inc(len(carried))
-
-    report = EvaluationReport(
-        architecture=new_architecture.name,
-        scenario_verdicts=tuple(verdicts),
-        findings=findings,
-        dynamic_verdicts=dynamic_verdicts,
-    )
+        recorder.counter("incremental.carried_scenarios").inc(
+            len(carried_over)
+        )
     return IncrementalResult(
         report=report,
-        rewalked=tuple(rewalked),
-        carried_over=tuple(carried),
-        recomputed_stages=recomputed_stages,
-        carried_stages=carried_stages,
+        rewalked=rewalked,
+        carried_over=carried_over,
+        reused_stages=tuple(reused_findings),
         used_tracker=tracker is not None,
     )
 
 
 _STAGE_OF_KIND = {
     InconsistencyKind.VALIDATION_ERROR: "validation",
-    InconsistencyKind.STYLE_VIOLATION: "style_check",
     InconsistencyKind.UNMAPPED_EVENT: "coverage",
     InconsistencyKind.UNMAPPED_COMPONENT: "coverage",
-    InconsistencyKind.CONSTRAINT_VIOLATION: "constraints",
 }
-
-_STAGE_ORDER = ("validation", "style_check", "coverage", "constraints", "other")
-
-
-def _with_carried_note(finding: Inconsistency) -> Inconsistency:
-    provenance = finding.provenance
-    if provenance is None:
-        provenance = Provenance(
-            conclusion="carried over by incremental re-evaluation",
-            notes=(CARRIED_OVER_NOTE,),
-        )
-    elif CARRIED_OVER_NOTE in provenance.notes:
-        return finding
-    else:
-        provenance = dataclasses.replace(
-            provenance, notes=(*provenance.notes, CARRIED_OVER_NOTE)
-        )
-    return dataclasses.replace(finding, provenance=provenance)
-
-
-def _refresh_findings(
-    previous: EvaluationReport,
-    scenario_set: ScenarioSet,
-    old_architecture: Architecture,
-    new_architecture: Architecture,
-    rebound: Mapping,
-    diff: ArchitectureDiff,
-    constraints: Sequence[Constraint],
-    changed_types: frozenset[str],
-    scenario_names_changed: bool,
-) -> tuple[tuple[Inconsistency, ...], tuple[str, ...], tuple[str, ...]]:
-    """Carry or recompute the previous report's stage findings.
-
-    Returns ``(findings, recomputed_stages, carried_stages)``; carried
-    stages are listed only when they actually contributed findings.
-    """
-    structural = bool(structural_seeds(diff))
-    recompute = {
-        "validation": scenario_names_changed,
-        "style_check": structural,
-        "coverage": (
-            scenario_names_changed
-            or bool(changed_types)
-            or bool(diff.added_components or diff.removed_components)
-        ),
-        "constraints": False,
-        "other": False,
-    }
-    if constraints and structural:
-        region = reachability_affected_region(
-            old_architecture, new_architecture, diff
-        )
-        recompute["constraints"] = any(
-            constraint.dependencies() is None
-            or (set(constraint.dependencies()) & region)
-            for constraint in constraints
-        )
-
-    previous_by_stage: dict[str, list[Inconsistency]] = {
-        stage: [] for stage in _STAGE_ORDER
-    }
-    for finding in previous.findings:
-        stage = _STAGE_OF_KIND.get(finding.kind, "other")
-        previous_by_stage[stage].append(finding)
-
-    fresh = {
-        "validation": lambda: validation_findings(scenario_set),
-        "style_check": lambda: style_findings(new_architecture),
-        "coverage": lambda: coverage_findings(rebound, scenario_set),
-        "constraints": lambda: check_constraints(
-            new_architecture, list(constraints)
-        ),
-    }
-
-    findings: list[Inconsistency] = []
-    recomputed: list[str] = []
-    carried: list[str] = []
-    for stage in _STAGE_ORDER:
-        if recompute[stage]:
-            findings.extend(fresh[stage]())
-            recomputed.append(stage)
-        else:
-            if previous_by_stage[stage]:
-                carried.append(stage)
-            findings.extend(
-                _with_carried_note(finding)
-                for finding in previous_by_stage[stage]
-            )
-    return tuple(findings), tuple(recomputed), tuple(carried)

@@ -55,7 +55,6 @@ from repro.obs.provenance import (
     Provenance,
 )
 from repro.obs.events import ScenarioFinished, ScenarioStarted
-from repro.obs.coverage import NULL_COVERAGE
 from repro.obs.instruments import current_instruments
 from repro.scenarioml.events import Event, SimpleEvent, TypedEvent
 from repro.scenarioml.scenario import Scenario, ScenarioSet, TraceOptions
@@ -239,7 +238,7 @@ class WalkthroughEngine:
         # and batch counter updates into one flush. An unobserved step
         # calls `_walk_typed_event` directly: no span, no attributes.
         instruments = current_instruments()
-        recorder, coverage = instruments.recorder, instruments.coverage
+        recorder = instruments.recorder
         enabled = recorder.enabled
         walk_step = (
             partial(self._walk_observed_step, recorder)
@@ -256,8 +255,7 @@ class WalkthroughEngine:
             if isinstance(event, TypedEvent):
                 typed_events += 1
                 step, step_findings, components = walk_step(
-                    scenario, event, previous_components, index, position,
-                    coverage,
+                    scenario, event, previous_components, index, position
                 )
                 steps.append(step)
                 findings.extend(step_findings)
@@ -320,12 +318,10 @@ class WalkthroughEngine:
         previous_components: Optional[tuple[str, ...]],
         trace_index: int,
         event_index: int,
-        coverage=NULL_COVERAGE,
     ) -> tuple[WalkthroughStep, list[Inconsistency], tuple[str, ...]]:
         rendering = event.render(self.mapping.ontology)
         components, hops = self.mapping.resolution_for(event.type_name)
         if not components:
-            coverage.record_resolution(event.type_name, (), hops)
             resolution = MappingResolution(
                 event_type=event.type_name, hops=hops
             )
@@ -361,7 +357,6 @@ class WalkthroughEngine:
         tops = _unique(
             self.mapping.top_level_component(component) for component in components
         )
-        coverage.record_resolution(event.type_name, tops, hops)
         resolution = MappingResolution(
             event_type=event.type_name,
             hops=hops,
@@ -378,11 +373,7 @@ class WalkthroughEngine:
             # path, so path is None exactly when the step is unreachable —
             # and a passing step always carries the path that justifies it.
             path = self._best_inter_event_path(previous_components, tops)
-            if path is not None:
-                # The witness path crosses real links; coverage harvests
-                # each consecutive element pair as a link exercise.
-                coverage.record_path(path)
-            else:
+            if path is None:
                 ok = False
                 note = "no communication path from previous event's components"
                 findings.append(

@@ -31,11 +31,11 @@ A partial is a frozen dataclass of plain values: it travels home as the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.errors import ReproError
-from repro.obs.coverage import CoverageBuilder, CoverageMatrix
+from repro.obs.coverage import CoverageMatrix
 from repro.obs.events import TelemetryEvent, event_from_dict
 from repro.obs.export import spans_from_jsonl, spans_to_jsonl
 from repro.obs.instruments import Instruments
@@ -73,17 +73,15 @@ class WorkerPartial:
     metrics_state: dict               # MetricsRegistry.state_dict()
     events: tuple[dict, ...]          # TelemetryEvent.to_dict(), seq order
     profile_folded: str = ""          # Profile.to_folded(), "" when unprofiled
-    coverage_state: dict = field(default_factory=dict)  # CoverageBuilder.state_dict()
 
 
 def snapshot_partial(
     shard: int, trace_id: str, instruments: Instruments
 ) -> WorkerPartial:
     """Freeze a worker's bundle — its recorder, its bus's buffered
-    events, its sampled profile and its coverage counts — into the
-    partial the parent ingests."""
+    events and its sampled profile — into the partial the parent
+    ingests."""
     profile = instruments.profiler.profile()
-    coverage = instruments.coverage
     return WorkerPartial(
         shard=shard,
         trace_id=trace_id,
@@ -94,7 +92,6 @@ def snapshot_partial(
             event.to_dict() for event in instruments.events.events()
         ),
         profile_folded=profile.to_folded() if profile else "",
-        coverage_state=coverage.state_dict() if coverage.enabled else {},
     )
 
 
@@ -137,12 +134,6 @@ class MergedTelemetry:
     #: The folded sampling profiles of every profiled shard, merged in
     #: shard order; ``None`` when no partial carried one.
     profile: Optional[Profile] = None
-    #: The shards' coverage counts summed in shard order (commutative,
-    #: so arrival order cannot leak into it); ``{}`` when none carried
-    #: coverage. :meth:`Instruments.absorb
-    #: <repro.obs.instruments.Instruments.absorb>` feeds it to the
-    #: parent's builder.
-    coverage_state: dict = field(default_factory=dict)
 
     @property
     def roots(self) -> tuple[Span, ...]:
@@ -218,7 +209,6 @@ class TelemetryCollector:
         shards: list[ShardSummary] = []
         merged_events: list[TelemetryEvent] = []
         merged_profile: Optional[Profile] = None
-        merged_coverage: Optional[CoverageBuilder] = None
         for partial in ordered:
             roots = spans_from_jsonl(partial.spans_jsonl)
             shift = partial.anchor - anchor
@@ -243,10 +233,6 @@ class TelemetryCollector:
                     if merged_profile is None
                     else merged_profile.merge(shard_profile)
                 )
-            if partial.coverage_state:
-                if merged_coverage is None:
-                    merged_coverage = CoverageBuilder()
-                merged_coverage.ingest_state(partial.coverage_state)
             events = tuple(
                 event_from_dict(event) for event in partial.events
             )
@@ -270,8 +256,5 @@ class TelemetryCollector:
             events=restamped,
             shards=tuple(shards),
             profile=merged_profile,
-            coverage_state=(
-                merged_coverage.state_dict() if merged_coverage else {}
-            ),
         )
         return self._merged

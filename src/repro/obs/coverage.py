@@ -1,31 +1,31 @@
-"""Element-level coverage telemetry for an evaluation run.
+"""Element-level coverage of an evaluation run.
 
 The paper motivates coverage directly (§3.2): requirements scenarios
 "are often quite numerous" and evaluation time is limited, so the
 evaluator must know whether the chosen scenario subset is representative
-of the ontology and architecture it judges. ``repro.core.coverage``
-answers that once, in prose; this module makes the answer a first-class
-telemetry signal, collected *during* the walkthrough from the actual
-mapping resolutions and witness paths:
+of the ontology and architecture it judges. This module answers that
+from the report itself: the coverage of a run is a function of its
+scenario verdicts, the mapping and the constraints it checked.
 
 * **cells** — event-type × component exercise counts, one increment per
-  typed event per resolved top-level component (supertype hops
-  included, exactly as the walkthrough resolves them);
-* **link coverage** — every architecture link crossed by a walkthrough
+  typed walkthrough step per top-level component it was placed on
+  (supertype hops included, exactly as the walkthrough resolves them);
+* **link coverage** — every architecture link crossed by a step's
   witness path, harvested from consecutive path elements;
 * **constraint coverage** — per-constraint checked/fired counts;
 * **dead mappings** — direct mapping entries no scenario's resolution
   ever answered from (mapped pairs the corpus never exercises).
 
-Collection follows the recorder discipline: the builder is one channel
-of the instrument bundle (:mod:`repro.obs.instruments`), and
-instrumented code calls ``record_*`` on the current bundle's
-``coverage``. The default :data:`NULL_COVERAGE`
-no-ops every call, so the hooks cost one attribute check while coverage
-is off. The finalized :class:`CoverageMatrix` has a canonical compact
-JSON serialization and a sha256 digest; per-shard builder states merge
-by commutative count addition, so ``--workers N`` output is
-byte-identical to single-process.
+:meth:`Sosae.evaluate_with <repro.core.evaluator.Sosae.evaluate_with>`
+folds the finished report's verdict steps into the
+:class:`CoverageBuilder` of the instrument bundle
+(:mod:`repro.obs.instruments`), and ``check_constraints`` reports each
+constraint to it. Because the matrix is derived from the verdicts, a
+sharded walk, an incremental re-evaluation that carries verdicts over,
+and a serial walk of the same spec produce the same matrix. The
+default :data:`NULL_COVERAGE` records nothing. The finalized
+:class:`CoverageMatrix` has a canonical compact JSON serialization and
+a sha256 digest.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from repro.obs.events import CoverageComputed
 from repro.obs.store import short_digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs <- core)
+    from repro.core.consistency import ScenarioVerdict
     from repro.core.mapping import Mapping
     from repro.scenarioml.scenario import ScenarioSet
 
@@ -63,12 +64,6 @@ class NullCoverage:
 
     enabled = False
 
-    def record_resolution(self, event_type, components, hops) -> None:
-        pass
-
-    def record_path(self, path) -> None:
-        pass
-
     def record_constraint(self, label, fired) -> None:
         pass
 
@@ -82,7 +77,7 @@ NULL_COVERAGE = NullCoverage()
 def _path_pairs(path: tuple[str, ...]) -> tuple[tuple[str, str], ...]:
     """A witness path's consecutive element pairs, each normalized to
     sorted order. Cached module-wide: the same few hundred paths recur
-    across evaluations, so warm drains skip the zip-and-compare work."""
+    across evaluations, so warm folds skip the zip-and-compare work."""
     previous = path[0]
     pairs = []
     for element in path[1:]:
@@ -103,14 +98,12 @@ def constraint_label(constraint) -> str:
 
 
 class CoverageBuilder:
-    """Accumulates raw exercise counts during one evaluation (or one
-    shard of one). Pure counters: merging two builders' states is
-    element-wise addition, which is commutative — the property the
-    deterministic multi-shard merge rests on.
+    """Accumulates exercise counts for one evaluation (or several, when
+    one builder is installed across them).
 
-    Construct with ``enabled=False`` to install a builder that keeps the
-    hooks live but discards nothing *and* records nothing — the
-    benchmark baseline for measuring collection overhead."""
+    Construct with ``enabled=False`` to install a builder that records
+    nothing — the benchmark baseline for measuring collection
+    overhead."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
@@ -122,79 +115,52 @@ class CoverageBuilder:
         self._resolutions = 0
         self._supertype_resolutions = 0
         self._unmapped_events = 0
-        # Hot-path buffers: hooks only bump a counter keyed by the call
-        # signature (scenarios repeat the same resolutions and witness
-        # paths over and over, so these stay tiny); ``_drain`` folds
-        # them into the aggregate counters before any read. Resolutions
-        # slot by event type — within one evaluation the mapping is
-        # fixed, so one type always resolves the same way; the equality
-        # guard folds eagerly if a reused builder ever sees otherwise.
-        self._raw_resolutions: dict[str, list] = {}
-        self._raw_paths: Counter = Counter()
 
-    # -- collection hooks (called from the walkthrough hot path) -------
-
-    def record_resolution(
-        self,
-        event_type: str,
-        components: tuple[str, ...],
-        hops: tuple[str, ...],
+    def record_verdicts(
+        self, verdicts: Iterable["ScenarioVerdict"], mapping: "Mapping"
     ) -> None:
-        """One typed event resolved: ``components`` are the top-level
-        components the walkthrough placed it on, ``hops`` the supertype
-        chain ``resolution_for`` walked (``hops[-1]`` is the answering
-        mapping entry when the resolution succeeded)."""
+        """Count what the verdicts' walkthrough steps exercised.
+
+        Each typed step counts its event type, the top-level components
+        the walkthrough placed it on, and the mapping entry that
+        answered for it (``mapping.resolution_for`` walks the same
+        supertype chain the walkthrough did); every consecutive pair of
+        a step's witness path counts as a link crossing."""
         if not self.enabled:
             return
-        slot = self._raw_resolutions.get(event_type)
-        if slot is None:
-            self._raw_resolutions[event_type] = [components, hops, 1]
-        elif slot[0] == components and slot[1] == hops:
-            slot[2] += 1
-        else:
-            self._fold_resolution(event_type, slot[0], slot[1], slot[2])
-            self._raw_resolutions[event_type] = [components, hops, 1]
-
-    def record_path(self, path: tuple[str, ...]) -> None:
-        """One witness path (elements interleaving components and
-        connectors); every consecutive pair crosses a link."""
-        if self.enabled and len(path) > 1:
-            self._raw_paths[path] += 1
-
-    def _fold_resolution(
-        self,
-        event_type: str,
-        components: tuple[str, ...],
-        hops: tuple[str, ...],
-        count: int,
-    ) -> None:
-        event_types = self._event_types
-        event_types[event_type] = event_types.get(event_type, 0) + count
-        if not components:
-            self._unmapped_events += count
-            return
-        self._resolutions += count
-        if len(hops) > 1:
-            self._supertype_resolutions += count
-        entries = self._entries
-        entry = hops[-1]
-        entries[entry] = entries.get(entry, 0) + count
-        cells = self._cells.get(event_type)
-        if cells is None:
-            cells = self._cells[event_type] = {}
-        for component in components:
-            cells[component] = cells.get(component, 0) + count
-
-    def _drain(self) -> None:
-        """Fold the hot-path buffers into the aggregate counters."""
-        for event_type, slot in self._raw_resolutions.items():
-            self._fold_resolution(event_type, slot[0], slot[1], slot[2])
-        self._raw_resolutions.clear()
+        steps = [
+            step
+            for verdict in verdicts
+            for trace in verdict.traces
+            for step in trace.steps
+            if step.event_type is not None
+        ]
+        placements = Counter(
+            (step.event_type, step.components) for step in steps
+        )
+        paths = Counter(
+            step.path
+            for step in steps
+            if step.path is not None and len(step.path) > 1
+        )
+        event_types, entries = self._event_types, self._entries
+        for (event_type, components), count in placements.items():
+            event_types[event_type] = event_types.get(event_type, 0) + count
+            if not components:
+                self._unmapped_events += count
+                continue
+            _, hops = mapping.resolution_for(event_type)
+            self._resolutions += count
+            if len(hops) > 1:
+                self._supertype_resolutions += count
+            entries[hops[-1]] = entries.get(hops[-1], 0) + count
+            cells = self._cells.setdefault(event_type, {})
+            for component in components:
+                cells[component] = cells.get(component, 0) + count
         pairs = self._pairs
-        for path, count in self._raw_paths.items():
+        for path, count in paths.items():
             for key in _path_pairs(path):
                 pairs[key] = pairs.get(key, 0) + count
-        self._raw_paths.clear()
 
     def record_constraint(self, label: str, fired: bool) -> None:
         """One constraint checked; ``fired`` when it produced findings."""
@@ -207,62 +173,6 @@ class CoverageBuilder:
         if fired:
             counts[1] += 1
 
-    # -- shard merge ----------------------------------------------------
-
-    def state_dict(self) -> dict:
-        """The raw counts, JSON-safe, for shipping across processes."""
-        self._drain()
-        return {
-            "cells": {
-                event_type: dict(sorted(counts.items()))
-                for event_type, counts in sorted(self._cells.items())
-            },
-            "event_types": dict(sorted(self._event_types.items())),
-            "entries": dict(sorted(self._entries.items())),
-            "pairs": sorted(
-                [first, second, count]
-                for (first, second), count in self._pairs.items()
-            ),
-            "constraints": {
-                label: list(counts)
-                for label, counts in sorted(self._constraints.items())
-            },
-            "resolutions": self._resolutions,
-            "supertype_resolutions": self._supertype_resolutions,
-            "unmapped_events": self._unmapped_events,
-        }
-
-    def ingest_state(self, state: dict) -> None:
-        """Add another builder's counts into this one (commutative)."""
-        if not state:
-            return
-        self._drain()
-        for event_type, counts in state.get("cells", {}).items():
-            cells = self._cells.get(event_type)
-            if cells is None:
-                cells = self._cells[event_type] = {}
-            for component, count in counts.items():
-                cells[component] = cells.get(component, 0) + count
-        event_types = self._event_types
-        for event_type, count in state.get("event_types", {}).items():
-            event_types[event_type] = event_types.get(event_type, 0) + count
-        entries = self._entries
-        for entry, count in state.get("entries", {}).items():
-            entries[entry] = entries.get(entry, 0) + count
-        pairs = self._pairs
-        for first, second, count in state.get("pairs", []):
-            key = (first, second)
-            pairs[key] = pairs.get(key, 0) + count
-        for label, (checked, fired) in state.get("constraints", {}).items():
-            counts = self._constraints.get(label)
-            if counts is None:
-                counts = self._constraints[label] = [0, 0]
-            counts[0] += checked
-            counts[1] += fired
-        self._resolutions += state.get("resolutions", 0)
-        self._supertype_resolutions += state.get("supertype_resolutions", 0)
-        self._unmapped_events += state.get("unmapped_events", 0)
-
     # -- finalization ---------------------------------------------------
 
     def finalize(
@@ -271,7 +181,6 @@ class CoverageBuilder:
         """Close the books against the full element universe: the
         ontology's concrete event types, the architecture's top-level
         components and links, and the mapping's direct entries."""
-        self._drain()
         architecture = mapping.architecture
         exercised = {
             component
@@ -336,7 +245,6 @@ class CoverageBuilder:
         )
 
     def __repr__(self) -> str:
-        self._drain()
         return (
             f"CoverageBuilder(enabled={self.enabled}, "
             f"resolutions={self._resolutions})"

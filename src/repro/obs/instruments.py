@@ -62,12 +62,11 @@ class Instruments:
         """Hand a sharded walk's merged telemetry to the live channels.
 
         Spans and metrics already merged into the parent recorder (the
-        collector's parent); the shards' profile, coverage counts and
-        events, in ``(shard, seq)`` order, land here."""
+        collector's parent); the shards' profile and events, in
+        ``(shard, seq)`` order, land here. Coverage needs no merge: the
+        pipeline derives it from the merged verdicts."""
         if self.profiler.enabled and merged.profile is not None:
             self.profiler.ingest(merged.profile)
-        if self.coverage.enabled and merged.coverage_state:
-            self.coverage.ingest_state(merged.coverage_state)
         if self.events.enabled:
             for event in merged.events:
                 self.events.forward(event)

@@ -215,8 +215,7 @@ class RunRecord:
         (``scenarios``), the profiler (``profile``: a pointer into
         ``profiles/<run_id>.folded``), the job API (``tenant``/
         ``job_id``) or coverage telemetry (``coverage``; also empty for
-        runs evaluated without a recorder or on the incremental fast
-        path) still load."""
+        runs evaluated without a recorder) still load."""
         if data.get("format") != _FORMAT_VERSION:
             raise ReproError(
                 f"unsupported run record format {data.get('format')!r} "
@@ -318,8 +317,8 @@ class RunRegistry:
             tenant=tenant,
             job_id=job_id,
             # The evaluation pipeline attaches its finalized
-            # CoverageMatrix to the live recorder; runs evaluated
-            # without one (incremental fast path) carry none.
+            # CoverageMatrix to the live recorder; a run whose caller
+            # installed (and finalizes) its own builder carries none.
             coverage=(
                 recorder.coverage.to_dict()
                 if recorder.coverage is not None

@@ -302,18 +302,22 @@ class ServeDaemon:
     ``incremental_safe_paths`` — the architecture description, whose
     edits a :class:`~repro.core.incremental.DependencyTracker` can
     invalidate soundly — are re-evaluated through
-    :func:`~repro.core.incremental.reevaluate`: only scenarios whose
-    recorded dependencies the edit dirties are re-walked. Any other
-    change (scenarios, mapping, parse errors, a missing tracker) falls
-    back to a full evaluation; hits and misses are exposed as the
-    ``serve.incremental_hit`` / ``serve.incremental_miss`` metrics.
+    :func:`~repro.core.incremental.reevaluate`: the tracker is built
+    from the last report when the edit arrives, and only scenarios
+    whose recorded dependencies the edit dirties are re-walked. The
+    run goes through the same pipeline as a full one, so its report,
+    spans, events and coverage matrix are a full evaluation's. Any
+    other change (scenarios, mapping, parse errors, a failed tracker
+    build) falls back to a full evaluation; hits and misses are exposed
+    as the ``serve.incremental_hit`` / ``serve.incremental_miss``
+    metrics.
 
     With ``workers`` > 1, *full* evaluations run through
     :class:`~repro.shard.BatchEvaluator` — the walkthrough stage is
     sharded across worker processes and each run's merged telemetry
     lands in the same recorder the single-process path uses. Per-shard
     timings are exposed as ``serve.shard.*`` gauges on ``/metrics``.
-    The incremental path is untouched (it re-walks a handful of
+    An incremental run walks in this process (it re-walks a handful of
     scenarios; process fan-out would cost more than it saves).
     """
 
@@ -378,11 +382,13 @@ class ServeDaemon:
         # A bounded ring of recent interval profiles: /profile merges
         # and serves them as folded text for `dashboard --live`.
         self._profiles: deque[Profile] = deque(maxlen=profile_history)
-        self._tracker = None
         self._batch = None
         self._sosae = None
         self._git_sha: Optional[str] = None
-        self._last_report = None
+        # (pipeline, report) of the last successful watch-loop run: an
+        # incremental edit re-evaluates from that report, and only when
+        # the pipeline it came from is the one the edit replaces.
+        self._last_run = None
         # (report_to_dict document, digest, indent-2 /report text) of
         # the last report; digest and text are rendered again only when
         # a run's document differs.
@@ -429,10 +435,10 @@ class ServeDaemon:
         """Run one evaluation, record it, and evaluate the alert rules.
 
         ``changed_paths`` names the watched files whose change triggered
-        a ``rebuild``; when every one of them is incremental-safe and a
-        dependency tracker from the previous run is available, the run
-        goes through the incremental re-evaluation path instead of a
-        full pipeline (with automatic full-evaluation fallback).
+        a ``rebuild``; when every one of them is incremental-safe and
+        the last report came from the pipeline the rebuild replaced,
+        the run goes through the incremental re-evaluation path instead
+        of a full pipeline (with automatic full-evaluation fallback).
         """
         # Imported lazily: core imports obs.
         from repro.core.report_io import report_to_dict, report_to_json
@@ -464,7 +470,7 @@ class ServeDaemon:
                     self._git_sha = current_git_sha()
                 with profiler:
                     report, used_incremental = self._produce_report(
-                        previous_sosae, changed_paths, recorder
+                        previous_sosae, changed_paths
                     )
                 profile: Optional[Profile] = profiler.profile()
                 if profile is not None:
@@ -485,9 +491,8 @@ class ServeDaemon:
                         _report_digest(report),
                         report_to_json(report),
                     )
-                self._last_report = report
+                self._last_run = (self._sosae, report)
                 _, digest, report_json = self._last_rendered
-                self._refresh_tracker(report)
                 record = (
                     self.registry.record(
                         self.label,
@@ -546,8 +551,8 @@ class ServeDaemon:
             history = self.registry.load() if self.registry is not None else ()
             # Coverage scalars for mode="coverage" rules. The drift
             # scalars compare against the latest *earlier* run that
-            # carries a matrix (incremental fast-path runs don't), so a
-            # "newly uncovered" rule fires on the transition itself.
+            # carries a matrix (a run recorded without one is skipped),
+            # so a "newly uncovered" rule fires on the transition itself.
             coverage_data = (
                 recorder.coverage.to_dict()
                 if recorder.coverage is not None
@@ -637,29 +642,33 @@ class ServeDaemon:
         self,
         previous_sosae,
         changed_paths: Sequence[Union[str, Path]],
-        recorder: Recorder,
     ):
         """The new report, through the incremental path when the change
         is provably architecture-only; returns ``(report, hit)``."""
         if self._incremental_eligible(previous_sosae, changed_paths):
             # Imported lazily, like report_io above: core imports obs.
-            from repro.core.incremental import reevaluate
+            from repro.core.incremental import DependencyTracker, reevaluate
 
             try:
-                with recorder.span(
-                    "evaluate.incremental",
-                    scenarios=len(self._sosae.scenario_set.scenarios),
-                ):
-                    result = reevaluate(
-                        self._last_report,
-                        self._sosae.scenario_set,
-                        previous_sosae.architecture,
-                        self._sosae.architecture,
-                        self._sosae.mapping,
-                        options=self._sosae.walkthrough_options,
-                        tracker=self._tracker,
-                        constraints=tuple(self._sosae.constraints),
-                    )
+                # Built only now, when an edit can use it: the previous
+                # report and pipeline are exactly what it must record.
+                _, previous_report = self._last_run
+                tracker = DependencyTracker.from_report(
+                    previous_report,
+                    previous_sosae.architecture,
+                    previous_sosae.mapping,
+                    previous_sosae.walkthrough_options,
+                )
+                result = reevaluate(
+                    previous_report,
+                    self._sosae.scenario_set,
+                    previous_sosae.architecture,
+                    self._sosae.architecture,
+                    self._sosae.mapping,
+                    options=self._sosae.walkthrough_options,
+                    tracker=tracker,
+                    constraints=tuple(self._sosae.constraints),
+                )
             except ReproError as error:
                 _LOG.info(
                     "incremental re-evaluation unavailable (%s); "
@@ -684,9 +693,8 @@ class ServeDaemon:
         return (
             self.incremental
             and previous_sosae is not None
-            and self._last_report is not None
-            and self._tracker is not None
-            and self._tracker.architecture is previous_sosae.architecture
+            and self._last_run is not None
+            and self._last_run[0] is previous_sosae
             and bool(changed_paths)
             and bool(self._incremental_safe)
             and all(
@@ -694,24 +702,6 @@ class ServeDaemon:
                 for path in changed_paths
             )
         )
-
-    def _refresh_tracker(self, report) -> None:
-        """Record the dependency tracker for the next spec edit — one
-        O(report) pass, off the re-evaluation hot path."""
-        if not self.incremental:
-            return
-        from repro.core.incremental import DependencyTracker
-
-        try:
-            self._tracker = DependencyTracker.from_report(
-                report,
-                self._sosae.architecture,
-                self._sosae.mapping,
-                self._sosae.walkthrough_options,
-            )
-        except ReproError as error:
-            self._tracker = None
-            _LOG.warning("dependency tracking disabled for this run: %s", error)
 
     def serve_loop(
         self,

@@ -18,13 +18,14 @@ walkthrough stage fans out across ``workers`` OS processes:
   and merge deterministically: spans stitch under the parent's
   ``evaluate.walkthrough`` span, metrics fold into the parent registry,
   and the parent's instrument bundle absorbs the rest in one step:
-  coverage counts and profiles fold into its builder and profiler, and
-  worker events are forwarded into its live bus in ``(shard, seq)``
-  order.
+  profiles fold into its profiler, and worker events are forwarded into
+  its live bus in ``(shard, seq)`` order.
 
 The result is the report ``Sosae.evaluate`` produces — same verdicts,
-same findings, same order — plus one merged telemetry view. Dynamic
-evaluation, when asked for, runs in the parent after the sharded walk.
+same findings, same order — plus one merged telemetry view. Coverage
+is derived in the parent from the merged verdicts, like every
+evaluation's. Dynamic evaluation, when asked for, runs in the parent
+after the sharded walk.
 """
 
 from __future__ import annotations

@@ -30,7 +30,6 @@ from repro.core.evaluator import Sosae, walk_serially
 from repro.core.mapping import Mapping
 from repro.obs.collector import snapshot_partial
 from repro.obs.context import TraceContext
-from repro.obs.coverage import CoverageBuilder
 from repro.obs.events import EventBus
 from repro.obs.instruments import instrumented
 from repro.obs.profiler import NULL_PROFILER, SamplingProfiler
@@ -78,14 +77,11 @@ def run_shard(task: ShardTask) -> dict:
     sosae = _BUILT[1]
     stats_before = sosae.index.stats()
     # The shard's own bundle. It samples its walk when the parent asked
-    # for it, and it accumulates its own coverage counts; the parent
-    # merges every shard's profile and sums their counts, finalizing
-    # against the full element universe, so merged output is
-    # byte-identical to a single-process run.
+    # for it; the parent merges every shard's profile. Coverage is not
+    # collected here: the parent derives it from the merged verdicts.
     with instrumented(
         recorder=Recorder(spans=SpanRecorder(context=task.context)),
         events=EventBus(),
-        coverage=CoverageBuilder(),
         profiler=(
             SamplingProfiler(hz=task.profile_hz)
             if task.profile_hz

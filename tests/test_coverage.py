@@ -1,19 +1,35 @@
-"""Unit tests for coverage analysis."""
+"""Coverage summary questions (paper §3.2: is the chosen scenario subset
+representative?) answered by the one coverage model, the
+:class:`~repro.obs.coverage.CoverageMatrix` an evaluation derives from
+its verdicts, on the shared fixtures and the two case studies."""
 
 from __future__ import annotations
 
-from repro.core.coverage import compute_coverage
+from repro.core.evaluator import Sosae
 from repro.core.mapping import Mapping
+from repro.obs import Recorder, use
+
+
+def matrix_of(scenarios, mapping, options=None):
+    recorder = Recorder()
+    with use(recorder):
+        Sosae(
+            scenarios,
+            mapping.architecture,
+            mapping,
+            walkthrough_options=options,
+        ).evaluate()
+    return recorder.coverage
 
 
 class TestCoverage:
     def test_exercised_and_untouched_components(
         self, small_scenarios, chain_mapping
     ):
-        report = compute_coverage(small_scenarios, chain_mapping)
-        assert set(report.exercised_components) == {"ui", "logic", "store"}
-        assert report.untouched_components == ()
-        assert report.component_coverage == 1.0
+        matrix = matrix_of(small_scenarios, chain_mapping)
+        assert set(matrix.exercised_components) == {"ui", "logic", "store"}
+        assert matrix.untouched_components == ()
+        assert matrix.component_coverage == 1.0
 
     def test_untouched_component_reported(
         self, small_scenarios, chain_mapping, chain_architecture
@@ -23,34 +39,22 @@ class TestCoverage:
             chain_mapping.ontology, chain_architecture
         )
         mapping.update(chain_mapping.entries)
-        report = compute_coverage(small_scenarios, mapping)
-        assert "spare" in report.untouched_components
-        assert report.component_coverage < 1.0
+        matrix = matrix_of(small_scenarios, mapping)
+        assert "spare" in matrix.untouched_components
+        assert matrix.component_coverage < 1.0
 
     def test_used_event_types_sorted_by_count(
         self, small_scenarios, chain_mapping
     ):
-        report = compute_coverage(small_scenarios, chain_mapping)
-        names = [name for name, _count in report.used_event_types]
-        assert set(names) == {"create", "destroy", "notify"}
+        matrix = matrix_of(small_scenarios, chain_mapping)
+        assert set(matrix.event_type_counts) == {"create", "destroy", "notify"}
 
     def test_unused_event_types(self, small_scenarios, chain_mapping):
         chain_mapping.ontology.define_event_type("idle-type")
-        report = compute_coverage(small_scenarios, chain_mapping)
-        assert "idle-type" in report.unused_event_types
-        assert "act" not in report.unused_event_types  # abstract
-
-    def test_per_scenario_counts(self, small_scenarios, chain_mapping):
-        report = compute_coverage(small_scenarios, chain_mapping)
-        by_name = {s.scenario: s for s in report.scenarios}
-        make = by_name["make-widget"]
-        assert make.typed_events == 2
-        assert make.simple_events == 0
-        assert make.mapped_events == 2
-        assert make.mappable_ratio == 1.0
-        drop = by_name["drop-widget"]
-        assert drop.simple_events == 1
-        assert drop.mappable_ratio == 0.5
+        matrix = matrix_of(small_scenarios, chain_mapping)
+        assert "idle-type" in matrix.unexercised_event_types
+        # Abstract event types are never reported unexercised.
+        assert "act" not in matrix.unexercised_event_types
 
     def test_subtype_only_mapped_event_counts_as_mapped(
         self, small_scenarios, chain_mapping
@@ -65,26 +69,23 @@ class TestCoverage:
         # through the hierarchy, never from a direct entry.
         mapping.map_event("act", "logic")
         mapping.map_event("notify", "ui")
-        report = compute_coverage(small_scenarios, mapping)
-        assert "logic" in report.exercised_components
-        by_name = {s.scenario: s for s in report.scenarios}
-        make = by_name["make-widget"]
-        assert make.mapped_events == make.typed_events
-        assert make.mappable_ratio == 1.0
+        matrix = matrix_of(small_scenarios, mapping)
+        assert "logic" in matrix.exercised_components
+        assert matrix.cells["create"] == {"logic": 1}
+        assert matrix.unmapped_events == 0
+        assert matrix.supertype_resolutions == 2
+        assert "act" not in matrix.dead_mappings
 
     def test_render_mentions_key_facts(self, small_scenarios, chain_mapping):
-        rendered = compute_coverage(small_scenarios, chain_mapping).render()
-        assert "component coverage: 3/3" in rendered
-        assert "make-widget" in rendered
+        rendered = matrix_of(small_scenarios, chain_mapping).render()
+        assert "components: 3/3 exercised" in rendered
 
     def test_nested_component_coverage_counts_top_level(self, crash):
-        from repro.core.coverage import compute_coverage as cover
-
-        report = cover(crash.scenarios, crash.mapping)
+        matrix = matrix_of(crash.scenarios, crash.mapping, crash.options)
         assert "Police Department Command and Control" in (
-            report.exercised_components
+            matrix.exercised_components
         )
 
     def test_pims_full_component_coverage(self, pims):
-        report = compute_coverage(pims.scenarios, pims.mapping)
-        assert report.untouched_components == ()
+        matrix = matrix_of(pims.scenarios, pims.mapping, pims.options)
+        assert matrix.untouched_components == ()

@@ -10,16 +10,31 @@ from repro.adl.diff import diff_architectures
 from repro.core.constraints import MustNotCommunicate, RequiresPath
 from repro.core.evaluator import Sosae
 from repro.core.incremental import (
-    CARRIED_OVER_NOTE,
     DependencyTracker,
     StaleTrackerError,
     impacted_scenario_names,
     reevaluate,
 )
 from repro.core.mapping import Mapping
-from repro.core.walkthrough import WalkthroughEngine
+from repro.core.report_io import report_to_json
+from repro.obs import Recorder, use
 from repro.systems.generators import SyntheticSpec, build_synthetic
 from repro.systems.pims import GET_SHARE_PRICES
+
+
+def assert_equals_full(incremental, full_sosae):
+    """``incremental()`` (a :func:`reevaluate` call) and a full
+    evaluation of ``full_sosae`` produce the same report JSON, byte for
+    byte, and the same coverage matrix. Returns the incremental result."""
+    recorder = Recorder()
+    with use(recorder):
+        result = incremental()
+    full_recorder = Recorder()
+    with use(full_recorder):
+        full = full_sosae.evaluate()
+    assert report_to_json(result.report) == report_to_json(full)
+    assert recorder.coverage.digest == full_recorder.coverage.digest
+    return result
 
 
 class TestImpactSet:
@@ -88,22 +103,23 @@ class TestReevaluate:
             walkthrough_options=pims.options,
         ).evaluate()
         evolved = pims.excised_architecture()
-        result = reevaluate(
-            previous,
-            pims.scenarios,
-            pims.architecture,
-            evolved,
-            pims.mapping,
-            options=pims.options,
+        # The incremental report is a from-scratch evaluation's.
+        result = assert_equals_full(
+            lambda: reevaluate(
+                previous,
+                pims.scenarios,
+                pims.architecture,
+                evolved,
+                pims.mapping,
+                options=pims.options,
+            ),
+            Sosae(
+                pims.scenarios,
+                evolved,
+                pims.mapping.rebind(evolved),
+                walkthrough_options=pims.options,
+            ),
         )
-        # Incremental verdicts agree with a from-scratch evaluation.
-        full_mapping = pims.mapping.rebind(evolved)
-        engine = WalkthroughEngine(evolved, full_mapping, pims.options)
-        full = {v.scenario: v.passed for v in engine.walk_all(pims.scenarios)}
-        incremental = {
-            v.scenario: v.passed for v in result.report.scenario_verdicts
-        }
-        assert incremental == full
         assert not result.report.consistent
         assert GET_SHARE_PRICES in result.rewalked
 
@@ -274,38 +290,30 @@ class TestDependencyTracker:
             previous, pims.architecture, pims.mapping, pims.options
         )
         evolved = pims.excised_architecture()
-        result = reevaluate(
-            previous,
-            pims.scenarios,
-            pims.architecture,
-            evolved,
-            pims.mapping,
-            options=pims.options,
-            tracker=tracker,
-            constraints=pims.constraints,
+        result = assert_equals_full(
+            lambda: reevaluate(
+                previous,
+                pims.scenarios,
+                pims.architecture,
+                evolved,
+                pims.mapping,
+                options=pims.options,
+                tracker=tracker,
+                constraints=pims.constraints,
+            ),
+            Sosae(
+                pims.scenarios,
+                evolved,
+                pims.mapping.rebind(evolved),
+                constraints=pims.constraints,
+                walkthrough_options=pims.options,
+            ),
         )
-        full = Sosae(
-            pims.scenarios,
-            pims.excised_architecture(),
-            pims.mapping,
-            constraints=pims.constraints,
-            walkthrough_options=pims.options,
-        ).evaluate()
         assert result.used_tracker
-        assert {
-            v.scenario: (v.passed, v.blocked)
-            for v in result.report.scenario_verdicts
-        } == {
-            v.scenario: (v.passed, v.blocked) for v in full.scenario_verdicts
-        }
-        assert sorted(f.finding_id for f in result.report.findings) == sorted(
-            f.finding_id for f in full.findings
-        )
-        assert result.report.consistent == full.consistent
 
 
 class TestFindingsRefresh:
-    def test_carried_findings_get_a_provenance_note(
+    def test_carried_findings_equal_a_full_evaluation(
         self, small_scenarios, chain_architecture, chain_mapping
     ):
         # ui reaches store through the chain, so this constraint is
@@ -320,24 +328,27 @@ class TestFindingsRefresh:
         assert any(
             "MustNotCommunicate" in f.message for f in previous.findings
         )
-        result = reevaluate(
-            previous,
-            small_scenarios,
-            chain_architecture,
-            chain_architecture.clone("same"),
-            chain_mapping,
-            constraints=constraints,
+        same = chain_architecture.clone("same")
+        # A no-op diff reuses the validation and coverage findings;
+        # every finding, carried or recomputed, reads as a full
+        # evaluation's.
+        result = assert_equals_full(
+            lambda: reevaluate(
+                previous,
+                small_scenarios,
+                chain_architecture,
+                same,
+                chain_mapping,
+                constraints=constraints,
+            ),
+            Sosae(
+                small_scenarios,
+                same,
+                chain_mapping.rebind(same),
+                constraints=constraints,
+            ),
         )
-        # A no-op diff cannot change the constraint verdict: the finding
-        # is carried, and says so in its provenance.
-        assert "constraints" in result.carried_stages
-        carried = [
-            f for f in result.report.findings if "MustNotCommunicate" in f.message
-        ]
-        assert carried
-        assert all(
-            CARRIED_OVER_NOTE in f.provenance.notes for f in carried
-        )
+        assert result.reused_stages == ("validation", "coverage")
 
     def test_dirty_constraint_findings_are_recomputed(
         self, small_scenarios, chain_architecture, chain_mapping
@@ -362,17 +373,11 @@ class TestFindingsRefresh:
             chain_mapping,
             constraints=constraints,
         )
-        # The excision breaks ui -> store, and the constraint's endpoints
-        # lie inside the affected region, so the stage is recomputed and
-        # the new violation appears without a carried-over note.
-        assert "constraints" in result.recomputed_stages
-        violations = [
-            f for f in result.report.findings if "RequiresPath" in f.message
-        ]
-        assert violations
-        assert all(
-            f.provenance is None or CARRIED_OVER_NOTE not in f.provenance.notes
-            for f in violations
+        # The excision breaks ui -> store; constraints are always
+        # recomputed, so the new violation appears.
+        assert "constraints" not in result.reused_stages
+        assert any(
+            "RequiresPath" in f.message for f in result.report.findings
         )
 
 
@@ -427,25 +432,18 @@ class TestTrackerParityProperties:
         )
         rng = random.Random(seed * 1000 + hash(edit) % 997)
         evolved, mapping = _mutate(system, edit, rng)
-        result = reevaluate(
-            previous,
-            system.scenarios,
-            system.architecture,
-            evolved,
-            mapping,
-            tracker=tracker,
+        result = assert_equals_full(
+            lambda: reevaluate(
+                previous,
+                system.scenarios,
+                system.architecture,
+                evolved,
+                mapping,
+                tracker=tracker,
+            ),
+            Sosae(system.scenarios, evolved, mapping.rebind(evolved)),
         )
-        full = Sosae(
-            system.scenarios, evolved, mapping.rebind(evolved)
-        ).evaluate()
         assert result.used_tracker
-        assert {
-            v.scenario: (v.passed, v.blocked)
-            for v in result.report.scenario_verdicts
-        } == {
-            v.scenario: (v.passed, v.blocked) for v in full.scenario_verdicts
-        }
-        assert result.report.consistent == full.consistent
 
     @pytest.mark.parametrize("seed", range(3))
     def test_noop_diff_carries_everything(self, seed):

@@ -254,7 +254,7 @@ class TestIncrementalServe:
         assert "sosae_serve_incremental_hit_total 1" in text
         assert "sosae_serve_incremental_miss_total 0" in text
         assert (
-            'sosae_serve_stage_wall_seconds{stage="evaluate.incremental"}'
+            'sosae_serve_stage_wall_seconds{stage="evaluate.walkthrough"}'
             in text
         )
 
@@ -306,6 +306,84 @@ class TestIncrementalServe:
         arch_path.write_text("v2 with a longer body")
         daemon.serve_loop(poll=0.001, max_runs=1)
         assert daemon.health()["incremental_hits"] == 1
+
+    def test_incremental_tick_records_what_a_full_tick_records(
+        self, tmp_path, monkeypatch, small_scenarios, chain_architecture,
+        chain_mapping,
+    ):
+        """An architecture-only watched edit goes incremental, builds
+        the dependency tracker once (at the edit, not on every tick),
+        and records a full tick's coverage matrix and stage spans."""
+        from repro.cli import _build_spec_sosae
+        from repro.core.incremental import DependencyTracker
+
+        scenario_path = tmp_path / "scenarios.xml"
+        arch_path = tmp_path / "architecture.xml"
+        mapping_path = tmp_path / "mapping.json"
+        scenario_path.write_text(to_scenarioml_xml(small_scenarios))
+        arch_path.write_text(to_xadl_xml(chain_architecture))
+        mapping_path.write_text(chain_mapping.to_json())
+
+        def build():
+            return _build_spec_sosae(
+                scenario_path, arch_path, mapping_path, acme=False
+            )
+
+        builds = []
+        from_report = DependencyTracker.from_report.__func__
+
+        def counted(cls, *args, **kwargs):
+            builds.append(args)
+            return from_report(cls, *args, **kwargs)
+
+        monkeypatch.setattr(
+            DependencyTracker, "from_report", classmethod(counted)
+        )
+        hit_rule = AlertRule(
+            name="incremental", metric="serve.incremental_hit", threshold=0
+        )
+
+        def daemon(name, incremental):
+            return ServeDaemon(
+                build,
+                rules=(hit_rule,),
+                watch_paths=(scenario_path, arch_path, mapping_path),
+                registry=RunRegistry(tmp_path / name),
+                incremental=incremental,
+                incremental_safe_paths=(arch_path,),
+            )
+
+        incremental = daemon("incremental", True)
+        incremental.serve_loop(poll=0.001, max_runs=1)
+        for _ in range(3):
+            assert incremental.run_once().fired == ()
+        evolved = chain_architecture.clone("chain")
+        evolved.excise_links_between("logic", "logic-store")
+        arch_path.write_text(to_xadl_xml(evolved))
+        # One serve_loop iteration, keeping its outcome.
+        outcome = incremental.run_once(
+            rebuild=True, changed_paths=incremental.watcher.changed_paths()
+        )
+        full = daemon("full", False)
+        full.serve_loop(poll=0.001, max_runs=1)
+
+        # serve.incremental_hit read 1 on the edit's tick only.
+        assert [fired.rule for fired in outcome.fired] == ["incremental"]
+        assert len(builds) == 1
+        edited = incremental.registry.load()[-1]
+        reference = full.registry.load()[-1]
+        assert edited.report_digest == reference.report_digest
+        assert edited.coverage
+        assert edited.coverage["digest"] == reference.coverage["digest"]
+        stages = {
+            "evaluate.validation",
+            "evaluate.style_check",
+            "evaluate.coverage",
+            "evaluate.constraints",
+            "evaluate.walkthrough",
+        }
+        assert stages <= set(edited.stages)
+        assert "evaluate.incremental" not in edited.stages
 
 
 def indent2(report) -> str:
