@@ -272,16 +272,22 @@ class Sosae:
         The installed coverage builder, when enabled, is fed from the
         finished report's verdicts; while the recorder or event bus is
         live and no builder is installed, a fresh one is finalized
-        onto the recorder and announced on the bus."""
+        onto the recorder and announced on the bus.
+
+        The communication index is pinned for the whole evaluation, so
+        the walk and the constraint checks share one structural
+        fingerprint check at entry; the inputs must not be mutated
+        while the evaluation runs."""
         instruments = current_instruments()
         recorder, bus = instruments.recorder, instruments.events
         coverage = instruments.coverage
         reused = reused_findings or {}
         if not recorder.enabled and not bus.enabled:
-            report = self._evaluate(
-                walk, scenario_names, include_dynamic, dynamic_scenarios,
-                reused, attributes,
-            )
+            with self.index.pinned():
+                report = self._evaluate(
+                    walk, scenario_names, include_dynamic, dynamic_scenarios,
+                    reused, attributes,
+                )
             if coverage.enabled:
                 coverage.record_verdicts(report.scenario_verdicts, self.mapping)
             return report
@@ -308,7 +314,7 @@ class Sosae:
             scenarios=len(self.scenario_set.scenarios),
             **attributes,
         ) as span:
-            with instrumented(coverage=coverage):
+            with instrumented(coverage=coverage), self.index.pinned():
                 report = self._evaluate(
                     walk, scenario_names, include_dynamic, dynamic_scenarios,
                     reused, attributes,

@@ -510,17 +510,17 @@ def reevaluate(
     def carry_over(
         sosae: Sosae, scenarios: tuple[Scenario, ...]
     ) -> Iterator[ScenarioVerdict]:
-        # One pin for every re-walk, not a fingerprint check per walk.
-        with sosae.index.pinned():
-            for scenario in scenarios:
-                verdict = carried.get(scenario.name)
-                yield (
-                    verdict
-                    if verdict is not None
-                    else evaluate_scenario(
-                        sosae.engine, scenario, sosae.scenario_set
-                    )
+        # `evaluate_with` pins the index: one fingerprint check covers
+        # every re-walk.
+        for scenario in scenarios:
+            verdict = carried.get(scenario.name)
+            yield (
+                verdict
+                if verdict is not None
+                else evaluate_scenario(
+                    sosae.engine, scenario, sosae.scenario_set
                 )
+            )
 
     sosae = Sosae(
         scenario_set,

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from functools import partial
 from typing import Optional
 
 from repro.adl.index import CommunicationIndex, communication_index
@@ -168,45 +167,43 @@ class WalkthroughEngine:
                 )
             )
         started = time.perf_counter()
-        with self.index.pinned():
+        with self.index.pinned(), recorder.span(
+            "walkthrough.scenario",
+            scenario=scenario.name,
+            negative=scenario.is_negative,
+            traces=len(traces),
+        ) as scenario_span:
             if recorder.enabled:
-                with recorder.span(
-                    "walkthrough.scenario",
-                    scenario=scenario.name,
-                    negative=scenario.is_negative,
-                    traces=len(traces),
-                ) as scenario_span:
-                    stats_before = self.index.stats()
-                    walked = tuple(
-                        self._walk_trace(scenario, index, trace)
-                        for index, trace in enumerate(traces)
-                    )
-                    # Per-scenario work-unit attribution: what this
-                    # scenario *cost*, as span attributes, so run records
-                    # and `sosae runs attribute` can rank regressions by
-                    # cause, not just by wall time.
-                    stats_after = self.index.stats()
-                    scenario_span.set_attribute(
-                        "cost.steps",
-                        sum(len(walk.steps) for walk in walked),
-                    )
-                    scenario_span.set_attribute(
-                        "cost.index_queries",
-                        (stats_after.hits + stats_after.misses)
-                        - (stats_before.hits + stats_before.misses),
-                    )
-                    scenario_span.set_attribute(
-                        "cost.bfs_expansions",
-                        stats_after.misses - stats_before.misses,
-                    )
-                    scenario_span.set_attribute(
-                        "cost.findings",
-                        sum(len(walk.inconsistencies) for walk in walked),
-                    )
-            else:
-                walked = tuple(
-                    self._walk_trace(scenario, index, trace)
-                    for index, trace in enumerate(traces)
+                stats_before = self.index.stats()
+            walked = tuple(
+                self._walk_trace(scenario, index, trace)
+                for index, trace in enumerate(traces)
+            )
+            if recorder.enabled:
+                # Per-scenario work-unit attribution: what this scenario
+                # *cost*, as span attributes, so run records and `sosae
+                # runs attribute` can rank regressions by cause, not just
+                # by wall time. Steps are counted here, not traced: the
+                # walk opens no span per step.
+                stats_after = self.index.stats()
+                steps = [step for walk in walked for step in walk.steps]
+                scenario_span.set_attribute("cost.steps", len(steps))
+                scenario_span.set_attribute(
+                    "cost.failing_steps",
+                    sum(1 for step in steps if not step.ok),
+                )
+                scenario_span.set_attribute(
+                    "cost.index_queries",
+                    (stats_after.hits + stats_after.misses)
+                    - (stats_before.hits + stats_before.misses),
+                )
+                scenario_span.set_attribute(
+                    "cost.bfs_expansions",
+                    stats_after.misses - stats_before.misses,
+                )
+                scenario_span.set_attribute(
+                    "cost.findings",
+                    sum(len(walk.inconsistencies) for walk in walked),
                 )
         verdict = ScenarioVerdict(
             scenario=scenario.name,
@@ -234,17 +231,10 @@ class WalkthroughEngine:
     def _walk_trace(
         self, scenario: Scenario, index: int, trace: tuple[Event, ...]
     ) -> TraceWalkthrough:
-        # Observability cost discipline: read the bundle once per trace
-        # and batch counter updates into one flush. An unobserved step
-        # calls `_walk_typed_event` directly: no span, no attributes.
-        instruments = current_instruments()
-        recorder = instruments.recorder
+        # Observability cost discipline: read the recorder once per trace
+        # and batch counter updates into one flush.
+        recorder = current_instruments().recorder
         enabled = recorder.enabled
-        walk_step = (
-            partial(self._walk_observed_step, recorder)
-            if enabled
-            else self._walk_typed_event
-        )
         steps: list[WalkthroughStep] = []
         findings: list[Inconsistency] = []
         previous_components: Optional[tuple[str, ...]] = None
@@ -254,7 +244,7 @@ class WalkthroughEngine:
         for position, event in enumerate(trace):
             if isinstance(event, TypedEvent):
                 typed_events += 1
-                step, step_findings, components = walk_step(
+                step, step_findings, components = self._walk_typed_event(
                     scenario, event, previous_components, index, position
                 )
                 steps.append(step)
@@ -296,20 +286,6 @@ class WalkthroughEngine:
         return TraceWalkthrough(
             trace_index=index, steps=tuple(steps), inconsistencies=tuple(findings)
         )
-
-    def _walk_observed_step(
-        self, recorder, scenario: Scenario, event: TypedEvent, *args
-    ) -> tuple[WalkthroughStep, list[Inconsistency], tuple[str, ...]]:
-        """:meth:`_walk_typed_event` inside its ``walkthrough.step`` span."""
-        with recorder.span(
-            "walkthrough.step",
-            scenario=scenario.name,
-            event=event.label,
-            event_type=event.type_name,
-        ) as step_span:
-            result = self._walk_typed_event(scenario, event, *args)
-            step_span.set_attribute("ok", result[0].ok)
-        return result
 
     def _walk_typed_event(
         self,

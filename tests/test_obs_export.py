@@ -275,7 +275,7 @@ class TestPimsEvaluationProfile:
         assert "walkthrough.steps" in rendered
 
     def test_span_tree_matches_pipeline(self, recorded):
-        recorder, _ = recorded
+        recorder, report = recorded
         assert len(recorder.roots) == 1
         root = recorder.roots[0]
         assert root.name == "evaluate"
@@ -294,13 +294,24 @@ class TestPimsEvaluationProfile:
             if span.name == "walkthrough.scenario"
         ]
         assert scenario_spans
-        step_spans = [
+        # Steps are counted on the scenario span, not traced one by one.
+        assert not [
             span
             for span in walkthrough.iter_spans()
             if span.name == "walkthrough.step"
         ]
-        assert step_spans
-        assert all(span.attributes.get("ok") for span in step_spans)
+        steps = [
+            step
+            for verdict in report.scenario_verdicts
+            for trace in verdict.traces
+            for step in trace.steps
+        ]
+        assert sum(
+            span.attributes["cost.steps"] for span in scenario_spans
+        ) == len(steps)
+        assert sum(
+            span.attributes["cost.failing_steps"] for span in scenario_spans
+        ) == sum(1 for step in steps if not step.ok)
 
     def test_metrics_counters_are_nonzero(self, recorded):
         recorder, _ = recorded

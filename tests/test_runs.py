@@ -275,6 +275,34 @@ class TestDiffRuns:
         assert by_name["new"].before is None
         assert diff.clean  # appearing/disappearing is not an increase
 
+    def test_stage_dropped_from_the_span_tree(self):
+        # Runs recorded while the walk still traced every step carry a
+        # `walkthrough.step` stage; later runs do not.
+        def stage(wall):
+            return {"count": 1, "wall_seconds": wall, "cpu_seconds": wall}
+
+        before = _record(
+            "r0001",
+            stages={
+                "evaluate": stage(0.2),
+                "walkthrough.scenario": stage(0.1),
+                "walkthrough.step": stage(0.05),
+            },
+        )
+        after = _record(
+            "r0002",
+            stages={
+                "evaluate": stage(0.2),
+                "walkthrough.scenario": stage(0.1),
+            },
+        )
+        diff = diff_runs(before, after, threshold=0.0, time_threshold=0.0)
+        assert diff.clean
+        by_name = {delta.name: delta for delta in diff.stages}
+        assert by_name["walkthrough.step"].before_wall == 0.05
+        assert by_name["walkthrough.step"].after_wall is None
+        assert "walkthrough.step" in diff.render()
+
     def test_json_round_trip_preserves_diffability(self, tmp_path):
         record = _record(
             "r0001",
