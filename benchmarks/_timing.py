@@ -1,115 +1,29 @@
-"""Shared timing helper for the benchmark harness.
+"""Shared timing helper for the benchmarks.
 
-Every benchmark used to hand-roll the same ``time.perf_counter()``
-start/stop pair and print its numbers, leaving no machine-readable
-record. :func:`timed` wraps the pattern::
+:class:`timed` wraps the ``time.perf_counter()`` start/stop pair every
+benchmark would otherwise hand-roll::
 
-    with timed("comm_index.warm", scenarios=100) as timing:
+    with timed() as timing:
         engine.walk_all(scenarios)
     print(timing.seconds)
-
-and — unless told not to — appends ``{"name", "seconds", "timestamp",
-"metadata"}`` to ``BENCH_results.json`` at the repository root (override
-the location with the ``BENCH_RESULTS_PATH`` environment variable), so
-repeated benchmark runs accumulate a perf trajectory that CI uploads as
-an artifact.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from datetime import datetime, timezone
-from pathlib import Path
-from typing import Optional
 
-__all__ = ["load_results", "record_timing", "results_path", "timed"]
-
-_DEFAULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_results.json"
+__all__ = ["timed"]
 
 
-def results_path() -> Path:
-    """Where timings accumulate (``BENCH_RESULTS_PATH`` overrides)."""
-    override = os.environ.get("BENCH_RESULTS_PATH")
-    return Path(override) if override else _DEFAULT_PATH
+class timed:
+    """Time the ``with`` block; ``seconds`` is valid once it exits."""
 
+    seconds: float = 0.0
 
-def load_results(path: Optional[Path] = None) -> list[dict]:
-    """Read the accumulated timing trajectory, failing loudly.
-
-    A missing or unparsable results file raises instead of returning an
-    empty trajectory: every consumer of the trajectory (regression gates,
-    trend plots) treats "no data" as "nothing regressed", so silence here
-    turns a broken benchmark run into a green check. Writing stays
-    tolerant (:func:`record_timing` must not fail the benchmark that
-    produced the data); reading does not.
-    """
-    path = Path(path) if path is not None else results_path()
-    if not path.exists():
-        raise FileNotFoundError(
-            f"benchmark results file {path} does not exist; run the "
-            "benchmarks first (pytest benchmarks/) or point "
-            "BENCH_RESULTS_PATH at an existing trajectory"
-        )
-    try:
-        loaded = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise ValueError(
-            f"benchmark results file {path} is not valid JSON: {exc}"
-        ) from exc
-    if not isinstance(loaded, list):
-        raise ValueError(
-            f"benchmark results file {path} must contain a JSON list, "
-            f"got {type(loaded).__name__}"
-        )
-    return loaded
-
-
-def record_timing(name: str, seconds: float, **metadata) -> dict:
-    """Append one timing entry to the results file; returns the entry."""
-    entry = {
-        "name": name,
-        "seconds": seconds,
-        "timestamp": datetime.now(timezone.utc).isoformat(),
-        "metadata": metadata,
-    }
-    path = results_path()
-    entries: list = []
-    if path.exists():
-        try:
-            loaded = json.loads(path.read_text())
-            if isinstance(loaded, list):
-                entries = loaded
-        except (json.JSONDecodeError, OSError):
-            entries = []  # a corrupt file must not fail the benchmark
-    entries.append(entry)
-    path.write_text(json.dumps(entries, indent=2) + "\n")
-    return entry
-
-
-class Timing:
-    """The ``time.perf_counter()`` start/stop pattern as a context
-    manager; ``seconds`` is valid once the block exits."""
-
-    def __init__(self, name: str, record: bool = True, **metadata) -> None:
-        self.name = name
-        self.record = record
-        self.metadata = metadata
-        self.seconds: float = 0.0
-        self._start: Optional[float] = None
-
-    def __enter__(self) -> "Timing":
+    def __enter__(self) -> "timed":
         self._start = time.perf_counter()
         return self
 
     def __exit__(self, exc_type, exc_value, traceback) -> bool:
         self.seconds = time.perf_counter() - self._start
-        if self.record and exc_type is None:
-            record_timing(self.name, self.seconds, **self.metadata)
         return False
-
-
-def timed(name: str, record: bool = True, **metadata) -> Timing:
-    """Time the ``with`` block; see :class:`Timing`."""
-    return Timing(name, record=record, **metadata)

@@ -48,16 +48,16 @@ def test_bench_comm_index_warm_vs_fresh(benchmark):
     system = build_synthetic(SPEC)
 
     def measure():
-        with timed("comm_index.baseline", scenarios=SPEC.scenarios) as baseline:
+        with timed() as baseline:
             baseline_verdicts = evaluate(
                 system, CommunicationIndex(system.architecture, memoize=False)
             )
 
         index = CommunicationIndex(system.architecture)
-        with timed("comm_index.cold", scenarios=SPEC.scenarios) as cold:
+        with timed() as cold:
             cold_verdicts = evaluate(system, index)
 
-        with timed("comm_index.warm", scenarios=SPEC.scenarios) as warm:
+        with timed() as warm:
             warm_verdicts = evaluate(system, index)
 
         return (
@@ -120,12 +120,12 @@ def test_bench_comm_index_shared_across_engines(benchmark):
 
     def measure():
         first = WalkthroughEngine(system.architecture, system.mapping)
-        with timed("comm_index.first_engine", scenarios=SPEC.scenarios) as one:
+        with timed() as one:
             first_verdicts = first.walk_all(system.scenarios)
 
         second = WalkthroughEngine(system.architecture, system.mapping)
         assert second.index is first.index
-        with timed("comm_index.second_engine", scenarios=SPEC.scenarios) as two:
+        with timed() as two:
             second_verdicts = second.walk_all(system.scenarios)
         return first_verdicts, second_verdicts, one.seconds, two.seconds
 

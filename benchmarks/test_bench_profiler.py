@@ -21,8 +21,6 @@ from __future__ import annotations
 import threading
 import time
 
-from _timing import timed
-
 from repro.core.walkthrough import WalkthroughEngine
 from repro.obs.instruments import current_instruments, instrumented
 from repro.obs.profiler import (
@@ -93,17 +91,14 @@ def test_bench_profiler_overhead(benchmark):
         baselines: list[float] = []
         profileds: list[float] = []
         profiles = []
-        with timed("profiler.overhead_pairs", scenarios=SPEC.scenarios):
-            for _ in range(ROUNDS):
-                baselines.append(_walk_seconds(engine, system.scenarios))
-                profiler = SamplingProfiler(hz=DEFAULT_PROFILE_HZ).start()
-                try:
-                    with instrumented(profiler=profiler):
-                        profileds.append(
-                            _walk_seconds(engine, system.scenarios)
-                        )
-                finally:
-                    profiles.append(profiler.stop())
+        for _ in range(ROUNDS):
+            baselines.append(_walk_seconds(engine, system.scenarios))
+            profiler = SamplingProfiler(hz=DEFAULT_PROFILE_HZ).start()
+            try:
+                with instrumented(profiler=profiler):
+                    profileds.append(_walk_seconds(engine, system.scenarios))
+            finally:
+                profiles.append(profiler.stop())
         merged = profiles[0]
         for profile in profiles[1:]:
             merged = merged.merge(profile)

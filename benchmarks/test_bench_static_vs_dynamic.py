@@ -28,7 +28,7 @@ def run_comparison():
         if not scenario.is_negative
     ]
 
-    with timed("static_vs_dynamic.static") as static_timing:
+    with timed() as static_timing:
         engine = WalkthroughEngine(
             crash.architecture, crash.mapping, crash.options
         )
@@ -39,7 +39,7 @@ def run_comparison():
             for scenario in quality
         }
 
-    with timed("static_vs_dynamic.dynamic") as dynamic_timing:
+    with timed() as dynamic_timing:
         dynamic_verdicts = {}
         for detection in (True, False):
             evaluator = DynamicEvaluator(

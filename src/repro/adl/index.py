@@ -55,9 +55,7 @@ __all__ = [
     "build_communication_graph",
     "build_directed_communication_graph",
     "communication_index",
-    "reachability_affected_region",
     "structural_fingerprint",
-    "structural_seeds",
 ]
 
 
@@ -525,67 +523,6 @@ class CommunicationIndex:
 _INDICES: "WeakKeyDictionary[Architecture, CommunicationIndex]" = (
     WeakKeyDictionary()
 )
-
-
-def structural_seeds(diff) -> frozenset[str]:
-    """Element names at which two architecture versions structurally
-    differ — the seeds of any connectivity change.
-
-    Takes an :class:`~repro.adl.diff.ArchitectureDiff` and returns every
-    added/removed element, every endpoint of an added/removed link, and
-    every element whose interfaces changed (a direction flip rewires the
-    directed graph without touching any link). Description, property, and
-    responsibility changes are excluded: they cannot alter either
-    communication graph (see :func:`structural_fingerprint`).
-    """
-    seeds: set[str] = set()
-    seeds.update(diff.added_components)
-    seeds.update(diff.removed_components)
-    seeds.update(diff.added_connectors)
-    seeds.update(diff.removed_connectors)
-    for first, second in (*diff.added_links, *diff.removed_links):
-        seeds.add(first.split(".", 1)[0])
-        seeds.add(second.split(".", 1)[0])
-    seeds.update(
-        change.element
-        for change in diff.changed_elements
-        if change.attribute == "interfaces"
-    )
-    return frozenset(seeds)
-
-
-def reachability_affected_region(
-    old: Architecture, new: Architecture, diff
-) -> frozenset[str]:
-    """Every element whose connectivity answers *may* differ between the
-    two versions, in time proportional to the affected region — the
-    diff-aware replacement for comparing every component's reachability
-    set across two full indexes.
-
-    The two graphs differ only at :func:`structural_seeds` elements, and
-    any connectivity answer (directed or undirected) that flips must
-    traverse a changed edge, so the answering element is undirectedly
-    connected to a seed in the old or the new graph. The union of the
-    seed-containing connected components of both graphs is therefore a
-    sound over-approximation; elements outside it provably keep every
-    reachability set, shortest path, and ``can_communicate`` answer.
-    """
-    seeds = structural_seeds(diff)
-    if not seeds:
-        return frozenset()
-    region: set[str] = set(seeds)
-    for architecture in (old, new):
-        graph = communication_index(architecture).graph(False)
-        frontier = deque(seed for seed in seeds if seed in graph)
-        seen: set[str] = set(frontier)
-        while frontier:
-            node = frontier.popleft()
-            for neighbor in graph.adj[node]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    frontier.append(neighbor)
-        region |= seen
-    return frozenset(region)
 
 
 def communication_index(architecture: Architecture) -> CommunicationIndex:

@@ -768,11 +768,6 @@ def build_parser() -> argparse.ArgumentParser:
         "runs)",
     )
     serve.add_argument(
-        "--full-eval", action="store_true",
-        help="always run the full pipeline on spec changes instead of "
-        "the incremental re-evaluation path",
-    )
-    serve.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="shard full evaluations across N worker processes "
         "(per-shard serve.shard.* gauges appear on /metrics; "
@@ -947,25 +942,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--keep-days", type=float, required=True, metavar="DAYS",
         help="keep full history for jobs that finished within this "
         "many days",
-    )
-    bench_gate = subparsers.add_parser(
-        "bench-gate",
-        help="gate CI on the recorded incremental-vs-full speedup",
-        description="Read the benchmark timing trajectory "
-        "(BENCH_results.json, written by 'pytest benchmarks/') and fail "
-        "unless the latest incremental re-evaluation ran at least "
-        "--min-ratio times faster than the latest full re-evaluation. "
-        "A missing or unparsable trajectory fails loudly: 'no data' "
-        "must not read as 'nothing regressed'.",
-    )
-    bench_gate.add_argument(
-        "--results", type=Path, default=None, metavar="FILE",
-        help="timing trajectory to read (default: BENCH_results.json "
-        "at the repository root, or $BENCH_RESULTS_PATH)",
-    )
-    bench_gate.add_argument(
-        "--min-ratio", type=float, default=5.0, metavar="X",
-        help="required full/incremental speedup (default: %(default)s)",
     )
     return parser
 
@@ -1182,8 +1158,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _run_serve(args)
         if args.command == "jobs":
             return _run_jobs(args)
-        if args.command == "bench-gate":
-            return _run_bench_gate(args)
     except ReproError as error:
         _LOG.error("error: %s", error)
         return 2
@@ -1864,7 +1838,6 @@ def _run_serve(args: argparse.Namespace) -> int:
         heartbeat=args.heartbeat,
         host=args.host,
         port=args.port,
-        incremental=not args.full_eval,
         incremental_safe_paths=incremental_safe,
         workers=args.workers,
         profile_hz=args.profile_hz,
@@ -2124,67 +2097,6 @@ def _run_jobs(args: argparse.Namespace) -> int:
         )
         return 0
     return _run_jobs_tail(args)
-
-
-_BENCH_INCREMENTAL = "incremental_reevaluation.incremental"
-_BENCH_FULL = "incremental_reevaluation.full"
-
-
-def _latest_timing(entries: list, name: str) -> dict:
-    for entry in reversed(entries):
-        if isinstance(entry, dict) and entry.get("name") == name:
-            return entry
-    raise ReproError(
-        f"no {name!r} entry in the benchmark trajectory; run "
-        "'pytest benchmarks/test_bench_incremental_reevaluation.py' first"
-    )
-
-
-def _run_bench_gate(args: argparse.Namespace) -> int:
-    path = args.results
-    if path is None:
-        override = os.environ.get("BENCH_RESULTS_PATH")
-        path = Path(override) if override else Path("BENCH_results.json")
-    # A missing or malformed trajectory fails the gate instead of
-    # skipping it: "no data" must not read as "nothing regressed".
-    if not path.exists():
-        raise ReproError(
-            f"benchmark results file {path} does not exist; run the "
-            "benchmarks first (pytest benchmarks/) or point --results/"
-            "BENCH_RESULTS_PATH at an existing trajectory"
-        )
-    try:
-        entries = json.loads(path.read_text())
-    except json.JSONDecodeError as error:
-        raise ReproError(
-            f"benchmark results file {path} is not valid JSON: {error}"
-        )
-    if not isinstance(entries, list):
-        raise ReproError(
-            f"benchmark results file {path} must contain a JSON list, "
-            f"got {type(entries).__name__}"
-        )
-    incremental = _latest_timing(entries, _BENCH_INCREMENTAL)
-    full = _latest_timing(entries, _BENCH_FULL)
-    if incremental["seconds"] <= 0:
-        raise ReproError(
-            f"nonsensical incremental timing {incremental['seconds']!r}s "
-            f"in {path}"
-        )
-    ratio = full["seconds"] / incremental["seconds"]
-    print(
-        f"bench-gate: incremental {incremental['seconds'] * 1000:.2f} ms, "
-        f"full {full['seconds'] * 1000:.2f} ms -> {ratio:.1f}x "
-        f"(required: {args.min_ratio:.1f}x)"
-    )
-    if ratio < args.min_ratio:
-        _LOG.error(
-            "incremental re-evaluation regressed: %.1fx < required %.1fx",
-            ratio,
-            args.min_ratio,
-        )
-        return 1
-    return 0
 
 
 def _run_dot(args: argparse.Namespace) -> int:

@@ -67,8 +67,8 @@ from repro.core.behavior_check import (
     check_behavioral_support,
 )
 from repro.core.incremental import (
+    DependencyTracker,
     IncrementalResult,
-    impacted_scenario_names,
     reevaluate,
 )
 from repro.core.implied import (
@@ -86,6 +86,7 @@ from repro.core.report_io import (
 __all__ = [
     "BehaviorCheckOptions",
     "Constraint",
+    "DependencyTracker",
     "ImpliedScenario",
     "ImpliedScenarioReport",
     "IncrementalResult",
@@ -118,7 +119,6 @@ __all__ = [
     "compare_reports",
     "detect_implied_scenarios",
     "evaluate_negative_scenario",
-    "impacted_scenario_names",
     "rank_scenarios",
     "reevaluate",
     "render_report",

@@ -40,13 +40,11 @@ class Constraint:
         or ``None`` when unknown.
 
         Every built-in constraint is a connectivity question between named
-        endpoints, so its answer can only change when a structural edit
-        affects an endpoint's connected region (see
-        :func:`repro.adl.index.reachability_affected_region`). Incremental
-        re-evaluation uses this to skip re-checking constraints whose
-        endpoints lie entirely outside the affected region; ``None`` (the
-        conservative default for custom subclasses) means "always
-        re-check".
+        endpoints and returns them; the coverage matrix labels each
+        constraint's row with them (:func:`repro.obs.coverage.
+        constraint_label`). ``None`` (the default for custom subclasses)
+        labels the row with the class name alone. Constraints are
+        re-checked on every evaluation, incremental ones included.
         """
         return None
 

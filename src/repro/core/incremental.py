@@ -3,20 +3,21 @@
 The paper's maintenance story (§5): when artifacts evolve, the
 requirements↔architecture trace links "assist developers in locating other
 artifacts that also need modifications." This module operationalizes that
-into an evaluation-time saving: given the previous
-:class:`~repro.core.consistency.EvaluationReport` and the architecture
-diff, only scenarios whose verdicts *may* have changed are re-walked;
-every other verdict is carried over unchanged.
+into an evaluation-time saving: given a :class:`DependencyTracker` built
+from the previous :class:`~repro.core.consistency.EvaluationReport`, only
+scenarios whose verdicts *may* have changed are re-walked; every other
+verdict is carried over unchanged.
 
-Two invalidation strategies are available:
-
-**Dependency tracking** (:class:`DependencyTracker`, the fast path).
 After an evaluation, :meth:`DependencyTracker.from_report` records what
 each scenario's verdict actually consumed:
 
 * the mapping-resolution chain of every typed event (the type plus any
   supertypes consulted) — so a mapping-entry edit dirties exactly the
-  scenarios that resolved through the edited type;
+  scenarios that resolved through the edited type. Each entry is
+  snapshotted with the top-level component every (possibly nested)
+  component of it resolves to, so moving a mapped subcomponent to
+  another top-level component counts as an edit of the entries naming
+  it, although the top-level structure is unchanged;
 * the mapped components and the *witness paths* justifying every passing
   connectivity check, stored as element sets and consecutive-pair edge
   sets — so a removed link dirties a scenario only when the removed
@@ -25,29 +26,26 @@ each scenario's verdict actually consumed:
   or it is a negative scenario currently blocked. Only those verdicts
   can flip when structure is *added* (a new link/component/connector or
   an interface-direction change can create connectivity but never
-  destroy it), so additions dirty only them.
+  destroy it). A new link can still replace a recorded witness path
+  with a shorter one, so additions also dirty the scenarios whose
+  witness paths are connected to the new structure.
 
 :meth:`DependencyTracker.dirty_scenarios` then computes the dirty set
 from an :class:`~repro.adl.diff.ArchitectureDiff` in time proportional to
-the diff and the per-scenario dependency sets — no communication index is
-built, no reachability set is compared. See ``docs/INCREMENTAL.md`` for
-the soundness argument.
+the diff and the per-scenario dependency sets; only an addition asks the
+recorded architecture's warm index for the connected components it
+touches. A diff ignores declaration order, which decides path
+tie-breaks, so :func:`reevaluate` re-walks everything when the two
+architectures declare their common elements in a different order. See
+``docs/INCREMENTAL.md`` for the soundness argument.
 
-**Trace-link impact** (:func:`impacted_scenario_names`, the fallback
-when no tracker is available). Reachability sets are compared between the
-two versions, but only for components inside
-:func:`~repro.adl.index.reachability_affected_region` — components
-outside the region provably keep every connectivity answer, so the
-comparison cost is proportional to the affected region, not the
-architecture.
-
-:func:`reevaluate` runs the one evaluation pipeline,
-:meth:`Sosae.evaluate_with <repro.core.evaluator.Sosae.evaluate_with>`,
+:func:`reevaluate` takes the tracker and the new pipeline and runs
+:meth:`Sosae.evaluate_with <repro.core.evaluator.Sosae.evaluate_with>`
 with a carry-over walk executor (the previous verdict for a clean
 scenario, a fresh walk for a dirty one) and the previous validation and
 mapping-coverage findings reused when their inputs did not change. Its
 report, telemetry and coverage matrix are those of a full evaluation of
-the new architecture.
+the new pipeline.
 """
 
 from __future__ import annotations
@@ -56,39 +54,25 @@ from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from repro.adl.diff import ArchitectureDiff, diff_architectures
-from repro.adl.index import (
-    CommunicationIndex,
-    communication_index,
-    reachability_affected_region,
-)
+from repro.adl.index import CommunicationIndex, communication_index
 from repro.adl.structure import Architecture
 from repro.core.consistency import (
     EvaluationReport,
     InconsistencyKind,
     ScenarioVerdict,
 )
-from repro.core.constraints import Constraint
 from repro.core.evaluator import Sosae, evaluate_scenario
 from repro.core.mapping import Mapping
-from repro.core.traceability import TraceabilityMatrix
 from repro.core.walkthrough import WalkthroughOptions
-from repro.errors import EvaluationError
 from repro.obs.instruments import current_instruments
-from repro.scenarioml.scenario import Scenario, ScenarioSet
+from repro.scenarioml.scenario import Scenario
 
 __all__ = [
     "DependencyTracker",
     "IncrementalResult",
     "ScenarioDependencies",
-    "StaleTrackerError",
-    "impacted_scenario_names",
     "reevaluate",
 ]
-
-class StaleTrackerError(EvaluationError):
-    """A :class:`DependencyTracker` was offered for an architecture other
-    than the one it recorded dependencies against."""
-
 
 @dataclass(frozen=True)
 class IncrementalResult:
@@ -100,9 +84,6 @@ class IncrementalResult:
     #: Findings stages whose previous findings were reused because the
     #: diff cannot have touched their inputs; every other stage ran.
     reused_stages: tuple[str, ...] = ()
-    #: Whether the dirty set came from a :class:`DependencyTracker`
-    #: (vs. the trace-link fallback).
-    used_tracker: bool = False
 
     @property
     def savings(self) -> float:
@@ -154,13 +135,30 @@ def _absorb_path(
         edges.add(_edge(source, target))
 
 
+def _resolved_entries(
+    mapping: Mapping,
+) -> dict[str, tuple[tuple[str, str], ...]]:
+    """Each direct mapping entry as ``(component, top-level component)``
+    pairs: the walkthrough places an event on the top-level ancestors of
+    its entry's components, so an entry's meaning depends on both."""
+    return {
+        event_type: tuple(
+            (component, mapping.top_level_component(component))
+            for component in components
+        )
+        for event_type, components in mapping.entries.items()
+    }
+
+
 class DependencyTracker:
     """Per-scenario dependency edges recorded from one evaluation.
 
     Built from an :class:`~repro.core.consistency.EvaluationReport` in a
     single pass over its recorded walkthrough steps (plus one index path
     query per passing intra-event chain hop, answered from the warm
-    per-architecture cache). :meth:`dirty_scenarios` then turns any
+    per-architecture cache). The tracker keeps that ``report`` and the
+    ``architecture`` it was evaluated against, which :func:`reevaluate`
+    diffs the new pipeline's against. :meth:`dirty_scenarios` turns any
     :class:`~repro.adl.diff.ArchitectureDiff` — and optionally an edited
     mapping — into the exact set of scenarios whose verdicts may change,
     in time proportional to the diff.
@@ -168,10 +166,12 @@ class DependencyTracker:
 
     def __init__(
         self,
+        report: EvaluationReport,
         architecture: Architecture,
         scenarios: dict[str, ScenarioDependencies],
-        mapping_entries: dict[str, tuple[str, ...]],
+        mapping_entries: dict[str, tuple[tuple[str, str], ...]],
     ) -> None:
+        self.report = report
         self.architecture = architecture
         self._scenarios = dict(scenarios)
         self._mapping_entries = dict(mapping_entries)
@@ -191,6 +191,8 @@ class DependencyTracker:
         was evaluated against; ``options`` the walkthrough options used
         (they determine which connectivity checks ran, and with which
         direction-sensitivity the witness paths must be reconstructed).
+        Neither may be mutated afterwards: re-evaluate against an edited
+        copy.
         """
         options = options or WalkthroughOptions()
         index = index or communication_index(architecture)
@@ -200,7 +202,9 @@ class DependencyTracker:
                 scenarios[verdict.scenario] = cls._dependencies_of(
                     verdict, index, mapping, options
                 )
-        return cls(architecture, scenarios, mapping.entries)
+        return cls(
+            report, architecture, scenarios, _resolved_entries(mapping)
+        )
 
     @staticmethod
     def _dependencies_of(
@@ -273,9 +277,10 @@ class DependencyTracker:
 
     def changed_event_types(self, mapping: Mapping) -> frozenset[str]:
         """Event types whose direct mapping entry differs from the
-        snapshot taken at tracker-build time (added, removed, or
-        re-targeted entries)."""
-        new_entries = mapping.entries
+        snapshot taken at tracker-build time: added, removed or
+        re-targeted entries, and entries with a (nested) component that
+        now resolves to a different top-level component."""
+        new_entries = _resolved_entries(mapping)
         names = set(self._mapping_entries) | set(new_entries)
         return frozenset(
             name
@@ -296,35 +301,37 @@ class DependencyTracker:
         * a removed element is one of its mapped components or lies on a
           witness path;
         * a removed link's element pair is a witness-path adjacency;
-        * an element whose interfaces changed is one of its mapped
-          components or lies on a witness path (a direction flip can
-          sever a directed witness edge);
-        * the diff adds structure (or changes interfaces) and the
-          scenario is addition-sensitive;
+        * the diff adds structure (components, connectors, links or
+          interfaces) and the scenario is addition-sensitive;
+        * one of its mapped components or witness elements is linked,
+          in the recorded architecture, to an added link's endpoint or
+          to an element whose interfaces changed: the new structure can
+          sever a directed witness edge, or offer a shorter or
+          earlier-found path than the recorded witness;
         * a consulted event type's mapping entry changed.
 
-        Everything else provably keeps its verdict: its passing checks
-        keep their witness paths intact, its failing checks cannot be
-        repaired without an addition, and its mapping resolutions are
-        untouched.
+        Everything else provably keeps its verdict and its recorded
+        witness paths: no removal cuts them, no new structure is
+        reachable from them, its failing checks cannot be repaired
+        without an addition, and its mapping resolutions are untouched.
         """
         removed_elements = set(diff.removed_components)
         removed_elements.update(diff.removed_connectors)
-        interface_changed = {
-            change.element
-            for change in diff.changed_elements
-            if change.attribute == "interfaces"
-        }
         removed_pairs = {
             _edge(first.split(".", 1)[0], second.split(".", 1)[0])
             for first, second in diff.removed_links
         }
+        seeds = {
+            change.element
+            for change in diff.changed_elements
+            if change.attribute == "interfaces"
+        }
+        for first, second in diff.added_links:
+            seeds.update((first.split(".", 1)[0], second.split(".", 1)[0]))
         has_additions = bool(
-            diff.added_components
-            or diff.added_connectors
-            or diff.added_links
-            or interface_changed
+            diff.added_components or diff.added_connectors or seeds
         )
+        grown = self._linked_to(seeds)
         changed_types = (
             self.changed_event_types(mapping)
             if mapping is not None
@@ -335,94 +342,25 @@ class DependencyTracker:
             touched = deps.witness_elements | deps.components
             if (
                 (removed_elements & touched)
-                or (interface_changed & touched)
                 or (removed_pairs & deps.witness_edges)
                 or (has_additions and deps.addition_sensitive)
+                or (grown & touched)
                 or (changed_types & deps.event_types)
             ):
                 dirty.add(name)
         return frozenset(dirty)
 
-
-# ----------------------------------------------------------------------
-# Trace-link impact (fallback without a tracker)
-# ----------------------------------------------------------------------
-
-
-def impacted_scenario_names(
-    scenario_set: ScenarioSet,
-    mapping: Mapping,
-    diff: ArchitectureDiff,
-    old_architecture: Architecture,
-    new_architecture: Architecture | None = None,
-) -> frozenset[str]:
-    """Scenarios whose verdicts may change under ``diff``.
-
-    With both architectures available, impact is computed from
-    per-component reachability deltas restricted to the diff's affected
-    region (plus directly touched components). Without
-    ``new_architecture``, the older conservative widening is used: every
-    changed connector pulls in its adjacent components.
-    """
-    touched = set(diff.touched_elements())
-    if new_architecture is not None:
-        changed = set(
-            _reachability_changed_components(
-                old_architecture, new_architecture, diff
-            )
-        )
-        changed.update(
-            element for element in touched if _is_component(old_architecture, element)
-        )
-        changed.update(diff.added_components)
-        relevant = changed
-    else:
-        relevant = set(touched)
-        for element in touched:
-            if old_architecture.has_element(element) and (
-                old_architecture.is_connector(element)
-            ):
-                relevant.update(old_architecture.neighbors(element))
-    matrix = TraceabilityMatrix(scenario_set, mapping)
-    return frozenset(matrix.impacted_scenarios(relevant))
-
-
-def _is_component(architecture: Architecture, element: str) -> bool:
-    return architecture.has_element(element) and architecture.is_component(element)
-
-
-def _reachability_changed_components(
-    old: Architecture, new: Architecture, diff: ArchitectureDiff
-) -> frozenset[str]:
-    """Components whose reachability set (undirected or directed) differs
-    between the two architecture versions. Components present in only one
-    version count as changed.
-
-    Only components inside the diff's
-    :func:`~repro.adl.index.reachability_affected_region` are compared —
-    everything outside it provably keeps every reachability set — so the
-    cost is proportional to the affected region, not the architecture.
-    """
-    old_names = {component.name for component in old.components}
-    new_names = {component.name for component in new.components}
-    changed = set(old_names ^ new_names)
-
-    region = reachability_affected_region(old, new, diff)
-    candidates = (old_names & new_names) & region
-    if not candidates:
-        return frozenset(changed)
-
-    old_index = communication_index(old)
-    new_index = communication_index(new)
-    for name in candidates:
-        if old_index.reachable(name) != new_index.reachable(name):
-            changed.add(name)
-            continue
-        if old_index.reachable(name, respect_directions=True) != new_index.reachable(
-            name, respect_directions=True
-        ):
-            changed.add(name)
-    return frozenset(changed)
+    def _linked_to(self, seeds: set[str]) -> set[str]:
+        """The seeds present in the recorded architecture and every
+        element linked to one of them: any path that new structure at
+        the seeds opens starts from one of these elements."""
+        index = communication_index(self.architecture)
+        region: set[str] = set()
+        for seed in seeds:
+            if seed not in region and self.architecture.has_element(seed):
+                region.add(seed)
+                region |= index.reachable(seed)
+        return region
 
 
 # ----------------------------------------------------------------------
@@ -430,68 +368,78 @@ def _reachability_changed_components(
 # ----------------------------------------------------------------------
 
 
-def reevaluate(
-    previous: EvaluationReport,
-    scenario_set: ScenarioSet,
-    old_architecture: Architecture,
-    new_architecture: Architecture,
-    mapping: Mapping,
-    options: WalkthroughOptions | None = None,
-    *,
-    tracker: Optional[DependencyTracker] = None,
-    constraints: Sequence[Constraint] = (),
-) -> IncrementalResult:
-    """Update ``previous`` for ``new_architecture``, re-walking only
-    impacted scenarios.
+def _reordered(old: Architecture, new: Architecture) -> bool:
+    """Whether components, connectors or links present in both versions
+    are declared in a different relative order. A diff ignores order,
+    but path search breaks ties, and coverage lists components, in
+    declaration order."""
+    for old_keys, new_keys in zip(_declarations(old), _declarations(new)):
+        common = set(old_keys) & set(new_keys)
+        if [key for key in old_keys if key in common] != [
+            key for key in new_keys if key in common
+        ]:
+            return True
+    return False
 
-    With a ``tracker`` (built by :meth:`DependencyTracker.from_report`
-    against ``old_architecture``), the dirty set is computed from the
-    recorded dependency edges in time proportional to the diff —
-    including mapping-entry edits, which the trace-link fallback cannot
-    see. A tracker recorded against a different architecture raises
-    :class:`StaleTrackerError` (callers should fall back to a full
-    evaluation).
+
+def _declarations(architecture: Architecture) -> tuple[list, list, list]:
+    return (
+        [component.name for component in architecture.components],
+        [connector.name for connector in architecture.connectors],
+        [
+            tuple(sorted(str(endpoint) for endpoint in link.endpoints))
+            for link in architecture.links
+        ],
+    )
+
+
+def reevaluate(tracker: DependencyTracker, sosae: Sosae) -> IncrementalResult:
+    """Evaluate ``sosae`` — the pipeline after an edit — re-walking only
+    the scenarios ``tracker`` finds dirty.
+
+    The dirty set comes from the structural diff of ``tracker.
+    architecture`` against ``sosae.architecture`` and from the mapping
+    entries whose resolution changed; when the two architectures
+    declare their common elements in a different order, every scenario
+    is dirty. ``sosae`` must keep the scenarios and walkthrough options
+    the tracker's report was evaluated with; scenarios it adds are
+    walked.
 
     The report comes from the evaluation pipeline itself, so it equals
-    a full :meth:`~repro.core.evaluator.Sosae.evaluate` of the new
-    architecture: clean scenarios carry their previous verdicts, dirty
-    and new ones are walked. Validation findings are reused unless the
-    scenario names changed, and mapping-coverage findings unless the
-    scenario names, the mapping entries or the component population
+    ``sosae.evaluate()``: clean scenarios carry their previous verdicts,
+    dirty and new ones are walked. Validation findings are reused unless
+    the scenario names or their order changed, and mapping-coverage
+    findings unless the scenarios, the mapping entries (or their
+    resolution), the component population or the declaration order
     changed; style and constraint findings are always recomputed.
     """
     recorder = current_instruments().recorder
-    diff = diff_architectures(old_architecture, new_architecture)
-    changed_types: frozenset[str] = frozenset()
-    if tracker is not None:
-        if tracker.architecture is not old_architecture:
-            raise StaleTrackerError(
-                "dependency tracker was recorded against architecture "
-                f"{tracker.architecture.name!r}, not {old_architecture.name!r}; "
-                "rebuild it from the previous report or fall back to a "
-                "full evaluation"
-            )
-        changed_types = tracker.changed_event_types(mapping)
-        impacted = tracker.dirty_scenarios(diff, mapping)
-    else:
-        impacted = impacted_scenario_names(
-            scenario_set, mapping, diff, old_architecture, new_architecture
-        )
+    previous = tracker.report
+    diff = diff_architectures(tracker.architecture, sosae.architecture)
+    reordered = _reordered(tracker.architecture, sosae.architecture)
+    changed_types = tracker.changed_event_types(sosae.mapping)
+    impacted = (
+        frozenset(tracker.scenario_names)
+        if reordered
+        else tracker.dirty_scenarios(diff, sosae.mapping)
+    )
     carried = {
         verdict.scenario: verdict
         for verdict in previous.scenario_verdicts
         if verdict.scenario not in impacted
     }
-    names = [scenario.name for scenario in scenario_set]
+    names = [scenario.name for scenario in sosae.scenario_set]
     rewalked = tuple(name for name in names if name not in carried)
     carried_over = tuple(name for name in names if name in carried)
-    scenario_names_changed = set(names) != {
+    # Findings follow scenario order, so a reordered set counts too.
+    scenarios_changed = names != [
         verdict.scenario for verdict in previous.scenario_verdicts
-    }
+    ]
     reuse = {
-        "validation": not scenario_names_changed,
+        "validation": not scenarios_changed,
         "coverage": not (
-            scenario_names_changed
+            scenarios_changed
+            or reordered
             or changed_types
             or diff.added_components
             or diff.removed_components
@@ -508,7 +456,7 @@ def reevaluate(
     }
 
     def carry_over(
-        sosae: Sosae, scenarios: tuple[Scenario, ...]
+        pipeline: Sosae, scenarios: tuple[Scenario, ...]
     ) -> Iterator[ScenarioVerdict]:
         # `evaluate_with` pins the index: one fingerprint check covers
         # every re-walk.
@@ -518,17 +466,10 @@ def reevaluate(
                 verdict
                 if verdict is not None
                 else evaluate_scenario(
-                    sosae.engine, scenario, sosae.scenario_set
+                    pipeline.engine, scenario, pipeline.scenario_set
                 )
             )
 
-    sosae = Sosae(
-        scenario_set,
-        new_architecture,
-        mapping.rebind(new_architecture),
-        constraints=constraints,
-        walkthrough_options=options,
-    )
     report = sosae.evaluate_with(
         carry_over,
         reused_findings=reused_findings,
@@ -546,7 +487,6 @@ def reevaluate(
         rewalked=rewalked,
         carried_over=carried_over,
         reused_stages=tuple(reused_findings),
-        used_tracker=tracker is not None,
     )
 
 

@@ -298,10 +298,10 @@ class ServeDaemon:
     re-runs on a cadence even without changes; with neither watch paths
     nor an interval the daemon evaluates once and then only serves.
 
-    With ``incremental`` enabled (the default), spec edits touching only
-    ``incremental_safe_paths`` — the architecture description, whose
-    edits a :class:`~repro.core.incremental.DependencyTracker` can
-    invalidate soundly — are re-evaluated through
+    Spec edits touching only ``incremental_safe_paths`` — the
+    architecture description, whose edits a
+    :class:`~repro.core.incremental.DependencyTracker` can invalidate
+    soundly — are re-evaluated through
     :func:`~repro.core.incremental.reevaluate`: the tracker is built
     from the last report when the edit arrives, and only scenarios
     whose recorded dependencies the edit dirties are re-walked. The
@@ -334,7 +334,6 @@ class ServeDaemon:
         port: int = 0,
         sse_keepalive: float = 1.0,
         clock: Callable[[], float] = time.monotonic,
-        incremental: bool = True,
         incremental_safe_paths: Sequence[Union[str, Path]] = (),
         workers: int = 1,
         profile_hz: Optional[float] = None,
@@ -373,7 +372,6 @@ class ServeDaemon:
             metrics_source=self.metrics.to_dict,
         )
         self.engine = AlertEngine(tuple(rules))
-        self.incremental = incremental
         self._incremental_safe = frozenset(
             str(Path(path)) for path in incremental_safe_paths
         )
@@ -438,7 +436,7 @@ class ServeDaemon:
         a ``rebuild``; when every one of them is incremental-safe and
         the last report came from the pipeline the rebuild replaced,
         the run goes through the incremental re-evaluation path instead
-        of a full pipeline (with automatic full-evaluation fallback).
+        of a full pipeline (falling back to the full pipeline on error).
         """
         # Imported lazily: core imports obs.
         from repro.core.report_io import report_to_dict, report_to_json
@@ -579,7 +577,7 @@ class ServeDaemon:
             state.runs_completed += 1
             if used_incremental:
                 state.incremental_hits += 1
-            elif rebuild and self.incremental and previous_sosae is not None:
+            elif rebuild and previous_sosae is not None:
                 state.incremental_misses += 1
             state.last_error = None
             state.last_run_timestamp = started_wall
@@ -659,16 +657,7 @@ class ServeDaemon:
                     previous_sosae.mapping,
                     previous_sosae.walkthrough_options,
                 )
-                result = reevaluate(
-                    previous_report,
-                    self._sosae.scenario_set,
-                    previous_sosae.architecture,
-                    self._sosae.architecture,
-                    self._sosae.mapping,
-                    options=self._sosae.walkthrough_options,
-                    tracker=tracker,
-                    constraints=tuple(self._sosae.constraints),
-                )
+                result = reevaluate(tracker, self._sosae)
             except ReproError as error:
                 _LOG.info(
                     "incremental re-evaluation unavailable (%s); "
@@ -691,8 +680,7 @@ class ServeDaemon:
         changed_paths: Sequence[Union[str, Path]],
     ) -> bool:
         return (
-            self.incremental
-            and previous_sosae is not None
+            previous_sosae is not None
             and self._last_run is not None
             and self._last_run[0] is previous_sosae
             and bool(changed_paths)
@@ -824,8 +812,7 @@ class ServeDaemon:
                     "serve.incremental_miss",
                     state.incremental_misses,
                     type="counter",
-                    help="Rebuilds that fell back to a full evaluation "
-                    "despite incremental mode.",
+                    help="Rebuilds that fell back to a full evaluation.",
                 ),
                 PromSample(
                     "serve.up",

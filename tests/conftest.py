@@ -120,6 +120,36 @@ def chain_mapping(
 
 
 @pytest.fixture
+def nested_vault():
+    """``build(system, host) -> (architecture, mapping)`` for a synthetic
+    system: its architecture plus an unlinked top-level component
+    ``annex`` and a subcomponent ``vault`` nested inside ``host``; every
+    mapping entry naming ``component-0`` names ``vault`` instead.
+
+    Two builds with different hosts differ only in where a mapped nested
+    component lives, so their top-level structures diff empty."""
+
+    def build(system, host: str) -> tuple[Architecture, Mapping]:
+        architecture = system.architecture.clone()
+        architecture.add_component("annex")
+        inside = Architecture(f"{host}-inside")
+        inside.add_component("vault")
+        architecture.component(host).subarchitecture = inside
+        mapping = Mapping(system.ontology, architecture)
+        for event_type, components in system.mapping.entries.items():
+            mapping.map_event(
+                event_type,
+                *(
+                    "vault" if component == "component-0" else component
+                    for component in components
+                ),
+            )
+        return architecture, mapping
+
+    return build
+
+
+@pytest.fixture
 def recorded_evaluation(small_scenarios, chain_architecture, chain_mapping):
     """A real evaluation captured by a live recorder."""
     recorder = Recorder()

@@ -9,12 +9,7 @@ import pytest
 from repro.adl.diff import diff_architectures
 from repro.core.constraints import MustNotCommunicate, RequiresPath
 from repro.core.evaluator import Sosae
-from repro.core.incremental import (
-    DependencyTracker,
-    StaleTrackerError,
-    impacted_scenario_names,
-    reevaluate,
-)
+from repro.core.incremental import DependencyTracker, reevaluate
 from repro.core.mapping import Mapping
 from repro.core.report_io import report_to_json
 from repro.obs import Recorder, use
@@ -22,121 +17,71 @@ from repro.systems.generators import SyntheticSpec, build_synthetic
 from repro.systems.pims import GET_SHARE_PRICES
 
 
-def assert_equals_full(incremental, full_sosae):
-    """``incremental()`` (a :func:`reevaluate` call) and a full
-    evaluation of ``full_sosae`` produce the same report JSON, byte for
-    byte, and the same coverage matrix. Returns the incremental result."""
+def tracker_for(sosae: Sosae) -> DependencyTracker:
+    """A tracker recorded from a full evaluation of ``sosae``."""
+    return DependencyTracker.from_report(
+        sosae.evaluate(),
+        sosae.architecture,
+        sosae.mapping,
+        sosae.walkthrough_options,
+    )
+
+
+def assert_equals_full(tracker, build):
+    """``reevaluate(tracker, build())`` and ``build().evaluate()``
+    produce the same report JSON, byte for byte, and the same coverage
+    matrix. Returns the incremental result."""
     recorder = Recorder()
     with use(recorder):
-        result = incremental()
+        result = reevaluate(tracker, build())
     full_recorder = Recorder()
     with use(full_recorder):
-        full = full_sosae.evaluate()
+        full = build().evaluate()
     assert report_to_json(result.report) == report_to_json(full)
     assert recorder.coverage.digest == full_recorder.coverage.digest
     return result
 
 
-class TestImpactSet:
-    def test_component_change_impacts_its_scenarios(
-        self, small_scenarios, chain_mapping, chain_architecture
-    ):
-        variant = chain_architecture.clone("v2")
-        variant.component("ui").description = "redesigned"
-        diff = diff_architectures(chain_architecture, variant)
-        impacted = impacted_scenario_names(
-            small_scenarios, chain_mapping, diff, chain_architecture
-        )
-        assert impacted == {"make-widget"}
-
-    def test_connector_change_widens_to_adjacent_components(
-        self, small_scenarios, chain_mapping, chain_architecture
-    ):
-        variant = chain_architecture.clone("v2")
-        variant.excise_links_between("logic", "logic-store")
-        diff = diff_architectures(chain_architecture, variant)
-        impacted = impacted_scenario_names(
-            small_scenarios, chain_mapping, diff, chain_architecture
-        )
-        # The excised link touches logic and the logic-store connector;
-        # widening reaches 'store', so both scenarios are impacted.
-        assert impacted == {"make-widget", "drop-widget"}
-
-    def test_no_change_impacts_nothing(
-        self, small_scenarios, chain_mapping, chain_architecture
-    ):
-        diff = diff_architectures(
-            chain_architecture, chain_architecture.clone("same")
-        )
-        assert (
-            impacted_scenario_names(
-                small_scenarios, chain_mapping, diff, chain_architecture
-            )
-            == frozenset()
-        )
+def pims_sosae(pims, architecture, constraints=()):
+    return Sosae(
+        pims.scenarios,
+        architecture,
+        pims.mapping.rebind(architecture),
+        constraints=constraints,
+        walkthrough_options=pims.options,
+    )
 
 
 class TestReevaluate:
     def test_unchanged_architecture_carries_everything_over(
         self, small_scenarios, chain_architecture, chain_mapping
     ):
-        previous = Sosae(
-            small_scenarios, chain_architecture, chain_mapping
-        ).evaluate()
+        tracker = tracker_for(
+            Sosae(small_scenarios, chain_architecture, chain_mapping)
+        )
+        same = chain_architecture.clone("same")
         result = reevaluate(
-            previous,
-            small_scenarios,
-            chain_architecture,
-            chain_architecture.clone("same"),
-            chain_mapping,
+            tracker, Sosae(small_scenarios, same, chain_mapping.rebind(same))
         )
         assert result.rewalked == ()
         assert set(result.carried_over) == {"make-widget", "drop-widget"}
         assert result.savings == 1.0
-        assert result.report.consistent == previous.consistent
+        assert result.report.consistent == tracker.report.consistent
 
     def test_incremental_matches_full_reevaluation(self, pims):
-        previous = Sosae(
-            pims.scenarios,
-            pims.architecture,
-            pims.mapping,
-            walkthrough_options=pims.options,
-        ).evaluate()
+        tracker = tracker_for(pims_sosae(pims, pims.architecture))
         evolved = pims.excised_architecture()
         # The incremental report is a from-scratch evaluation's.
         result = assert_equals_full(
-            lambda: reevaluate(
-                previous,
-                pims.scenarios,
-                pims.architecture,
-                evolved,
-                pims.mapping,
-                options=pims.options,
-            ),
-            Sosae(
-                pims.scenarios,
-                evolved,
-                pims.mapping.rebind(evolved),
-                walkthrough_options=pims.options,
-            ),
+            tracker, lambda: pims_sosae(pims, evolved)
         )
         assert not result.report.consistent
         assert GET_SHARE_PRICES in result.rewalked
 
     def test_savings_are_substantial_for_local_changes(self, pims):
-        previous = Sosae(
-            pims.scenarios,
-            pims.architecture,
-            pims.mapping,
-            walkthrough_options=pims.options,
-        ).evaluate()
+        tracker = tracker_for(pims_sosae(pims, pims.architecture))
         result = reevaluate(
-            previous,
-            pims.scenarios,
-            pims.architecture,
-            pims.excised_architecture(),
-            pims.mapping,
-            options=pims.options,
+            tracker, pims_sosae(pims, pims.excised_architecture())
         )
         assert result.savings > 0.5  # most scenarios were not re-walked
 
@@ -146,9 +91,9 @@ class TestReevaluate:
         from repro.scenarioml.events import TypedEvent
         from repro.scenarioml.scenario import Scenario
 
-        previous = Sosae(
-            small_scenarios, chain_architecture, chain_mapping
-        ).evaluate()
+        tracker = tracker_for(
+            Sosae(small_scenarios, chain_architecture, chain_mapping)
+        )
         small_scenarios.add(
             Scenario(
                 name="fresh",
@@ -159,15 +104,48 @@ class TestReevaluate:
                 ),
             )
         )
-        result = reevaluate(
-            previous,
-            small_scenarios,
-            chain_architecture,
-            chain_architecture.clone("same"),
-            chain_mapping,
+        same = chain_architecture.clone("same")
+        result = assert_equals_full(
+            tracker,
+            lambda: Sosae(small_scenarios, same, chain_mapping.rebind(same)),
         )
-        assert "fresh" in result.rewalked
+        assert result.rewalked == ("fresh",)
         assert result.report.verdict("fresh").passed
+
+    def test_reordered_scenarios_recompute_their_findings(
+        self, small_ontology, chain_architecture, chain_mapping
+    ):
+        from repro.scenarioml.events import TypedEvent
+        from repro.scenarioml.scenario import Scenario, ScenarioSet
+
+        def scenarios(*names):
+            # An undefined actor is a validation warning per scenario.
+            scenario_set = ScenarioSet(small_ontology)
+            for name in names:
+                scenario_set.add(
+                    Scenario(
+                        name=name,
+                        actors=(f"ghost-{name}",),
+                        events=(
+                            TypedEvent(
+                                type_name="notify", arguments={"who": "alice"}
+                            ),
+                        ),
+                    )
+                )
+            return scenario_set
+
+        tracker = tracker_for(
+            Sosae(scenarios("one", "two"), chain_architecture, chain_mapping)
+        )
+        result = assert_equals_full(
+            tracker,
+            lambda: Sosae(
+                scenarios("two", "one"), chain_architecture, chain_mapping
+            ),
+        )
+        assert result.rewalked == ()
+        assert "validation" not in result.reused_stages
 
     def test_negative_scenarios_keep_polarity_when_rewalked(
         self, small_ontology, chain_architecture, chain_mapping
@@ -189,13 +167,16 @@ class TestReevaluate:
                 ),
             )
         )
-        previous = Sosae(
-            scenarios, chain_architecture, chain_mapping
-        ).evaluate()
+        tracker = tracker_for(
+            Sosae(scenarios, chain_architecture, chain_mapping)
+        )
         evolved = chain_architecture.clone("evolved")
-        evolved.component("logic").description = "changed"
-        result = reevaluate(
-            previous, scenarios, chain_architecture, evolved, chain_mapping
+        # An interface change on a mapped component dirties the scenario
+        # without severing anything.
+        evolved.component("logic").add_interface("spare")
+        result = assert_equals_full(
+            tracker,
+            lambda: Sosae(scenarios, evolved, chain_mapping.rebind(evolved)),
         )
         assert "forbidden" in result.rewalked
         verdict = result.report.verdict("forbidden")
@@ -205,15 +186,7 @@ class TestReevaluate:
 
 class TestDependencyTracker:
     def test_excision_dirty_set_is_exact(self, pims):
-        previous = Sosae(
-            pims.scenarios,
-            pims.architecture,
-            pims.mapping,
-            walkthrough_options=pims.options,
-        ).evaluate()
-        tracker = DependencyTracker.from_report(
-            previous, pims.architecture, pims.mapping, pims.options
-        )
+        tracker = tracker_for(pims_sosae(pims, pims.architecture))
         diff = diff_architectures(
             pims.architecture, pims.excised_architecture()
         )
@@ -224,15 +197,7 @@ class TestDependencyTracker:
         assert all(name.startswith(GET_SHARE_PRICES) for name in dirty)
 
     def test_noop_diff_dirties_nothing(self, pims):
-        previous = Sosae(
-            pims.scenarios,
-            pims.architecture,
-            pims.mapping,
-            walkthrough_options=pims.options,
-        ).evaluate()
-        tracker = DependencyTracker.from_report(
-            previous, pims.architecture, pims.mapping, pims.options
-        )
+        tracker = tracker_for(pims_sosae(pims, pims.architecture))
         diff = diff_architectures(
             pims.architecture, pims.architecture.clone("same")
         )
@@ -241,11 +206,8 @@ class TestDependencyTracker:
     def test_mapping_edit_dirties_consulted_scenarios_only(
         self, small_scenarios, small_ontology, chain_architecture, chain_mapping
     ):
-        previous = Sosae(
-            small_scenarios, chain_architecture, chain_mapping
-        ).evaluate()
-        tracker = DependencyTracker.from_report(
-            previous, chain_architecture, chain_mapping
+        tracker = tracker_for(
+            Sosae(small_scenarios, chain_architecture, chain_mapping)
         )
         edited = Mapping(small_ontology, chain_architecture)
         edited.map_event("create", "logic", "store")
@@ -258,58 +220,64 @@ class TestDependencyTracker:
         # Only drop-widget resolves through 'destroy'.
         assert tracker.dirty_scenarios(diff, edited) == {"drop-widget"}
 
-    def test_stale_tracker_raises(
-        self, small_scenarios, chain_architecture, chain_mapping
-    ):
-        previous = Sosae(
-            small_scenarios, chain_architecture, chain_mapping
-        ).evaluate()
-        other = chain_architecture.clone("other")
-        tracker = DependencyTracker.from_report(
-            previous, other, chain_mapping.rebind(other)
-        )
-        with pytest.raises(StaleTrackerError):
-            reevaluate(
-                previous,
-                small_scenarios,
-                chain_architecture,
-                chain_architecture.clone("v2"),
-                chain_mapping,
-                tracker=tracker,
-            )
-
     def test_tracker_parity_on_pims_excision(self, pims):
-        previous = Sosae(
-            pims.scenarios,
-            pims.architecture,
-            pims.mapping,
-            constraints=pims.constraints,
-            walkthrough_options=pims.options,
-        ).evaluate()
-        tracker = DependencyTracker.from_report(
-            previous, pims.architecture, pims.mapping, pims.options
+        tracker = tracker_for(
+            pims_sosae(pims, pims.architecture, pims.constraints)
         )
         evolved = pims.excised_architecture()
-        result = assert_equals_full(
-            lambda: reevaluate(
-                previous,
-                pims.scenarios,
-                pims.architecture,
-                evolved,
-                pims.mapping,
-                options=pims.options,
-                tracker=tracker,
-                constraints=pims.constraints,
-            ),
-            Sosae(
-                pims.scenarios,
-                evolved,
-                pims.mapping.rebind(evolved),
-                constraints=pims.constraints,
-                walkthrough_options=pims.options,
-            ),
+        assert_equals_full(
+            tracker, lambda: pims_sosae(pims, evolved, pims.constraints)
         )
-        assert result.used_tracker
+
+
+class TestNestedMove:
+    """Moving a mapped nested component to another top-level component
+    leaves the top-level structure — and so the diff — unchanged, but
+    re-targets every event type whose entry names it."""
+
+    @pytest.fixture
+    def versions(self, nested_vault):
+        system = build_synthetic(
+            SyntheticSpec(seed=0, scenarios=40, components=6)
+        )
+        return (
+            system,
+            nested_vault(system, "component-0"),
+            nested_vault(system, "annex"),
+        )
+
+    def test_moved_entries_dirty_the_scenarios_resolving_through_them(
+        self, versions
+    ):
+        system, (architecture, mapping), (moved, moved_mapping) = versions
+        tracker = tracker_for(Sosae(system.scenarios, architecture, mapping))
+        diff = diff_architectures(architecture, moved)
+        assert diff.is_empty
+        naming_vault = {
+            event_type
+            for event_type, components in mapping.entries.items()
+            if "vault" in components
+        }
+        assert naming_vault
+        assert tracker.changed_event_types(moved_mapping) == naming_vault
+        assert tracker.dirty_scenarios(diff, moved_mapping) == {
+            scenario.name
+            for scenario in system.scenarios
+            if naming_vault & {event.type_name for event in scenario.events}
+        }
+
+    def test_reevaluation_equals_the_full_report(self, versions):
+        system, (architecture, mapping), (moved, moved_mapping) = versions
+        tracker = tracker_for(Sosae(system.scenarios, architecture, mapping))
+        result = assert_equals_full(
+            tracker, lambda: Sosae(system.scenarios, moved, moved_mapping)
+        )
+        # The vault now sits inside the unlinked annex: its scenarios
+        # fail, and the coverage findings (annex mapped, component-0
+        # not) are recomputed.
+        assert tracker.report.consistent is not result.report.consistent
+        assert result.report.failed_scenarios
+        assert "coverage" not in result.reused_stages
 
 
 class TestFindingsRefresh:
@@ -319,29 +287,24 @@ class TestFindingsRefresh:
         # ui reaches store through the chain, so this constraint is
         # violated in the *previous* report already.
         constraints = (MustNotCommunicate("ui", "store"),)
-        previous = Sosae(
-            small_scenarios,
-            chain_architecture,
-            chain_mapping,
-            constraints=constraints,
-        ).evaluate()
+        tracker = tracker_for(
+            Sosae(
+                small_scenarios,
+                chain_architecture,
+                chain_mapping,
+                constraints=constraints,
+            )
+        )
         assert any(
-            "MustNotCommunicate" in f.message for f in previous.findings
+            "MustNotCommunicate" in f.message for f in tracker.report.findings
         )
         same = chain_architecture.clone("same")
         # A no-op diff reuses the validation and coverage findings;
         # every finding, carried or recomputed, reads as a full
         # evaluation's.
         result = assert_equals_full(
-            lambda: reevaluate(
-                previous,
-                small_scenarios,
-                chain_architecture,
-                same,
-                chain_mapping,
-                constraints=constraints,
-            ),
-            Sosae(
+            tracker,
+            lambda: Sosae(
                 small_scenarios,
                 same,
                 chain_mapping.rebind(same),
@@ -354,24 +317,28 @@ class TestFindingsRefresh:
         self, small_scenarios, chain_architecture, chain_mapping
     ):
         constraints = (RequiresPath("ui", "store"),)
-        previous = Sosae(
-            small_scenarios,
-            chain_architecture,
-            chain_mapping,
-            constraints=constraints,
-        ).evaluate()
+        tracker = tracker_for(
+            Sosae(
+                small_scenarios,
+                chain_architecture,
+                chain_mapping,
+                constraints=constraints,
+            )
+        )
         assert not any(
-            f.kind.name == "CONSTRAINT_VIOLATION" for f in previous.findings
+            f.kind.name == "CONSTRAINT_VIOLATION"
+            for f in tracker.report.findings
         )
         evolved = chain_architecture.clone("evolved")
         evolved.excise_links_between("logic", "logic-store")
-        result = reevaluate(
-            previous,
-            small_scenarios,
-            chain_architecture,
-            evolved,
-            chain_mapping,
-            constraints=constraints,
+        result = assert_equals_full(
+            tracker,
+            lambda: Sosae(
+                small_scenarios,
+                evolved,
+                chain_mapping.rebind(evolved),
+                constraints=constraints,
+            ),
         )
         # The excision breaks ui -> store; constraints are always
         # recomputed, so the new violation appears.
@@ -381,8 +348,10 @@ class TestFindingsRefresh:
         )
 
 
-def _mutate(system, kind: str, rng: random.Random):
-    """One random single edit; returns (new_architecture, new_mapping)."""
+def _mutate(system, kind: str, rng: random.Random, nested_vault):
+    """One random single edit: ``((architecture, mapping), (evolved,
+    evolved_mapping))``, the versions before and after it."""
+    before = (system.architecture, system.mapping)
     architecture = system.architecture.clone(f"evolved-{kind}")
     mapping = system.mapping
     if kind == "link-remove":
@@ -393,108 +362,106 @@ def _mutate(system, kind: str, rng: random.Random):
             [c.name for c in architecture.components], 2
         )
         architecture.link((first, "extra-out"), (second, "extra-in"))
+    elif kind == "port-link-add":
+        # Existing interfaces: no interface changes, only a new and
+        # possibly shorter path between the two components.
+        first, second = rng.sample(
+            [c.name for c in architecture.components], 2
+        )
+        architecture.link((first, "port"), (second, "port"))
+    elif kind == "link-redeclare":
+        # The same link, declared last: the diff is empty, but path
+        # search breaks ties in declaration order.
+        link = rng.choice(architecture.links[:-1])
+        architecture.remove_link(link.name)
+        architecture.link(
+            (link.first.element, link.first.interface),
+            (link.second.element, link.second.interface),
+            name=f"{link.name}-redeclared",
+        )
     elif kind == "component-excision":
         component = rng.choice(architecture.components)
         architecture.excise_links_between(component.name, "bus")
     elif kind == "mapping-change":
-        mapping = Mapping(system.ontology, system.architecture)
+        mapping = Mapping(system.ontology, architecture)
         entries = system.mapping.entries
         retarget = rng.choice(sorted(entries))
         for name, components in entries.items():
             if name == retarget:
                 components = tuple(
                     rng.sample(
-                        [c.name for c in system.architecture.components],
+                        [c.name for c in architecture.components],
                         len(components),
                     )
                 )
             mapping.map_event(name, *components)
+    elif kind == "nested-move":
+        host, destination = rng.sample(
+            [c.name for c in architecture.components] + ["annex"], 2
+        )
+        return nested_vault(system, host), nested_vault(system, destination)
     else:  # pragma: no cover - guard against typos in the param list
         raise AssertionError(kind)
-    return architecture, mapping
+    return before, (architecture, mapping.rebind(architecture))
 
 
 class TestTrackerParityProperties:
     """Seeded synthetic systems x random single edits: the tracker path
-    must reproduce the from-scratch pipeline's verdicts exactly."""
+    must reproduce the from-scratch pipeline's report exactly."""
 
-    EDITS = ("link-remove", "link-add", "component-excision", "mapping-change")
+    EDITS = (
+        "link-remove",
+        "link-add",
+        "port-link-add",
+        "link-redeclare",
+        "component-excision",
+        "mapping-change",
+        "nested-move",
+    )
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("edit", EDITS)
-    def test_single_edit_parity(self, seed, edit):
+    def test_single_edit_parity(self, seed, edit, nested_vault):
         system = build_synthetic(SyntheticSpec(seed=seed, scenarios=8))
-        previous = Sosae(
-            system.scenarios, system.architecture, system.mapping
-        ).evaluate()
-        tracker = DependencyTracker.from_report(
-            previous, system.architecture, system.mapping
-        )
         rng = random.Random(seed * 1000 + hash(edit) % 997)
-        evolved, mapping = _mutate(system, edit, rng)
-        result = assert_equals_full(
-            lambda: reevaluate(
-                previous,
-                system.scenarios,
-                system.architecture,
-                evolved,
-                mapping,
-                tracker=tracker,
-            ),
-            Sosae(system.scenarios, evolved, mapping.rebind(evolved)),
+        (architecture, mapping), (evolved, evolved_mapping) = _mutate(
+            system, edit, rng, nested_vault
         )
-        assert result.used_tracker
+        tracker = tracker_for(Sosae(system.scenarios, architecture, mapping))
+        assert_equals_full(
+            tracker, lambda: Sosae(system.scenarios, evolved, evolved_mapping)
+        )
 
     @pytest.mark.parametrize("seed", range(3))
     def test_noop_diff_carries_everything(self, seed):
         system = build_synthetic(SyntheticSpec(seed=seed, scenarios=8))
-        previous = Sosae(
-            system.scenarios, system.architecture, system.mapping
-        ).evaluate()
-        tracker = DependencyTracker.from_report(
-            previous, system.architecture, system.mapping
+        tracker = tracker_for(
+            Sosae(system.scenarios, system.architecture, system.mapping)
         )
+        same = system.architecture.clone("same")
         result = reevaluate(
-            previous,
-            system.scenarios,
-            system.architecture,
-            system.architecture.clone("same"),
-            system.mapping,
-            tracker=tracker,
+            tracker,
+            Sosae(system.scenarios, same, system.mapping.rebind(same)),
         )
         assert result.rewalked == ()
         assert result.savings == 1.0
-        assert result.report.consistent == previous.consistent
+        assert result.report.consistent == tracker.report.consistent
 
     @pytest.mark.parametrize("seed", range(3))
     def test_everything_changed_still_matches(self, seed):
         system = build_synthetic(SyntheticSpec(seed=seed, scenarios=8))
-        previous = Sosae(
-            system.scenarios, system.architecture, system.mapping
-        ).evaluate()
-        tracker = DependencyTracker.from_report(
-            previous, system.architecture, system.mapping
+        tracker = tracker_for(
+            Sosae(system.scenarios, system.architecture, system.mapping)
         )
         evolved = system.architecture.clone("gutted")
         for component in evolved.components:
             evolved.excise_links_between(component.name, "bus")
-        result = reevaluate(
-            previous,
-            system.scenarios,
-            system.architecture,
-            evolved,
-            system.mapping,
-            tracker=tracker,
+        result = assert_equals_full(
+            tracker,
+            lambda: Sosae(
+                system.scenarios, evolved, system.mapping.rebind(evolved)
+            ),
         )
-        full = Sosae(
-            system.scenarios, evolved, system.mapping.rebind(evolved)
-        ).evaluate()
-        assert {
-            v.scenario: (v.passed, v.blocked)
-            for v in result.report.scenario_verdicts
-        } == {
-            v.scenario: (v.passed, v.blocked) for v in full.scenario_verdicts
-        }
         # Disconnecting every component dirties every scenario.
         assert set(result.rewalked) == {
             s.name for s in system.scenarios

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 
 from repro.core.evaluator import Sosae
 from repro.core.implied import detect_implied_scenarios
-from repro.core.incremental import reevaluate
+from repro.core.incremental import DependencyTracker, reevaluate
 from repro.core.mapping import Mapping
 from repro.core.ranking import rank_scenarios
-from repro.core.walkthrough import WalkthroughEngine
+from repro.core.report_io import report_to_json
 from repro.scenarioml.events import TypedEvent
 from repro.scenarioml.ontology import Ontology, Parameter
 from repro.scenarioml.owl import parse_owl_xml, to_owl_xml
@@ -89,31 +89,26 @@ def test_owl_roundtrip_preserves_structure(class_names, event_names):
 )
 def test_incremental_reevaluation_equals_full(spec, victim):
     """For any synthetic system and any single excised component link, the
-    incremental report's verdicts equal a from-scratch evaluation's."""
+    incremental report is a from-scratch evaluation's, byte for byte."""
     system = build_synthetic(spec)
     previous = Sosae(
         system.scenarios, system.architecture, system.mapping
     ).evaluate()
+    tracker = DependencyTracker.from_report(
+        previous, system.architecture, system.mapping
+    )
     evolved = system.architecture.clone("evolved")
     component = f"component-{victim % spec.components}"
     evolved.excise_links_between(component, "bus")
 
-    result = reevaluate(
-        previous,
-        system.scenarios,
-        system.architecture,
-        evolved,
-        system.mapping,
-    )
-    full_mapping = Mapping.from_dict(
-        system.mapping.to_dict(), system.ontology, evolved
-    )
-    engine = WalkthroughEngine(evolved, full_mapping)
-    full = {v.scenario: v.passed for v in engine.walk_all(system.scenarios)}
-    incremental = {
-        v.scenario: v.passed for v in result.report.scenario_verdicts
-    }
-    assert incremental == full
+    def build():
+        mapping = Mapping.from_dict(
+            system.mapping.to_dict(), system.ontology, evolved
+        )
+        return Sosae(system.scenarios, evolved, mapping)
+
+    result = reevaluate(tracker, build())
+    assert report_to_json(result.report) == report_to_json(build().evaluate())
 
 
 @settings(max_examples=30)

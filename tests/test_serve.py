@@ -33,6 +33,7 @@ from repro.obs import (
 )
 from repro.obs.store import short_digest
 from repro.scenarioml.xml_io import to_scenarioml_xml
+from repro.systems.generators import SyntheticSpec, build_synthetic
 
 
 class TestSpecWatcher:
@@ -275,21 +276,6 @@ class TestIncrementalServe:
         assert health["incremental_hits"] == 0
         assert health["incremental_misses"] == 1
 
-    def test_full_eval_mode_never_goes_incremental(
-        self, tmp_path, versioned_build, chain_architecture
-    ):
-        arch_path = tmp_path / "architecture.xml"
-        state, build = versioned_build
-        daemon = ServeDaemon(
-            build, incremental=False, incremental_safe_paths=(arch_path,)
-        )
-        daemon.run_once()
-        state["architecture"] = chain_architecture.clone("v2")
-        daemon.run_once(rebuild=True, changed_paths=(arch_path,))
-        health = daemon.health()
-        assert health["incremental_hits"] == 0
-        assert health["incremental_misses"] == 0
-
     def test_watched_edit_routes_through_the_loop(
         self, tmp_path, versioned_build, chain_architecture
     ):
@@ -343,17 +329,16 @@ class TestIncrementalServe:
             name="incremental", metric="serve.incremental_hit", threshold=0
         )
 
-        def daemon(name, incremental):
+        def daemon(name):
             return ServeDaemon(
                 build,
                 rules=(hit_rule,),
                 watch_paths=(scenario_path, arch_path, mapping_path),
                 registry=RunRegistry(tmp_path / name),
-                incremental=incremental,
                 incremental_safe_paths=(arch_path,),
             )
 
-        incremental = daemon("incremental", True)
+        incremental = daemon("incremental")
         incremental.serve_loop(poll=0.001, max_runs=1)
         for _ in range(3):
             assert incremental.run_once().fired == ()
@@ -364,7 +349,8 @@ class TestIncrementalServe:
         outcome = incremental.run_once(
             rebuild=True, changed_paths=incremental.watcher.changed_paths()
         )
-        full = daemon("full", False)
+        # A fresh daemon's first tick is a full evaluation.
+        full = daemon("full")
         full.serve_loop(poll=0.001, max_runs=1)
 
         # serve.incremental_hit read 1 on the edit's tick only.
@@ -384,6 +370,50 @@ class TestIncrementalServe:
         }
         assert stages <= set(edited.stages)
         assert "evaluate.incremental" not in edited.stages
+
+    def test_nested_move_goes_incremental_and_records_the_full_report(
+        self, tmp_path, nested_vault
+    ):
+        """An xADL edit that only moves a mapped nested component to
+        another top-level component leaves the top-level diff empty; the
+        incremental tick still records a full evaluation's report."""
+        from repro.cli import _build_spec_sosae
+
+        system = build_synthetic(
+            SyntheticSpec(seed=0, scenarios=40, components=6)
+        )
+        architecture, mapping = nested_vault(system, "component-0")
+        moved, _ = nested_vault(system, "annex")
+        scenario_path = tmp_path / "scenarios.xml"
+        arch_path = tmp_path / "architecture.xml"
+        mapping_path = tmp_path / "mapping.json"
+        scenario_path.write_text(to_scenarioml_xml(system.scenarios))
+        arch_path.write_text(to_xadl_xml(architecture))
+        mapping_path.write_text(mapping.to_json())
+
+        def daemon(name):
+            return ServeDaemon(
+                lambda: _build_spec_sosae(
+                    scenario_path, arch_path, mapping_path, acme=False
+                ),
+                watch_paths=(scenario_path, arch_path, mapping_path),
+                registry=RunRegistry(tmp_path / name),
+                incremental_safe_paths=(arch_path,),
+            )
+
+        incremental = daemon("incremental")
+        incremental.serve_loop(poll=0.001, max_runs=1)
+        arch_path.write_text(to_xadl_xml(moved))
+        incremental.serve_loop(poll=0.001, max_runs=1)
+        assert incremental.health()["incremental_hits"] == 1
+        full = daemon("full")
+        full.serve_loop(poll=0.001, max_runs=1)
+
+        before, edited = incremental.registry.load()
+        (reference,) = full.registry.load()
+        assert edited.report_digest != before.report_digest
+        assert edited.report_digest == reference.report_digest
+        assert edited.coverage["digest"] == reference.coverage["digest"]
 
 
 def indent2(report) -> str:
