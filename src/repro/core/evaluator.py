@@ -274,16 +274,16 @@ class Sosae:
         live and no builder is installed, a fresh one is finalized
         onto the recorder and announced on the bus.
 
-        The communication index is pinned for the whole evaluation, so
-        the walk and the constraint checks share one structural
-        fingerprint check at entry; the inputs must not be mutated
-        while the evaluation runs."""
+        The whole evaluation runs in one engine session: the walk and the
+        constraint checks share one structural fingerprint check at
+        entry, and each event type is resolved and checked once; the
+        inputs must not be mutated while the evaluation runs."""
         instruments = current_instruments()
         recorder, bus = instruments.recorder, instruments.events
         coverage = instruments.coverage
         reused = reused_findings or {}
         if not recorder.enabled and not bus.enabled:
-            with self.index.pinned():
+            with self.engine.session():
                 report = self._evaluate(
                     walk, scenario_names, include_dynamic, dynamic_scenarios,
                     reused, attributes,
@@ -314,7 +314,7 @@ class Sosae:
             scenarios=len(self.scenario_set.scenarios),
             **attributes,
         ) as span:
-            with instrumented(coverage=coverage), self.index.pinned():
+            with instrumented(coverage=coverage), self.engine.session():
                 report = self._evaluate(
                     walk, scenario_names, include_dynamic, dynamic_scenarios,
                     reused, attributes,

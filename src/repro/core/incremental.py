@@ -458,8 +458,8 @@ def reevaluate(tracker: DependencyTracker, sosae: Sosae) -> IncrementalResult:
     def carry_over(
         pipeline: Sosae, scenarios: tuple[Scenario, ...]
     ) -> Iterator[ScenarioVerdict]:
-        # `evaluate_with` pins the index: one fingerprint check covers
-        # every re-walk.
+        # `evaluate_with` holds an engine session: one fingerprint check
+        # and one step table cover every re-walk.
         for scenario in scenarios:
             verdict = carried.get(scenario.name)
             yield (

@@ -168,12 +168,6 @@ class Mapping:
         """Whether the event type has a (direct or inherited) mapping."""
         return bool(self.components_for(event_type_name))
 
-    def has_direct_mapping(self, event_type_name: str) -> bool:
-        """Whether the event type is mapped *directly* (no supertype
-        inheritance involved). O(1); used by observability to count
-        supertype fallbacks on the walkthrough hot path."""
-        return event_type_name in self._event_to_components
-
     @property
     def mapped_event_types(self) -> tuple[str, ...]:
         """Event types with a direct mapping, in mapping order."""

@@ -27,13 +27,26 @@ A missing communication path is a :class:`~repro.core.consistency.Inconsistency`
 of kind ``MISSING_LINK``. Negative scenarios are walked identically; their
 polarity is inverted by the verdict (a negative scenario that walks
 cleanly is the inconsistency).
+
+The ontology collapses per-occurrence links into per-type links, and the
+walk does its per-type work once per type. :meth:`WalkthroughEngine.session`
+pins the communication index and holds a *step table* for exactly that
+session: per event type, its resolution, unique top-level components and
+intra-event chain verdict; per pair of successive component groups, the
+inter-event witness path; per event object, its rendering. The table
+starts empty at the outermost entry and is dropped at the outermost exit.
+Sessions nest like pins, and the promise that makes the pin safe (the
+architecture, the mapping and the ontology do not change while it is
+held) is the one that makes the table safe, so nothing else keys it.
+Every evaluation, ``walk_all`` and ``walk_scenario`` run in a session.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.adl.index import CommunicationIndex, communication_index
 from repro.adl.structure import Architecture
@@ -134,14 +147,36 @@ class WalkthroughEngine:
         # by default it is the shared per-architecture index, so constraint
         # checks and module-level graph queries reuse the same warm caches.
         self.index = index or communication_index(architecture)
+        self._sessions = 0
+        self._table: Optional[_StepTable] = None
 
     # ------------------------------------------------------------------
     # Entry points
     # ------------------------------------------------------------------
 
+    @contextmanager
+    def session(self) -> Iterator[None]:
+        """Pin the communication index and hold a step table while the
+        ``with`` block runs.
+
+        The caller promises that the architecture, the mapping and the
+        ontology do not change inside the block. Sessions nest: only the
+        outermost entry starts an empty table, and only the outermost
+        exit drops it, so edits between sessions are always seen."""
+        with self.index.pinned():
+            if not self._sessions:
+                self._table = _StepTable(self)
+            self._sessions += 1
+            try:
+                yield
+            finally:
+                self._sessions -= 1
+                if not self._sessions:
+                    self._table = None
+
     def walk_all(self, scenario_set: ScenarioSet) -> tuple[ScenarioVerdict, ...]:
         """Walk every scenario in the set."""
-        with self.index.pinned():
+        with self.session():
             return tuple(
                 self.walk_scenario(scenario, scenario_set)
                 for scenario in scenario_set
@@ -152,8 +187,8 @@ class WalkthroughEngine:
     ) -> ScenarioVerdict:
         """Walk every bounded trace of one scenario.
 
-        The architecture must not be mutated while the walk is in flight
-        (the communication index is pinned for the walk's duration);
+        The walk runs in a :meth:`session` (its own, unless one is
+        open): its inputs must not be mutated while it is in flight;
         mutations between walks are picked up automatically."""
         traces = scenario_set.traces(scenario.name, self.options.trace_options)
         instruments = current_instruments()
@@ -167,16 +202,19 @@ class WalkthroughEngine:
                 )
             )
         started = time.perf_counter()
-        with self.index.pinned(), recorder.span(
+        session = self.session() if self._table is None else nullcontext()
+        with session, recorder.span(
             "walkthrough.scenario",
             scenario=scenario.name,
             negative=scenario.is_negative,
             traces=len(traces),
         ) as scenario_span:
+            table = self._table
             if recorder.enabled:
-                stats_before = self.index.stats()
+                misses_before = self.index.stats().misses
+                checks_before = table.checks
             walked = tuple(
-                self._walk_trace(scenario, index, trace)
+                self._walk_trace(table, scenario, index, trace)
                 for index, trace in enumerate(traces)
             )
             if recorder.enabled:
@@ -184,8 +222,10 @@ class WalkthroughEngine:
                 # *cost*, as span attributes, so run records and `sosae
                 # runs attribute` can rank regressions by cause, not just
                 # by wall time. Steps are counted here, not traced: the
-                # walk opens no span per step.
-                stats_after = self.index.stats()
+                # walk opens no span per step. Connectivity checks are
+                # counted whether the step table or the index answered
+                # them, so a scenario's cost does not depend on which
+                # scenario met its event types first.
                 steps = [step for walk in walked for step in walk.steps]
                 scenario_span.set_attribute("cost.steps", len(steps))
                 scenario_span.set_attribute(
@@ -193,13 +233,11 @@ class WalkthroughEngine:
                     sum(1 for step in steps if not step.ok),
                 )
                 scenario_span.set_attribute(
-                    "cost.index_queries",
-                    (stats_after.hits + stats_after.misses)
-                    - (stats_before.hits + stats_before.misses),
+                    "cost.index_queries", table.checks - checks_before
                 )
                 scenario_span.set_attribute(
                     "cost.bfs_expansions",
-                    stats_after.misses - stats_before.misses,
+                    self.index.stats().misses - misses_before,
                 )
                 scenario_span.set_attribute(
                     "cost.findings",
@@ -229,12 +267,15 @@ class WalkthroughEngine:
     # ------------------------------------------------------------------
 
     def _walk_trace(
-        self, scenario: Scenario, index: int, trace: tuple[Event, ...]
+        self,
+        table: "_StepTable",
+        scenario: Scenario,
+        index: int,
+        trace: tuple[Event, ...],
     ) -> TraceWalkthrough:
         # Observability cost discipline: read the recorder once per trace
         # and batch counter updates into one flush.
         recorder = current_instruments().recorder
-        enabled = recorder.enabled
         steps: list[WalkthroughStep] = []
         findings: list[Inconsistency] = []
         previous_components: Optional[tuple[str, ...]] = None
@@ -244,17 +285,17 @@ class WalkthroughEngine:
         for position, event in enumerate(trace):
             if isinstance(event, TypedEvent):
                 typed_events += 1
-                step, step_findings, components = self._walk_typed_event(
-                    scenario, event, previous_components, index, position
+                step, step_findings, resolution = self._walk_typed_event(
+                    table, scenario, event, previous_components, index,
+                    position,
                 )
                 steps.append(step)
                 findings.extend(step_findings)
-                if components:
-                    previous_components = components
+                if resolution.components:
+                    previous_components = resolution.components
                     resolutions += 1
-                    if enabled and not self.mapping.has_direct_mapping(
-                        event.type_name
-                    ):
+                    # More than one hop: a supertype's entry answered.
+                    if len(resolution.hops) > 1:
                         fallbacks += 1
             elif isinstance(event, SimpleEvent):
                 step, step_findings = self._walk_simple_event(
@@ -267,7 +308,7 @@ class WalkthroughEngine:
                     f"trace of {scenario.name!r} contains unexpanded "
                     f"{type(event).__name__}"
                 )
-        if enabled:
+        if recorder.enabled:
             recorder.counter("walkthrough.traces").inc()
             recorder.counter("walkthrough.steps").inc(len(steps))
             recorder.counter("walkthrough.mapping_resolutions").inc(
@@ -289,18 +330,17 @@ class WalkthroughEngine:
 
     def _walk_typed_event(
         self,
+        table: "_StepTable",
         scenario: Scenario,
         event: TypedEvent,
         previous_components: Optional[tuple[str, ...]],
         trace_index: int,
         event_index: int,
-    ) -> tuple[WalkthroughStep, list[Inconsistency], tuple[str, ...]]:
-        rendering = event.render(self.mapping.ontology)
-        components, hops = self.mapping.resolution_for(event.type_name)
-        if not components:
-            resolution = MappingResolution(
-                event_type=event.type_name, hops=hops
-            )
+    ) -> tuple[WalkthroughStep, list[Inconsistency], MappingResolution]:
+        rendering = table.rendering(event)
+        resolution = table.resolution(event.type_name)
+        tops = resolution.components
+        if not tops:
             findings = self._policy_findings(
                 self.options.unmapped_event_policy,
                 InconsistencyKind.UNMAPPED_EVENT,
@@ -328,17 +368,8 @@ class WalkthroughEngine:
                 ok=self.options.unmapped_event_policy != "error",
                 note="unmapped event type",
             )
-            return step, findings, ()
+            return step, findings, resolution
 
-        tops = _unique(
-            self.mapping.top_level_component(component) for component in components
-        )
-        resolution = MappingResolution(
-            event_type=event.type_name,
-            hops=hops,
-            entry_components=components,
-            components=tops,
-        )
         findings: list[Inconsistency] = []
         path: Optional[tuple[str, ...]] = None
         ok = True
@@ -348,7 +379,7 @@ class WalkthroughEngine:
             # A shared component always yields the trivial one-element
             # path, so path is None exactly when the step is unreachable —
             # and a passing step always carries the path that justifies it.
-            path = self._best_inter_event_path(previous_components, tops)
+            path = table.move(previous_components, tops)
             if path is None:
                 ok = False
                 note = "no communication path from previous event's components"
@@ -391,7 +422,7 @@ class WalkthroughEngine:
                 )
 
         if ok and self.options.check_intra_event_chain and len(tops) > 1:
-            chain_break = self._intra_event_chain_break(tops)
+            chain_break = table.chain_break(resolution)
             if chain_break is not None:
                 source, target = chain_break
                 ok = False
@@ -433,7 +464,7 @@ class WalkthroughEngine:
             ok=ok,
             note=note,
         )
-        return step, findings, tops
+        return step, findings, resolution
 
     def _walk_simple_event(
         self,
@@ -496,8 +527,6 @@ class WalkthroughEngine:
         directed = self.options.intra_event_directed
         queries: list[IndexQuery] = []
         for source, target in zip(tops, tops[1:]):
-            if source == target:
-                continue
             failed = (source, target) == broken
             queries.append(
                 IndexQuery(
@@ -511,38 +540,6 @@ class WalkthroughEngine:
             if failed:
                 break
         return tuple(queries)
-
-    # ------------------------------------------------------------------
-    # Connectivity helpers
-    # ------------------------------------------------------------------
-
-    def _best_inter_event_path(
-        self, previous: tuple[str, ...], current: tuple[str, ...]
-    ) -> Optional[tuple[str, ...]]:
-        """The shortest communication path from any previous-event
-        component to any current-event component; ``None`` if none
-        exists. A shared component yields a trivial one-element path."""
-        return self.index.best_path_between(
-            previous,
-            current,
-            respect_directions=self.options.inter_event_directed,
-        )
-
-    def _intra_event_chain_break(
-        self, components: tuple[str, ...]
-    ) -> Optional[tuple[str, str]]:
-        """The first consecutive pair in the event's component chain with
-        no communication path, or ``None`` when the chain holds."""
-        for source, target in zip(components, components[1:]):
-            if source == target:
-                continue
-            if not self.index.can_communicate(
-                source,
-                target,
-                respect_directions=self.options.intra_event_directed,
-            ):
-                return (source, target)
-        return None
 
     def _policy_findings(
         self,
@@ -568,8 +565,85 @@ class WalkthroughEngine:
         ]
 
 
-def _unique(names) -> tuple[str, ...]:
-    seen: dict[str, None] = {}
-    for name in names:
-        seen.setdefault(name)
-    return tuple(seen)
+class _StepTable:
+    """The per-type answers of one engine session (see the module
+    docstring). ``checks`` counts the walk's connectivity checks,
+    whether answered here or by the index: one per inter-event move
+    between disjoint component groups, one per chain pair checked."""
+
+    def __init__(self, engine: WalkthroughEngine) -> None:
+        self.mapping = engine.mapping
+        self.index = engine.index
+        self.options = engine.options
+        self.resolutions: dict[str, MappingResolution] = {}
+        # Per event type: (first broken pair or None, checks made).
+        self.chains: dict[str, tuple[Optional[tuple[str, str]], int]] = {}
+        self.moves: dict[tuple, Optional[tuple[str, ...]]] = {}
+        # Holding the event keeps its id from being reused.
+        self.renderings: dict[int, tuple[Event, str]] = {}
+        self.checks = 0
+
+    def rendering(self, event: TypedEvent) -> str:
+        entry = self.renderings.get(id(event))
+        if entry is None:
+            entry = (event, event.render(self.mapping.ontology))
+            self.renderings[id(event)] = entry
+        return entry[1]
+
+    def resolution(self, type_name: str) -> MappingResolution:
+        """How the type resolves; its ``components`` are the unique
+        top-level components (empty when unmapped)."""
+        resolution = self.resolutions.get(type_name)
+        if resolution is None:
+            mapping = self.mapping
+            components, hops = mapping.resolution_for(type_name)
+            resolution = self.resolutions[type_name] = MappingResolution(
+                event_type=type_name,
+                hops=hops,
+                entry_components=components,
+                components=tuple(
+                    dict.fromkeys(map(mapping.top_level_component, components))
+                ),
+            )
+        return resolution
+
+    def move(
+        self, previous: tuple[str, ...], current: tuple[str, ...]
+    ) -> Optional[tuple[str, ...]]:
+        """The shortest communication path from any previous-event
+        component to any current-event component; ``None`` if none
+        exists. A shared component yields a trivial one-element path."""
+        key = (previous, current)
+        try:
+            path = self.moves[key]
+        except KeyError:
+            path = self.moves[key] = self.index.best_path_between(
+                previous,
+                current,
+                respect_directions=self.options.inter_event_directed,
+            )
+        if path is None or len(path) > 1:
+            self.checks += 1
+        return path
+
+    def chain_break(
+        self, resolution: MappingResolution
+    ) -> Optional[tuple[str, str]]:
+        """The first consecutive pair in the type's component chain with
+        no communication path, or ``None`` when the chain holds."""
+        chain = self.chains.get(resolution.event_type)
+        if chain is None:
+            chain_break, checks = None, 0
+            tops = resolution.components
+            for source, target in zip(tops, tops[1:]):
+                checks += 1
+                if not self.index.can_communicate(
+                    source,
+                    target,
+                    respect_directions=self.options.intra_event_directed,
+                ):
+                    chain_break = (source, target)
+                    break
+            chain = self.chains[resolution.event_type] = (chain_break, checks)
+        self.checks += chain[1]
+        return chain[0]

@@ -90,7 +90,7 @@ def run_shard(task: ShardTask) -> dict:
     ) as instruments, instruments.profiler:
         with instruments.recorder.span(
             "shard", shard=task.shard, scenarios=len(task.scenarios)
-        ), sosae.index.pinned():
+        ), sosae.engine.session():
             scenarios = tuple(map(sosae.scenario_set.get, task.scenarios))
             verdicts = list(walk_serially(sosae, scenarios))
     sosae.record_index_stats(instruments.recorder, stats_before)
