@@ -60,11 +60,6 @@ class Style:
             )
         self._rules[name] = check
 
-    @property
-    def rule_names(self) -> tuple[str, ...]:
-        """All registered rule names."""
-        return tuple(self._rules)
-
     def check(self, architecture: Architecture) -> list[StyleViolation]:
         """Run every rule; return all violations found."""
         violations: list[StyleViolation] = []

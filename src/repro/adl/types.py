@@ -147,16 +147,6 @@ class TypeRegistry:
                 f"registry {self.name!r} has no connector type {name!r}"
             ) from None
 
-    @property
-    def component_types(self) -> tuple[ComponentType, ...]:
-        """All component types, in registration order."""
-        return tuple(self._component_types.values())
-
-    @property
-    def connector_types(self) -> tuple[ConnectorType, ...]:
-        """All connector types, in registration order."""
-        return tuple(self._connector_types.values())
-
     # ------------------------------------------------------------------
     # Instantiation
     # ------------------------------------------------------------------

@@ -21,6 +21,11 @@ and — optionally — dynamic bindings and constraints) and
 7. when dynamic bindings are present, execute quality-attribute scenarios
    on the simulated architecture.
 
+Steps 1, 3 and 6 read the scenario set through the engine session's
+compiled view (:class:`~repro.scenarioml.compiled.CompiledSuite`): each
+scenario's events and traces, the set's event-type names and the
+argument checks are computed once per evaluation.
+
 The result is one :class:`~repro.core.consistency.EvaluationReport`.
 Step 6 runs through a *walk executor* (:func:`walk_serially`, the
 sharded :class:`repro.shard.BatchEvaluator`, or incremental
@@ -72,13 +77,18 @@ from repro.obs.events import (
 )
 from repro.obs.instruments import current_instruments, instrumented
 from repro.obs.provenance import MappingResolution, Provenance
+from repro.scenarioml.compiled import CompiledSuite
 from repro.scenarioml.scenario import Scenario, ScenarioSet
-from repro.scenarioml.validation import IssueSeverity, validate_scenario_set
+from repro.scenarioml.validation import IssueSeverity, validate_suite
 from repro.sim.runtime import RuntimeConfig
 
 
-def validation_findings(scenario_set: ScenarioSet) -> list[Inconsistency]:
-    """Findings from validating the scenario set against its ontology.
+def validation_findings(suite: CompiledSuite) -> list[Inconsistency]:
+    """Findings from validating the scenario set against its ontology,
+    read from the set's compiled view (:func:`validate_suite`): each
+    scenario's events are walked once per engine session, and each
+    distinct ``(type, arguments)`` binding is checked once, with one
+    finding per occurrence, in :func:`validate_scenario_set` order.
 
     Architecture-independent: depends only on the scenario set, so
     incremental re-evaluation can carry these over across architecture
@@ -95,7 +105,7 @@ def validation_findings(scenario_set: ScenarioSet) -> list[Inconsistency]:
                 else Severity.WARNING
             ),
         )
-        for issue in validate_scenario_set(scenario_set)
+        for issue in validate_suite(suite)
     ]
 
 
@@ -113,12 +123,13 @@ def style_findings(architecture: Architecture) -> list[Inconsistency]:
 
 
 def coverage_findings(
-    mapping: Mapping, scenario_set: ScenarioSet
+    mapping: Mapping, suite: CompiledSuite
 ) -> list[Inconsistency]:
     """Findings from checking mapping coverage: used event types that map
-    to no component, and components no event type can exercise."""
+    to no component, and components no event type can exercise. The used
+    types are the compiled view's event-type names, in first-use order."""
     findings = []
-    for name in mapping.unmapped_event_types(scenario_set):
+    for name in mapping.unmapped_event_types(suite):
         _, hops = mapping.resolution_for(name)
         findings.append(
             Inconsistency(
@@ -276,8 +287,10 @@ class Sosae:
 
         The whole evaluation runs in one engine session: the walk and the
         constraint checks share one structural fingerprint check at
-        entry, and each event type is resolved and checked once; the
-        inputs must not be mutated while the evaluation runs."""
+        entry, each event type is resolved and checked once, and each
+        scenario is compiled at most once, when a stage first reads it;
+        the inputs, the scenario set included, must not be mutated while
+        the evaluation runs."""
         instruments = current_instruments()
         recorder, bus = instruments.recorder, instruments.events
         coverage = instruments.coverage
@@ -358,12 +371,13 @@ class Sosae:
         instruments = current_instruments()
         recorder, bus = instruments.recorder, instruments.events
         findings: list[Inconsistency] = []
+        suite = self.engine.compiled(self.scenario_set)
         stages = [
-            ("validation", lambda: validation_findings(self.scenario_set), {}),
+            ("validation", lambda: validation_findings(suite), {}),
             ("style_check", lambda: style_findings(self.architecture), {}),
             (
                 "coverage",
-                lambda: coverage_findings(self.mapping, self.scenario_set),
+                lambda: coverage_findings(self.mapping, suite),
                 {},
             ),
             (

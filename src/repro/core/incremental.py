@@ -269,12 +269,6 @@ class DependencyTracker:
         """The scenarios with recorded dependencies."""
         return tuple(self._scenarios)
 
-    def dependencies_for(
-        self, scenario_name: str
-    ) -> Optional[ScenarioDependencies]:
-        """The recorded dependencies of one scenario, or ``None``."""
-        return self._scenarios.get(scenario_name)
-
     def changed_event_types(self, mapping: Mapping) -> frozenset[str]:
         """Event types whose direct mapping entry differs from the
         snapshot taken at tracker-build time: added, removed or
@@ -337,18 +331,18 @@ class DependencyTracker:
             if mapping is not None
             else frozenset()
         )
-        dirty: set[str] = set()
-        for name, deps in self._scenarios.items():
-            touched = deps.witness_elements | deps.components
-            if (
-                (removed_elements & touched)
-                or (removed_pairs & deps.witness_edges)
-                or (has_additions and deps.addition_sensitive)
-                or (grown & touched)
-                or (changed_types & deps.event_types)
-            ):
-                dirty.add(name)
-        return frozenset(dirty)
+        # One pass with no per-scenario set built: a test against an
+        # empty key set returns at once.
+        elements = removed_elements | grown
+        return frozenset(
+            name
+            for name, deps in self._scenarios.items()
+            if (has_additions and deps.addition_sensitive)
+            or not elements.isdisjoint(deps.witness_elements)
+            or not elements.isdisjoint(deps.components)
+            or not removed_pairs.isdisjoint(deps.witness_edges)
+            or not changed_types.isdisjoint(deps.event_types)
+        )
 
     def _linked_to(self, seeds: set[str]) -> set[str]:
         """The seeds present in the recorded architecture and every

@@ -21,6 +21,7 @@ from typing import Iterable, Mapping as MappingABC, Optional
 
 from repro.adl.structure import Architecture
 from repro.errors import MappingError
+from repro.scenarioml.compiled import CompiledSuite
 from repro.scenarioml.ontology import Ontology
 from repro.scenarioml.query import event_type_usage
 from repro.scenarioml.scenario import ScenarioSet
@@ -193,10 +194,11 @@ class Mapping:
     # ------------------------------------------------------------------
 
     def unmapped_event_types(
-        self, scenario_set: Optional[ScenarioSet] = None
+        self, scenario_set: Optional[ScenarioSet | CompiledSuite] = None
     ) -> tuple[str, ...]:
         """Event types without any mapping — all ontology types by
-        default, or only the ones a scenario set actually uses."""
+        default, or only the ones a scenario set (or its compiled view)
+        actually uses, in first-use order."""
         if scenario_set is not None:
             candidates = scenario_set.event_type_names()
         else:

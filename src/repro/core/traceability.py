@@ -109,18 +109,6 @@ class TraceabilityMatrix:
             scenario for scenario in self._by_scenario if scenario in candidates
         )
 
-    def impacted_scenarios_by_event_types(
-        self, event_types: Iterable[str]
-    ) -> tuple[str, ...]:
-        """Scenarios using any of the given event types (directly) — the
-        requirements-side impact of a mapping-entry change."""
-        wanted = frozenset(event_types)
-        impacted: dict[str, None] = {}
-        for (scenario, _component), types in self._links.items():
-            if any(name in wanted for name in types):
-                impacted.setdefault(scenario)
-        return tuple(impacted)
-
     def impacted_components(
         self, scenarios: Scenario | str | Iterable[str]
     ) -> tuple[str, ...]:

@@ -33,18 +33,24 @@ walk does its per-type work once per type. :meth:`WalkthroughEngine.session`
 pins the communication index and holds a *step table* for exactly that
 session: per event type, its resolution, unique top-level components and
 intra-event chain verdict; per pair of successive component groups, the
-inter-event witness path; per event object, its rendering. The table
-starts empty at the outermost entry and is dropped at the outermost exit.
-Sessions nest like pins, and the promise that makes the pin safe (the
-architecture, the mapping and the ontology do not change while it is
-held) is the one that makes the table safe, so nothing else keys it.
-Every evaluation, ``walk_all`` and ``walk_scenario`` run in a session.
+inter-event witness path; per event object, its rendering. The table also
+holds the session's :class:`~repro.scenarioml.compiled.CompiledSuite`, the
+compiled view of the scenario set (each scenario's events and traces,
+the set's event-type names, the argument checks per type and binding),
+which the walk, validation and the coverage check read, and it tallies
+the walk's counters, which reach the metrics registry once, when the
+session ends. The table starts empty at the outermost entry and is
+dropped at the outermost exit. Sessions nest like pins, and the promise
+that makes the pin safe (the architecture, the mapping, the ontology and
+the scenario set do not change while it is held) is the one that makes
+the table safe, so nothing else keys it. Every evaluation, ``walk_all``
+and ``walk_scenario`` run in a session.
 """
 
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
@@ -68,6 +74,7 @@ from repro.obs.provenance import (
 )
 from repro.obs.events import ScenarioFinished, ScenarioStarted
 from repro.obs.instruments import current_instruments
+from repro.scenarioml.compiled import CompiledSuite
 from repro.scenarioml.events import Event, SimpleEvent, TypedEvent
 from repro.scenarioml.scenario import Scenario, ScenarioSet, TraceOptions
 
@@ -159,10 +166,12 @@ class WalkthroughEngine:
         """Pin the communication index and hold a step table while the
         ``with`` block runs.
 
-        The caller promises that the architecture, the mapping and the
-        ontology do not change inside the block. Sessions nest: only the
-        outermost entry starts an empty table, and only the outermost
-        exit drops it, so edits between sessions are always seen."""
+        The caller promises that the architecture, the mapping, the
+        ontology and the scenario set do not change inside the block.
+        Sessions nest: only the outermost entry starts an empty table,
+        and only the outermost exit adds the walk's counters to the
+        metrics registry and drops the table, so edits between sessions
+        are always seen."""
         with self.index.pinned():
             if not self._sessions:
                 self._table = _StepTable(self)
@@ -172,7 +181,13 @@ class WalkthroughEngine:
             finally:
                 self._sessions -= 1
                 if not self._sessions:
-                    self._table = None
+                    table, self._table = self._table, None
+                    table.flush_counters()
+
+    def compiled(self, scenario_set: ScenarioSet) -> CompiledSuite:
+        """The open session's compiled view of ``scenario_set``; call it
+        inside a :meth:`session`."""
+        return self._table.suite(scenario_set)
 
     def walk_all(self, scenario_set: ScenarioSet) -> tuple[ScenarioVerdict, ...]:
         """Walk every scenario in the set."""
@@ -190,7 +205,11 @@ class WalkthroughEngine:
         The walk runs in a :meth:`session` (its own, unless one is
         open): its inputs must not be mutated while it is in flight;
         mutations between walks are picked up automatically."""
-        traces = scenario_set.traces(scenario.name, self.options.trace_options)
+        table = self._table
+        if table is None:
+            with self.session():
+                return self.walk_scenario(scenario, scenario_set)
+        traces = table.suite(scenario_set).traces(scenario.name)
         instruments = current_instruments()
         recorder, bus = instruments.recorder, instruments.events
         if bus.enabled:
@@ -202,16 +221,14 @@ class WalkthroughEngine:
                 )
             )
         started = time.perf_counter()
-        session = self.session() if self._table is None else nullcontext()
-        with session, recorder.span(
+        with recorder.span(
             "walkthrough.scenario",
             scenario=scenario.name,
             negative=scenario.is_negative,
             traces=len(traces),
         ) as scenario_span:
-            table = self._table
             if recorder.enabled:
-                misses_before = self.index.stats().misses
+                graph_builds_before = table.graph_builds
                 checks_before = table.checks
             walked = tuple(
                 self._walk_trace(table, scenario, index, trace)
@@ -237,7 +254,7 @@ class WalkthroughEngine:
                 )
                 scenario_span.set_attribute(
                     "cost.bfs_expansions",
-                    self.index.stats().misses - misses_before,
+                    table.graph_builds - graph_builds_before,
                 )
                 scenario_span.set_attribute(
                     "cost.findings",
@@ -274,7 +291,8 @@ class WalkthroughEngine:
         trace: tuple[Event, ...],
     ) -> TraceWalkthrough:
         # Observability cost discipline: read the recorder once per trace
-        # and batch counter updates into one flush.
+        # and tally its counters in the step table, which adds them to
+        # the registry once per session.
         recorder = current_instruments().recorder
         steps: list[WalkthroughStep] = []
         findings: list[Inconsistency] = []
@@ -309,21 +327,18 @@ class WalkthroughEngine:
                     f"{type(event).__name__}"
                 )
         if recorder.enabled:
-            recorder.counter("walkthrough.traces").inc()
-            recorder.counter("walkthrough.steps").inc(len(steps))
-            recorder.counter("walkthrough.mapping_resolutions").inc(
-                resolutions
+            table.count_trace(
+                recorder,
+                len(steps),
+                resolutions,
+                fallbacks,
+                typed_events - resolutions,
+                sum(
+                    1
+                    for finding in findings
+                    if finding.kind is InconsistencyKind.MISSING_LINK
+                ),
             )
-            recorder.counter("walkthrough.supertype_fallbacks").inc(fallbacks)
-            recorder.counter("walkthrough.unmapped_events").inc(
-                typed_events - resolutions
-            )
-            missing = sum(
-                1
-                for finding in findings
-                if finding.kind is InconsistencyKind.MISSING_LINK
-            )
-            recorder.counter("walkthrough.missing_links").inc(missing)
         return TraceWalkthrough(
             trace_index=index, steps=tuple(steps), inconsistencies=tuple(findings)
         )
@@ -424,7 +439,7 @@ class WalkthroughEngine:
         if ok and self.options.check_intra_event_chain and len(tops) > 1:
             chain_break = table.chain_break(resolution)
             if chain_break is not None:
-                source, target = chain_break
+                (source, target), queries = chain_break
                 ok = False
                 note = f"no path within event from {source!r} to {target!r}"
                 findings.append(
@@ -450,7 +465,7 @@ class WalkthroughEngine:
                                 trace_index, event_index,
                             ),
                             resolution=resolution,
-                            queries=self._chain_queries(tops, (source, target)),
+                            queries=queries,
                         ),
                     )
                 )
@@ -518,29 +533,6 @@ class WalkthroughEngine:
             event_rendering=rendering,
         )
 
-    def _chain_queries(
-        self, tops: tuple[str, ...], broken: tuple[str, str]
-    ) -> tuple[IndexQuery, ...]:
-        """Reconstruct the intra-event chain checks up to (and including)
-        the first broken pair, for provenance. The pairs before the break
-        are known to have passed — no re-query needed."""
-        directed = self.options.intra_event_directed
-        queries: list[IndexQuery] = []
-        for source, target in zip(tops, tops[1:]):
-            failed = (source, target) == broken
-            queries.append(
-                IndexQuery(
-                    operation="can_communicate",
-                    sources=(source,),
-                    targets=(target,),
-                    respect_directions=directed,
-                    found=not failed,
-                )
-            )
-            if failed:
-                break
-        return tuple(queries)
-
     def _policy_findings(
         self,
         policy: str,
@@ -565,23 +557,84 @@ class WalkthroughEngine:
         ]
 
 
+#: The walk's counters, in the order :meth:`_StepTable.count_trace`
+#: tallies them.
+_WALK_COUNTERS = (
+    "walkthrough.traces",
+    "walkthrough.steps",
+    "walkthrough.mapping_resolutions",
+    "walkthrough.supertype_fallbacks",
+    "walkthrough.unmapped_events",
+    "walkthrough.missing_links",
+)
+
+
 class _StepTable:
     """The per-type answers of one engine session (see the module
     docstring). ``checks`` counts the walk's connectivity checks,
     whether answered here or by the index: one per inter-event move
-    between disjoint component groups, one per chain pair checked."""
+    between disjoint component groups, one per chain pair checked.
+    ``graph_builds`` counts the communication graphs the index built
+    to answer them."""
 
     def __init__(self, engine: WalkthroughEngine) -> None:
         self.mapping = engine.mapping
         self.index = engine.index
         self.options = engine.options
         self.resolutions: dict[str, MappingResolution] = {}
-        # Per event type: (first broken pair or None, checks made).
-        self.chains: dict[str, tuple[Optional[tuple[str, str]], int]] = {}
+        # Per event type: (first broken pair and the provenance queries
+        # that found it, or None; checks made).
+        self.chains: dict[str, tuple[Optional[tuple], int]] = {}
         self.moves: dict[tuple, Optional[tuple[str, ...]]] = {}
         # Holding the event keeps its id from being reused.
         self.renderings: dict[int, tuple[Event, str]] = {}
         self.checks = 0
+        self.graph_builds = 0
+        self._suite: Optional[CompiledSuite] = None
+        # The walk's counters, in _WALK_COUNTERS order, and the
+        # recorder they are owed to.
+        self._counts = [0] * len(_WALK_COUNTERS)
+        self._counted_for = None
+
+    def suite(self, scenario_set: ScenarioSet) -> CompiledSuite:
+        """The session's compiled view of ``scenario_set``."""
+        suite = self._suite
+        if suite is None or suite.scenario_set is not scenario_set:
+            suite = self._suite = CompiledSuite(
+                scenario_set, self.options.trace_options
+            )
+        return suite
+
+    def count_trace(
+        self,
+        recorder,
+        steps: int,
+        resolutions: int,
+        fallbacks: int,
+        unmapped: int,
+        missing_links: int,
+    ) -> None:
+        """Tally one walked trace for ``recorder``."""
+        if recorder is not self._counted_for:
+            self.flush_counters()
+            self._counted_for = recorder
+        counts = self._counts
+        counts[0] += 1
+        counts[1] += steps
+        counts[2] += resolutions
+        counts[3] += fallbacks
+        counts[4] += unmapped
+        counts[5] += missing_links
+
+    def flush_counters(self) -> None:
+        """Add the tallied counters to their recorder's registry."""
+        recorder = self._counted_for
+        if recorder is None:
+            return
+        for name, value in zip(_WALK_COUNTERS, self._counts):
+            recorder.counter(name).inc(value)
+        self._counts = [0] * len(_WALK_COUNTERS)
+        self._counted_for = None
 
     def rendering(self, event: TypedEvent) -> str:
         entry = self.renderings.get(id(event))
@@ -617,33 +670,48 @@ class _StepTable:
         try:
             path = self.moves[key]
         except KeyError:
+            builds = self.index.stats().misses
             path = self.moves[key] = self.index.best_path_between(
                 previous,
                 current,
                 respect_directions=self.options.inter_event_directed,
             )
+            self.graph_builds += self.index.stats().misses - builds
         if path is None or len(path) > 1:
             self.checks += 1
         return path
 
     def chain_break(
         self, resolution: MappingResolution
-    ) -> Optional[tuple[str, str]]:
+    ) -> Optional[tuple[tuple[str, str], tuple[IndexQuery, ...]]]:
         """The first consecutive pair in the type's component chain with
-        no communication path, or ``None`` when the chain holds."""
+        no communication path and the checks up to it, for provenance;
+        ``None`` when the chain holds."""
         chain = self.chains.get(resolution.event_type)
         if chain is None:
+            builds = self.index.stats().misses
             chain_break, checks = None, 0
+            directed = self.options.intra_event_directed
+            queries: list[IndexQuery] = []
             tops = resolution.components
             for source, target in zip(tops, tops[1:]):
                 checks += 1
-                if not self.index.can_communicate(
-                    source,
-                    target,
-                    respect_directions=self.options.intra_event_directed,
-                ):
-                    chain_break = (source, target)
+                found = self.index.can_communicate(
+                    source, target, respect_directions=directed
+                )
+                queries.append(
+                    IndexQuery(
+                        operation="can_communicate",
+                        sources=(source,),
+                        targets=(target,),
+                        respect_directions=directed,
+                        found=found,
+                    )
+                )
+                if not found:
+                    chain_break = ((source, target), tuple(queries))
                     break
             chain = self.chains[resolution.event_type] = (chain_break, checks)
+            self.graph_builds += self.index.stats().misses - builds
         self.checks += chain[1]
         return chain[0]

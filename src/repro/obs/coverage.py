@@ -401,16 +401,6 @@ class CoverageMatrix:
         lines.append(f"digest: {self.digest}")
         return "\n".join(lines)
 
-    def render_matrix(self) -> str:
-        """The cells, one ``event-type -> component xN`` line each."""
-        lines = []
-        for event_type, counts in self.cells.items():
-            placed = ", ".join(
-                f"{component}x{count}" for component, count in counts.items()
-            )
-            lines.append(f"{event_type}: {placed}")
-        return "\n".join(lines) if lines else "(no resolved events)"
-
     def render_gaps(self) -> str:
         """Everything the scenario corpus never exercised."""
         sections = []

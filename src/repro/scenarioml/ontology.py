@@ -465,34 +465,12 @@ class Ontology:
         known individual of a conforming class or a plain literal (literals
         are allowed so scenarios can introduce entities "newly created or
         identified during the course of a scenario", per ScenarioML).
+        Raises the :class:`OntologyError` (an :class:`ArityError` for a
+        binding that does not fit) :class:`ArgumentChecker` reports.
         """
-        event_type = self.event_type(event_type_name)
-        if event_type.abstract:
-            raise OntologyError(
-                f"abstract event type {event_type_name!r} cannot be "
-                "instantiated directly"
-            )
-        parameters = {p.name: p for p in self.effective_parameters(event_type_name)}
-        missing = sorted(set(parameters) - set(arguments))
-        extra = sorted(set(arguments) - set(parameters))
-        if missing or extra:
-            raise ArityError(
-                f"event type {event_type_name!r} arguments mismatch: "
-                f"missing={missing} extra={extra}"
-            )
-        for name, value in arguments.items():
-            parameter = parameters[name]
-            if parameter.type_name is None:
-                continue
-            if not self.has_instance(value):
-                continue  # literal introduced by the scenario itself
-            instance = self.instance(value)
-            if not self.is_subclass_of(instance.type_name, parameter.type_name):
-                raise ArityError(
-                    f"argument {name}={value!r} of event type "
-                    f"{event_type_name!r} is a {instance.type_name!r}, "
-                    f"which is not a {parameter.type_name!r}"
-                )
+        error = ArgumentChecker(self).error(event_type_name, arguments)
+        if error is not None:
+            raise error
 
     # ------------------------------------------------------------------
     # Whole-ontology validation
@@ -567,6 +545,141 @@ class Ontology:
             f"{len(self._instances)} individuals, "
             f"{len(self._event_types)} event types)"
         )
+
+
+@dataclass(frozen=True)
+class ParameterTable:
+    """What checking an event type's arguments needs to know about the
+    type, computed once per type.
+
+    ``parameters`` maps each effective parameter (inherited ones
+    included) to the domain class its argument must conform to, or
+    ``None`` when untyped; ``typed`` keeps only the typed ones.
+    ``error`` is why the type cannot be instantiated at all: it is
+    unknown, abstract, or its supertype chain is broken."""
+
+    exists: bool
+    parameters: Mapping[str, Optional[str]] = field(default_factory=dict)
+    typed: Mapping[str, str] = field(default_factory=dict)
+    error: Optional[OntologyError] = None
+
+
+_UNCHECKED = object()
+
+
+class ArgumentChecker:
+    """Conformance of typed-event arguments to one ontology.
+
+    The ontology collapses per-occurrence checks into per-type ones:
+    the checker builds one :class:`ParameterTable` per event type and
+    one superclass chain per domain class, and :meth:`check` answers
+    once per distinct ``(type, arguments)`` binding. The ontology must
+    not change while a checker is in use."""
+
+    def __init__(self, ontology: Ontology) -> None:
+        self.ontology = ontology
+        self._tables: dict[str, ParameterTable] = {}
+        self._class_chains: dict[str, tuple[str, ...] | OntologyError] = {}
+        self._verdicts: dict[tuple, Optional[OntologyError]] = {}
+
+    def table(self, event_type_name: str) -> ParameterTable:
+        """The parameter table of one event type."""
+        table = self._tables.get(event_type_name)
+        if table is None:
+            table = self._tables[event_type_name] = self._build_table(
+                event_type_name
+            )
+        return table
+
+    def _build_table(self, event_type_name: str) -> ParameterTable:
+        ontology = self.ontology
+        try:
+            event_type = ontology.event_type(event_type_name)
+        except UnknownDefinitionError as error:
+            return ParameterTable(exists=False, error=error)
+        if event_type.abstract:
+            return ParameterTable(
+                exists=True,
+                error=OntologyError(
+                    f"abstract event type {event_type_name!r} cannot be "
+                    "instantiated directly"
+                ),
+            )
+        try:
+            parameters = ontology.effective_parameters(event_type_name)
+        except OntologyError as error:
+            return ParameterTable(exists=True, error=error)
+        return ParameterTable(
+            exists=True,
+            parameters={
+                parameter.name: parameter.type_name for parameter in parameters
+            },
+            typed={
+                parameter.name: parameter.type_name
+                for parameter in parameters
+                if parameter.type_name is not None
+            },
+        )
+
+    def check(
+        self, event_type_name: str, arguments: Mapping[str, str]
+    ) -> Optional[OntologyError]:
+        """:meth:`error`, answered once per distinct binding."""
+        key = (event_type_name, tuple(arguments.items()))
+        verdict = self._verdicts.get(key, _UNCHECKED)
+        if verdict is _UNCHECKED:
+            verdict = self._verdicts[key] = self.error(
+                event_type_name, arguments
+            )
+        return verdict
+
+    def error(
+        self, event_type_name: str, arguments: Mapping[str, str]
+    ) -> Optional[OntologyError]:
+        """Why ``arguments`` do not instantiate the event type (see
+        :meth:`Ontology.check_arguments`), or ``None`` when they do."""
+        table = self.table(event_type_name)
+        if table.error is not None:
+            return table.error
+        parameters = table.parameters
+        if parameters.keys() != arguments.keys():
+            missing = sorted(set(parameters) - set(arguments))
+            extra = sorted(set(arguments) - set(parameters))
+            return ArityError(
+                f"event type {event_type_name!r} arguments mismatch: "
+                f"missing={missing} extra={extra}"
+            )
+        typed = table.typed
+        if not typed:
+            return None
+        ontology = self.ontology
+        for name, value in arguments.items():
+            expected = typed.get(name)
+            if expected is None or not ontology.has_instance(value):
+                continue  # untyped, or a literal the scenario introduces
+            actual = ontology.instance(value).type_name
+            if actual == expected:
+                continue
+            chain = self._class_chain(actual)
+            if isinstance(chain, OntologyError):
+                return chain
+            if expected not in chain:
+                return ArityError(
+                    f"argument {name}={value!r} of event type "
+                    f"{event_type_name!r} is a {actual!r}, "
+                    f"which is not a {expected!r}"
+                )
+        return None
+
+    def _class_chain(self, class_name: str) -> tuple[str, ...] | OntologyError:
+        chain = self._class_chains.get(class_name)
+        if chain is None:
+            try:
+                chain = self.ontology.class_ancestors(class_name)
+            except OntologyError as error:
+                chain = error
+            self._class_chains[class_name] = chain
+        return chain
 
 
 def _merge_one(target: dict, name: str, definition, kind: str) -> None:

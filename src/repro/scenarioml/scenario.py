@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 from repro.errors import EpisodeCycleError, ScenarioError, UnknownDefinitionError
 from repro.scenarioml.events import (
@@ -318,25 +318,36 @@ class ScenarioSet:
         Raises :class:`EpisodeCycleError` on cyclic reuse and
         :class:`UnknownDefinitionError` on dangling references.
         """
-        resolved: dict[str, None] = {}
-
-        def visit(name: str, stack: tuple[str, ...]) -> None:
-            scenario = self.get(name)
-            for episode in scenario.episodes():
-                target = episode.scenario_name
-                if target in stack:
-                    raise EpisodeCycleError(
-                        "episode cycle: " + " -> ".join((*stack, target))
-                    )
-                if target not in resolved:
-                    resolved.setdefault(target)
-                    visit(target, (*stack, target))
-
-        visit(scenario_name, (scenario_name,))
-        return tuple(resolved)
+        return episode_closure(
+            scenario_name, lambda name: tuple(self.get(name).episodes())
+        )
 
     def __repr__(self) -> str:
         return f"ScenarioSet({self.name!r}: {len(self)} scenarios)"
+
+
+def episode_closure(
+    scenario_name: str, episodes_of: Callable[[str], Sequence[Episode]]
+) -> tuple[str, ...]:
+    """Names of scenarios transitively reused by ``scenario_name``,
+    depth-first, where ``episodes_of(name)`` lists a scenario's episode
+    references (raising :class:`UnknownDefinitionError` for an unknown
+    scenario). Raises :class:`EpisodeCycleError` on cyclic reuse."""
+    resolved: dict[str, None] = {}
+
+    def visit(name: str, stack: tuple[str, ...]) -> None:
+        for episode in episodes_of(name):
+            target = episode.scenario_name
+            if target in stack:
+                raise EpisodeCycleError(
+                    "episode cycle: " + " -> ".join((*stack, target))
+                )
+            if target not in resolved:
+                resolved.setdefault(target)
+                visit(target, (*stack, target))
+
+    visit(scenario_name, (scenario_name,))
+    return tuple(resolved)
 
 
 def _cross_concat(

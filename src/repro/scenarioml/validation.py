@@ -18,14 +18,18 @@ from enum import Enum
 from typing import Optional
 
 from repro.errors import (
-    ArityError,
     EpisodeCycleError,
     OntologyError,
     ScenarioError,
     UnknownDefinitionError,
 )
+from repro.scenarioml.compiled import (
+    CompiledScenario,
+    CompiledSuite,
+    compile_scenario,
+)
 from repro.scenarioml.events import Episode, TypedEvent
-from repro.scenarioml.ontology import Ontology
+from repro.scenarioml.ontology import ArgumentChecker, Ontology
 from repro.scenarioml.scenario import Scenario, ScenarioSet
 
 
@@ -61,14 +65,40 @@ def validate_scenario(
 
     Checks, per typed event: the event type exists, is not abstract, and
     the arguments conform (arity and argument class). Per episode: the
-    referenced scenario exists in ``scenario_set`` (when given). Simple
-    events produce a warning — they bypass the ontology and therefore
-    cannot be mapped to the architecture.
+    referenced scenario exists in ``scenario_set`` (when given). Per
+    actor: it is an ontology individual or class (a warning otherwise).
     """
+    return _scenario_issues(
+        compile_scenario(scenario), ArgumentChecker(ontology), scenario_set
+    )
+
+
+def _scenario_issues(
+    compiled: CompiledScenario,
+    arguments: ArgumentChecker,
+    scenario_set: Optional[ScenarioSet],
+) -> list[ValidationIssue]:
+    scenario = compiled.scenario
     issues: list[ValidationIssue] = []
-    for event in scenario.all_events():
+    # Without episodes, the typed events are the only leaves checked.
+    checked = compiled.leaves if compiled.episodes else compiled.typed_events
+    for event in checked:
         if isinstance(event, TypedEvent):
-            issues.extend(_check_typed_event(event, scenario, ontology))
+            error = arguments.check(event.type_name, event.arguments)
+            if error is None:
+                continue
+            if arguments.table(event.type_name).exists:
+                message = str(error)
+            else:
+                message = (
+                    f"typed event references unknown event type "
+                    f"{event.type_name!r}"
+                )
+            issues.append(
+                ValidationIssue(
+                    IssueSeverity.ERROR, scenario.name, message, event.label
+                )
+            )
         elif isinstance(event, Episode):
             if scenario_set is not None and event.scenario_name not in scenario_set:
                 issues.append(
@@ -80,6 +110,7 @@ def validate_scenario(
                         event.label,
                     )
                 )
+    ontology = arguments.ontology
     for actor in scenario.actors:
         if not (ontology.has_instance(actor) or ontology.has_instance_type(actor)):
             issues.append(
@@ -92,29 +123,6 @@ def validate_scenario(
     return issues
 
 
-def _check_typed_event(
-    event: TypedEvent, scenario: Scenario, ontology: Ontology
-) -> list[ValidationIssue]:
-    if not ontology.has_event_type(event.type_name):
-        return [
-            ValidationIssue(
-                IssueSeverity.ERROR,
-                scenario.name,
-                f"typed event references unknown event type {event.type_name!r}",
-                event.label,
-            )
-        ]
-    try:
-        ontology.check_arguments(event.type_name, dict(event.arguments))
-    except (ArityError, OntologyError) as error:
-        return [
-            ValidationIssue(
-                IssueSeverity.ERROR, scenario.name, str(error), event.label
-            )
-        ]
-    return []
-
-
 def validate_scenario_set(scenario_set: ScenarioSet) -> list[ValidationIssue]:
     """Validate every scenario in a set, plus cross-scenario properties.
 
@@ -122,6 +130,15 @@ def validate_scenario_set(scenario_set: ScenarioSet) -> list[ValidationIssue]:
     is well formed, that episode references are acyclic, and that
     ``alternative_of`` back-references resolve.
     """
+    return validate_suite(CompiledSuite(scenario_set))
+
+
+def validate_suite(suite: CompiledSuite) -> list[ValidationIssue]:
+    """:func:`validate_scenario_set` over a compiled view of the set:
+    each scenario's events are read from the view, and each distinct
+    ``(type, arguments)`` binding is checked once, although every
+    occurrence gets its own issue."""
+    scenario_set = suite.scenario_set
     issues: list[ValidationIssue] = []
     try:
         scenario_set.ontology.validate()
@@ -131,7 +148,9 @@ def validate_scenario_set(scenario_set: ScenarioSet) -> list[ValidationIssue]:
         )
     for scenario in scenario_set:
         issues.extend(
-            validate_scenario(scenario, scenario_set.ontology, scenario_set)
+            _scenario_issues(
+                suite.scenario(scenario.name), suite.arguments, scenario_set
+            )
         )
         if scenario.alternative_of and scenario.alternative_of not in scenario_set:
             issues.append(
@@ -143,7 +162,7 @@ def validate_scenario_set(scenario_set: ScenarioSet) -> list[ValidationIssue]:
                 )
             )
         try:
-            scenario_set.resolve_episodes(scenario.name)
+            suite.resolve_episodes(scenario.name)
         except EpisodeCycleError as error:
             issues.append(
                 ValidationIssue(IssueSeverity.ERROR, scenario.name, str(error))
