@@ -17,9 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
 from typing import Optional
 
+from repro.caching import cached_property
 from repro.obs.provenance import Provenance, finding_id
 
 

@@ -212,6 +212,12 @@ class WalkthroughEngine:
         traces = table.suite(scenario_set).traces(scenario.name)
         instruments = current_instruments()
         recorder, bus = instruments.recorder, instruments.events
+        if not (recorder.enabled or bus.enabled):
+            return ScenarioVerdict(
+                scenario=scenario.name,
+                traces=self._walk_traces(table, None, scenario, traces),
+                negative=scenario.is_negative,
+            )
         if bus.enabled:
             bus.emit(
                 ScenarioStarted(
@@ -221,45 +227,39 @@ class WalkthroughEngine:
                 )
             )
         started = time.perf_counter()
-        with recorder.span(
-            "walkthrough.scenario",
-            scenario=scenario.name,
-            negative=scenario.is_negative,
-            traces=len(traces),
-        ) as scenario_span:
-            if recorder.enabled:
-                graph_builds_before = table.graph_builds
-                checks_before = table.checks
-            walked = tuple(
-                self._walk_trace(table, scenario, index, trace)
-                for index, trace in enumerate(traces)
-            )
-            if recorder.enabled:
+        if recorder.enabled:
+            with recorder.span(
+                "walkthrough.scenario",
+                scenario=scenario.name,
+                negative=scenario.is_negative,
+                traces=len(traces),
+            ) as scenario_span:
                 # Per-scenario work-unit attribution: what this scenario
                 # *cost*, as span attributes, so run records and `sosae
                 # runs attribute` can rank regressions by cause, not just
-                # by wall time. Steps are counted here, not traced: the
-                # walk opens no span per step. Connectivity checks are
-                # counted whether the step table or the index answered
-                # them, so a scenario's cost does not depend on which
-                # scenario met its event types first.
-                steps = [step for walk in walked for step in walk.steps]
-                scenario_span.set_attribute("cost.steps", len(steps))
-                scenario_span.set_attribute(
-                    "cost.failing_steps",
-                    sum(1 for step in steps if not step.ok),
+                # by wall time. Every figure is a difference of tallies
+                # the step table keeps anyway; the walk opens no span per
+                # step. Connectivity checks are counted whether the step
+                # table or the index answered them, so a scenario's cost
+                # does not depend on which scenario met its event types
+                # first.
+                tally = table.tally(recorder)
+                steps_before = tally[_STEPS]
+                checks_before = table.checks
+                graph_builds_before = table.graph_builds
+                walked = self._walk_traces(table, tally, scenario, traces)
+                failing, findings = _failures(walked)
+                attributes = scenario_span.attributes
+                attributes["cost.steps"] = tally[_STEPS] - steps_before
+                attributes["cost.failing_steps"] = failing
+                attributes["cost.index_queries"] = table.checks - checks_before
+                attributes["cost.bfs_expansions"] = (
+                    table.graph_builds - graph_builds_before
                 )
-                scenario_span.set_attribute(
-                    "cost.index_queries", table.checks - checks_before
-                )
-                scenario_span.set_attribute(
-                    "cost.bfs_expansions",
-                    table.graph_builds - graph_builds_before,
-                )
-                scenario_span.set_attribute(
-                    "cost.findings",
-                    sum(len(walk.inconsistencies) for walk in walked),
-                )
+                attributes["cost.findings"] = findings
+        else:
+            walked = self._walk_traces(table, None, scenario, traces)
+            findings = sum(len(walk.inconsistencies) for walk in walked)
         verdict = ScenarioVerdict(
             scenario=scenario.name,
             traces=walked,
@@ -269,11 +269,13 @@ class WalkthroughEngine:
         if recorder.enabled:
             recorder.histogram("walkthrough.scenario_seconds").observe(elapsed)
         if bus.enabled:
+            # The verdict's only findings are its traces': `findings`
+            # is len(verdict.all_inconsistencies()).
             bus.emit(
                 ScenarioFinished(
                     scenario=scenario.name,
                     passed=verdict.passed,
-                    findings=len(verdict.all_inconsistencies()),
+                    findings=findings,
                     wall_seconds=elapsed,
                 )
             )
@@ -283,17 +285,29 @@ class WalkthroughEngine:
     # Trace walkthrough
     # ------------------------------------------------------------------
 
+    def _walk_traces(
+        self,
+        table: "_StepTable",
+        tally: Optional[list[int]],
+        scenario: Scenario,
+        traces: tuple[tuple[Event, ...], ...],
+    ) -> tuple[TraceWalkthrough, ...]:
+        return tuple(
+            self._walk_trace(table, tally, scenario, index, trace)
+            for index, trace in enumerate(traces)
+        )
+
     def _walk_trace(
         self,
         table: "_StepTable",
+        tally: Optional[list[int]],
         scenario: Scenario,
         index: int,
         trace: tuple[Event, ...],
     ) -> TraceWalkthrough:
-        # Observability cost discipline: read the recorder once per trace
-        # and tally its counters in the step table, which adds them to
-        # the registry once per session.
-        recorder = current_instruments().recorder
+        # Observability cost discipline: with the recorder on, the walk's
+        # counters go to the step table's ``tally``, which the session
+        # adds to the registry once; with it off, ``tally`` is None.
         steps: list[WalkthroughStep] = []
         findings: list[Inconsistency] = []
         previous_components: Optional[tuple[str, ...]] = None
@@ -326,19 +340,18 @@ class WalkthroughEngine:
                     f"trace of {scenario.name!r} contains unexpanded "
                     f"{type(event).__name__}"
                 )
-        if recorder.enabled:
-            table.count_trace(
-                recorder,
-                len(steps),
-                resolutions,
-                fallbacks,
-                typed_events - resolutions,
-                sum(
+        if tally is not None:
+            tally[_TRACES] += 1
+            tally[_STEPS] += len(steps)
+            tally[_RESOLUTIONS] += resolutions
+            tally[_FALLBACKS] += fallbacks
+            tally[_UNMAPPED] += typed_events - resolutions
+            if findings:
+                tally[_MISSING_LINKS] += sum(
                     1
                     for finding in findings
                     if finding.kind is InconsistencyKind.MISSING_LINK
-                ),
-            )
+                )
         return TraceWalkthrough(
             trace_index=index, steps=tuple(steps), inconsistencies=tuple(findings)
         )
@@ -557,8 +570,8 @@ class WalkthroughEngine:
         ]
 
 
-#: The walk's counters, in the order :meth:`_StepTable.count_trace`
-#: tallies them.
+#: The walk's counters, in the order of their slots in
+#: :meth:`_StepTable.tally`.
 _WALK_COUNTERS = (
     "walkthrough.traces",
     "walkthrough.steps",
@@ -567,6 +580,26 @@ _WALK_COUNTERS = (
     "walkthrough.unmapped_events",
     "walkthrough.missing_links",
 )
+(
+    _TRACES,
+    _STEPS,
+    _RESOLUTIONS,
+    _FALLBACKS,
+    _UNMAPPED,
+    _MISSING_LINKS,
+) = range(len(_WALK_COUNTERS))
+
+
+def _failures(walked: tuple[TraceWalkthrough, ...]) -> tuple[int, int]:
+    """The failing steps and the findings of a scenario's walked
+    traces. A step fails only with a finding of its own, so only the
+    traces that have findings are scanned."""
+    failing = findings = 0
+    for walk in walked:
+        if walk.inconsistencies:
+            findings += len(walk.inconsistencies)
+            failing += sum(1 for step in walk.steps if not step.ok)
+    return failing, findings
 
 
 class _StepTable:
@@ -605,26 +638,14 @@ class _StepTable:
             )
         return suite
 
-    def count_trace(
-        self,
-        recorder,
-        steps: int,
-        resolutions: int,
-        fallbacks: int,
-        unmapped: int,
-        missing_links: int,
-    ) -> None:
-        """Tally one walked trace for ``recorder``."""
+    def tally(self, recorder) -> list[int]:
+        """The walk's counters owed to ``recorder``, in
+        ``_WALK_COUNTERS`` order, for the walk to add to; a tally owed
+        to another recorder is flushed to it first."""
         if recorder is not self._counted_for:
             self.flush_counters()
             self._counted_for = recorder
-        counts = self._counts
-        counts[0] += 1
-        counts[1] += steps
-        counts[2] += resolutions
-        counts[3] += fallbacks
-        counts[4] += unmapped
-        counts[5] += missing_links
+        return self._counts
 
     def flush_counters(self) -> None:
         """Add the tallied counters to their recorder's registry."""

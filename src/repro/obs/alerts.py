@@ -394,7 +394,9 @@ class AlertEngine:
     that just finished, the run-registry history (for ``runs``-source
     rules), and ``now`` (seconds; any monotone clock — cooldowns are
     measured on it). It returns the transition events it emitted, after
-    publishing each on the current event bus.
+    publishing each on the current event bus. The bus stamps an event
+    in place, so with a live bus the returned events are the stamped
+    ones (``seq`` and ``timestamp`` set); without one they keep 0.
     """
 
     def __init__(self, rules: Sequence[AlertRule]) -> None:

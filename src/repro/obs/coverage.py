@@ -33,9 +33,10 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import TYPE_CHECKING, Iterable, Optional
 
+from repro.caching import cached_property
 from repro.obs.events import CoverageComputed
 from repro.obs.store import short_digest
 

@@ -86,8 +86,10 @@ class TelemetryEvent:
     """Base of every telemetry event.
 
     ``seq`` and ``timestamp`` (seconds since the epoch) are stamped by
-    the bus at emission; concrete subclasses add their payload fields
-    and a unique ``kind`` string used by the JSONL representation.
+    the bus at emission, on the emitted object itself (see
+    :meth:`EventBus.emit`); concrete subclasses add their payload
+    fields and a unique ``kind`` string used by the JSONL
+    representation.
     """
 
     kind: ClassVar[str] = ""
@@ -524,6 +526,9 @@ def read_events(path: Union[str, Path]) -> tuple[TelemetryEvent, ...]:
 # The bus
 # ----------------------------------------------------------------------
 
+#: Sets a field of a frozen event: how the bus stamps an event it owns.
+_stamp = object.__setattr__
+
 
 class NullEventBus:
     """The zero-overhead default: accepts everything, records nothing."""
@@ -625,7 +630,15 @@ class EventBus:
         return unsubscribe
 
     def emit(self, event: TelemetryEvent) -> None:
-        """Stamp, buffer, and dispatch one event (then maybe heartbeat)."""
+        """Stamp, buffer, and dispatch one event (then maybe heartbeat).
+
+        The bus takes the event over and stamps it in place: the object
+        the caller still holds (an alert engine's transition, say) is
+        the one buffered and handed to subscribers, ``seq`` and
+        ``timestamp`` included. Only an event that already carries a
+        ``seq`` is copied, so re-emitting one never rewrites the stamp
+        its first emission gave it.
+        """
         self._dispatch(event)
         if self.heartbeat_interval is not None and not isinstance(
             event, Heartbeat
@@ -641,7 +654,9 @@ class EventBus:
         into this stream: the event gets this bus's next ``seq`` — the
         global sequence of the merged stream — but keeps the original
         ``timestamp``, because the moment it happened in the worker is
-        the truth and the moment the parent collected it is not."""
+        the truth and the moment the parent collected it is not. The
+        stamp goes on a copy: the merged telemetry the event came from
+        keeps its own sequence."""
         with self._lock:
             self._seq += 1
             stamped = replace(event, seq=self._seq)
@@ -657,13 +672,19 @@ class EventBus:
         # Subscribers run outside the lock (they may block on I/O).
         with self._lock:
             self._seq += 1
-            stamped = replace(
-                event, seq=self._seq, timestamp=self._wall_clock()
-            )
-            self._buffer.append(stamped)
+            if event.seq:
+                # Stamped before (emitted already, or read back from a
+                # stream): stamp a copy, so the first stamp stands.
+                event = replace(
+                    event, seq=self._seq, timestamp=self._wall_clock()
+                )
+            else:
+                _stamp(event, "seq", self._seq)
+                _stamp(event, "timestamp", self._wall_clock())
+            self._buffer.append(event)
             subscribers = tuple(self._subscribers)
         for subscriber in subscribers:
-            subscriber(stamped)
+            subscriber(event)
 
     def _maybe_beat(self) -> None:
         now = self._clock()

@@ -254,6 +254,8 @@ class RunOutcome:
     consistent: Optional[bool] = None
     findings: int = 0
     run_id: Optional[str] = None
+    #: The alert engine's transitions, the very events the daemon's
+    #: bus stamped and buffered.
     fired: tuple[AlertFired, ...] = ()
     resolved: tuple[AlertResolved, ...] = ()
     #: "rule-name: detail" for every rule the registry history cannot

@@ -19,7 +19,6 @@ free of locks. Use one recorder per concurrent evaluation.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from functools import wraps
 from typing import Callable, Iterator, Optional
 
@@ -116,6 +115,37 @@ class Span:
         )
 
 
+class _SpanScope:
+    """The context manager :meth:`SpanRecorder.span` returns.
+
+    A class, not a ``@contextmanager`` generator: the walk opens one
+    span per scenario, and a generator-based scope costs a generator
+    frame and two ``next``/``throw`` round trips each time. The span is
+    created, numbered and pushed on entry, and finished and popped on
+    exit, also when the block raises any ``BaseException``."""
+
+    __slots__ = ("_recorder", "_name", "_attributes", "_span")
+
+    def __init__(
+        self, recorder: "SpanRecorder", name: str, attributes: dict
+    ) -> None:
+        self._recorder = recorder
+        self._name = name
+        self._attributes = attributes
+
+    def __enter__(self) -> Span:
+        span = self._span = self._recorder._open(self._name, self._attributes)
+        return span
+
+    def __exit__(self, exc_type, exc, traceback) -> bool:
+        span = self._span
+        if exc_type is not None:
+            span.attributes["error"] = exc_type.__name__
+        span.finish()
+        self._recorder._stack.pop()
+        return False
+
+
 class SpanRecorder:
     """Collects a forest of spans from one synchronous pipeline run.
 
@@ -133,15 +163,18 @@ class SpanRecorder:
         self.context = context
         self._serial = 0
 
-    @contextmanager
-    def span(self, name: str, **attributes) -> Iterator[Span]:
+    def span(self, name: str, **attributes) -> "_SpanScope":
         """Open a span for the duration of the ``with`` block.
 
         The span nests under the innermost open span; exceptions
         propagate but still close the span (with an ``error`` attribute
         naming the exception type).
         """
-        span = Span(name, attributes or {})
+        return _SpanScope(self, name, attributes)
+
+    def _open(self, name: str, attributes: dict) -> Span:
+        """Create, identify and push a span; the scope's ``__enter__``."""
+        span = Span(name, attributes)
         context = self.context
         if context is None:
             context = self.context = TraceContext(trace_id=new_trace_id())
@@ -158,14 +191,7 @@ class SpanRecorder:
             span.parent_id = context.parent_span_id
         self._stack.append(span)
         span.begin()
-        try:
-            yield span
-        except BaseException as error:
-            span.set_attribute("error", type(error).__name__)
-            raise
-        finally:
-            span.finish()
-            self._stack.pop()
+        return span
 
     def record(self, name: Optional[str] = None) -> Callable:
         """Decorator form of :meth:`span` (span named after the function

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import io
 import json
+import sys
+import threading
 
 import pytest
 
@@ -12,8 +14,10 @@ from repro.errors import ReproError
 from repro.obs import (
     EVENT_TYPES,
     NULL_EVENT_BUS,
+    AlertEngine,
     AlertFired,
     AlertResolved,
+    AlertRule,
     CoverageComputed,
     EvaluationFinished,
     EvaluationStarted,
@@ -38,6 +42,7 @@ from repro.obs import (
     event_from_dict,
     events_from_jsonl,
     format_event,
+    instrumented,
     read_events,
     use,
     use_events,
@@ -480,3 +485,203 @@ class TestPipelineEmission:
         ]
         assert [event.run_id for event in recorded] == ["r0001"]
         assert recorded[0].label == "demo"
+
+
+#: The excised PIMS scenarios in walk order: (name, traces, findings).
+_PIMS_SCENARIOS = (
+    ("create-portfolio", 1, 0),
+    ("create-portfolio-alt", 1, 0),
+    ("get-share-prices", 1, 1),
+    ("get-share-prices-alt", 1, 0),
+    ("login", 1, 0),
+    ("rename-portfolio", 1, 0),
+    ("delete-portfolio", 1, 0),
+    ("add-investment", 1, 0),
+    ("edit-investment", 1, 0),
+    ("delete-investment", 1, 0),
+    ("compute-net-worth", 1, 0),
+    ("compute-rate-of-return", 1, 0),
+    ("set-alert", 1, 0),
+    ("review-portfolios", 2, 0),
+    ("view-investment-value", 1, 0),
+    ("exit-and-save", 1, 0),
+)
+
+
+def _pinned_pims_stream() -> list[tuple[str, dict]]:
+    """What an observed evaluation of excised PIMS streams: each event's
+    kind and payload, without ``seq``, ``timestamp`` and
+    ``wall_seconds``."""
+    stream: list[tuple[str, dict]] = [
+        ("evaluation-started", {
+            "architecture": "pims-excised", "scenario_set": "pims",
+            "scenarios": 16,
+        }),
+    ]
+    for stage in ("validation", "style_check", "coverage"):
+        stream.append(("stage-started", {"stage": stage}))
+        stream.append(("stage-finished", {"stage": stage, "findings": 0}))
+    stream += [
+        ("stage-started", {"stage": "constraints"}),
+        ("finding-emitted", {
+            "finding_id": "9548a99a28",
+            "finding_kind": "constraint-violation",
+            "severity": "error",
+            "scenario": None,
+            "event_label": None,
+            "message": (
+                "downloaded share prices must reach persistent storage: "
+                "no communication path from 'Loader' to 'Data Repository'"
+            ),
+        }),
+        ("stage-finished", {"stage": "constraints", "findings": 1}),
+        ("stage-started", {"stage": "walkthrough"}),
+    ]
+    for name, traces, findings in _PIMS_SCENARIOS:
+        stream.append(("scenario-started", {
+            "scenario": name, "negative": False, "traces": traces,
+        }))
+        stream.append(("scenario-finished", {
+            "scenario": name, "passed": not findings, "findings": findings,
+        }))
+        if findings:
+            stream.append(("finding-emitted", {
+                "finding_id": "cb3ebdcc85",
+                "finding_kind": "missing-link",
+                "severity": "error",
+                "scenario": "get-share-prices",
+                "event_label": "4",
+                "message": (
+                    "event 'saveData' requires data to flow Loader -> "
+                    "Data Access -> Data Repository, but 'Loader' cannot "
+                    "reach 'Data Access'"
+                ),
+            }))
+    stream += [
+        ("stage-finished", {"stage": "walkthrough", "findings": 1}),
+        ("coverage-computed", {
+            "components_exercised": 12, "components_total": 12,
+            "links_covered": 11, "links_total": 21,
+            "event_types_used": 19, "event_types_total": 19,
+            "dead_mappings": 0, "digest": "11c5148533990edd",
+        }),
+        ("evaluation-finished", {
+            "consistent": False, "findings": 2,
+            "scenarios_passed": 15, "scenarios_failed": 1,
+        }),
+    ]
+    return stream
+
+
+class TestStamping:
+    """The bus stamps each event once, in place: the object emitted is
+    the object buffered, dispatched and still held by the caller."""
+
+    def test_observed_pims_stream_is_pinned(self, pims):
+        architecture = pims.excised_architecture()
+        bus = EventBus(capacity=4096)
+        with instrumented(recorder=Recorder(), events=bus):
+            Sosae(
+                pims.scenarios,
+                architecture,
+                pims.mapping.rebind(architecture),
+                constraints=pims.constraints,
+                walkthrough_options=pims.options,
+            ).evaluate()
+        events = bus.events()
+        streamed = [
+            (
+                event.kind,
+                {
+                    key: value
+                    for key, value in event.to_dict().items()
+                    if key not in ("kind", "seq", "timestamp", "wall_seconds")
+                },
+            )
+            for event in events
+        ]
+        assert streamed == _pinned_pims_stream()
+        assert [event.seq for event in events] == list(
+            range(1, len(events) + 1)
+        )
+        assert all(event.timestamp > 0 for event in events)
+
+    def test_the_emitted_object_is_the_stamped_one(self):
+        clock = [50.0]
+        bus = EventBus(wall_clock=lambda: clock[0])
+        seen = []
+        bus.subscribe(seen.append)
+        event = StageStarted(stage="a")
+        bus.emit(event)
+        assert (event.seq, event.timestamp) == (1, 50.0)
+        assert bus.events()[0] is event and seen == [event]
+
+    def test_re_emitting_keeps_the_first_stamp(self):
+        clock = [50.0]
+        first_bus = EventBus(wall_clock=lambda: clock[0])
+        second_bus = EventBus(wall_clock=lambda: clock[0])
+        event = StageStarted(stage="a")
+        first_bus.emit(event)
+        clock[0] = 60.0
+        first_bus.emit(event)
+        second_bus.emit(event)
+        assert (event.seq, event.timestamp) == (1, 50.0)
+        again = first_bus.events()[1]
+        assert again is not event
+        assert (again.seq, again.timestamp, again.stage) == (2, 60.0, "a")
+        assert (second_bus.events()[0].seq, second_bus.events()[0].stage) == (
+            1, "a",
+        )
+
+    def test_alert_transitions_are_the_stamped_events(self):
+        clock = [70.0]
+        bus = EventBus(wall_clock=lambda: clock[0])
+        engine = AlertEngine([
+            AlertRule(name="findings", metric="findings", threshold=0),
+        ])
+        with use_events(bus):
+            (fired,) = engine.evaluate({"findings": 2.0})
+            clock[0] = 71.0
+            (resolved,) = engine.evaluate({"findings": 0.0})
+        assert isinstance(fired, AlertFired)
+        assert isinstance(resolved, AlertResolved)
+        assert bus.events() == (fired, resolved)
+        assert bus.events()[0] is fired and bus.events()[1] is resolved
+        assert (fired.seq, fired.timestamp) == (1, 70.0)
+        assert (resolved.seq, resolved.timestamp) == (2, 71.0)
+
+    def test_alert_transitions_without_a_bus_stay_unstamped(self):
+        engine = AlertEngine([
+            AlertRule(name="findings", metric="findings", threshold=0),
+        ])
+        (fired,) = engine.evaluate({"findings": 2.0})
+        assert (fired.seq, fired.timestamp) == (0, 0.0)
+
+    def test_concurrent_emitters_never_share_a_seq(self):
+        bus = EventBus(capacity=100_000)
+        delivered = []
+        bus.subscribe(delivered.append)
+        threads, per_thread = 8, 500
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda name=f"t{index}": [
+                        bus.emit(StageStarted(stage=name))
+                        for _ in range(per_thread)
+                    ]
+                )
+                for index in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        total = threads * per_thread
+        seqs = sorted(event.seq for event in bus.events())
+        assert seqs == list(range(1, total + 1))
+        assert len({id(event) for event in delivered}) == total

@@ -169,6 +169,11 @@ class TestRunOnce:
         assert outcome.alerting is True
         assert outcome.fired[0].rule == "no-findings"
         assert [e.kind for e in daemon.bus.events()].count("alert-fired") == 1
+        # The outcome holds the very event the bus stamped and buffered.
+        (buffered,) = [
+            e for e in daemon.bus.events() if e.kind == "alert-fired"
+        ]
+        assert outcome.fired[0] is buffered and buffered.seq > 0
         alerts = json.loads(daemon.alerts_json())["alerts"]
         assert alerts[0]["active"] is True
         assert (
