@@ -484,6 +484,12 @@ class CommunicationIndex:
     # Statistics
     # ------------------------------------------------------------------
 
+    @property
+    def misses(self) -> int:
+        """The miss count of :meth:`stats`, read without building a
+        snapshot."""
+        return self._misses
+
     def stats(self) -> IndexStats:
         """A snapshot of cumulative cache behavior since construction
         (or the last :meth:`reset_stats`)."""

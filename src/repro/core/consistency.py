@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from repro.caching import cached_property
 from repro.obs.provenance import Provenance, finding_id
@@ -82,13 +82,17 @@ class Inconsistency:
         )
 
 
-@dataclass(frozen=True)
-class WalkthroughStep:
+class WalkthroughStep(NamedTuple):
     """How one scenario event fared during a walkthrough.
 
     ``components`` are the components the event's type maps to; ``path``
     is the element path used to reach them from the previous step's
     components (``None`` when no path was needed or none was found).
+
+    A walk makes one step per scenario event, so the step is a value
+    type backed by a tuple: immutable, hashable, picklable, equal by
+    value, and cheap to build. The field order is the order of the
+    step's keys in report JSON.
     """
 
     event_rendering: str
@@ -234,6 +238,17 @@ class EvaluationReport:
             if candidate.scenario == scenario:
                 return candidate
         raise KeyError(f"report has no verdict for scenario {scenario!r}")
+
+    @cached_property
+    def finding_count(self) -> int:
+        """How many findings :meth:`all_inconsistencies` returns,
+        counted without building the tuple."""
+        count = len(self.findings)
+        for verdict in self.scenario_verdicts:
+            count += len(verdict.inconsistencies)
+            for trace in verdict.traces:
+                count += len(trace.inconsistencies)
+        return count
 
     def all_inconsistencies(self) -> tuple[Inconsistency, ...]:
         """Every finding in the report."""

@@ -347,11 +347,10 @@ class Sosae:
                 time.perf_counter() - started
             )
         if bus.enabled:
-            all_findings = report.all_inconsistencies()
             bus.emit(
                 EvaluationFinished(
                     consistent=report.consistent,
-                    findings=len(all_findings),
+                    findings=report.finding_count,
                     scenarios_passed=len(report.passed_scenarios),
                     scenarios_failed=len(report.failed_scenarios),
                     wall_seconds=time.perf_counter() - started,

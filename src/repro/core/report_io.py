@@ -7,6 +7,15 @@ wall of findings someone has to eyeball. This module serializes
 :class:`~repro.core.consistency.EvaluationReport` to JSON (dynamic
 verdicts are stored without their message traces — traces are run
 artifacts, not results) and diffs two reports verdict-by-verdict.
+
+The saved file is indent-2 JSON, byte for byte what
+``json.dumps(report_to_dict(report), indent=2)`` writes. Large reports
+hold thousands of walkthrough steps, so :func:`report_to_json` writes
+that text straight from the report: the report, each scenario verdict,
+each trace and each step stand at a fixed depth and are written from
+templates cut once from the ``_*_to_dict`` functions' own output. Only
+the free-form subtrees (findings with their provenance, and dynamic
+verdicts) go through the general writer :func:`indent2_json`.
 """
 
 from __future__ import annotations
@@ -51,14 +60,7 @@ def report_to_dict(report: EvaluationReport) -> dict:
             _verdict_to_dict(verdict) for verdict in report.scenario_verdicts
         ],
         "dynamic_verdicts": [
-            {
-                "scenario": verdict.scenario,
-                "passed": verdict.passed,
-                "negative": verdict.negative,
-                "findings": [
-                    _inconsistency_to_dict(f) for f in verdict.findings
-                ],
-            }
+            _dynamic_verdict_to_dict(verdict)
             for verdict in report.dynamic_verdicts
         ],
     }
@@ -66,7 +68,20 @@ def report_to_dict(report: EvaluationReport) -> dict:
 
 def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
     """Serialize a report to indent-2 JSON text, byte for byte what
-    ``json.dumps(report_to_dict(report), indent=2)`` writes.
+    ``json.dumps(report_to_dict(report), indent=2)`` writes, without
+    building that document first.
+
+    The report, each scenario verdict, each trace and each step stand
+    at a fixed depth, so their text is the fixed text around their keys'
+    values (see :func:`_template`) with the values filled in straight
+    from the report's objects; a step is one ``%`` format. A step's
+    label, type, note, components and path repeat across the report, so
+    their text is rendered once per call and reused. Strings go through
+    the stdlib's C escaper. The free-form subtrees -- findings with
+    their provenance, and dynamic verdicts -- go through
+    :func:`indent2_json`, indented to their depth. Each trace's and
+    each verdict's text is joined from its pieces as soon as they are
+    written, so no piece list holds a whole report.
 
     The layout is fixed: ``indent`` is accepted only as ``2``, for
     callers that pass it explicitly.
@@ -75,7 +90,158 @@ def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
         raise ValueError(
             f"report JSON is indent-2 only, got indent={indent!r}"
         )
-    return indent2_json(report_to_dict(report))
+    fields = _FieldTexts()
+    verdicts = [
+        _verdict_text(verdict, fields) for verdict in report.scenario_verdicts
+    ]
+    # Each template piece but the head is named for the value before it.
+    head, format_, architecture, findings, scenarios, dynamic = (
+        _REPORT_PIECES
+    )
+    return "".join(
+        [
+            head,
+            _leaf(_FORMAT_VERSION),
+            format_,
+            _leaf(report.architecture),
+            architecture,
+            _findings(report.findings, 1),
+            findings,
+            *_array(verdicts, 1),
+            scenarios,
+            _subtree(
+                [_dynamic_verdict_to_dict(v) for v in report.dynamic_verdicts],
+                1,
+            ),
+            dynamic,
+        ]
+    )
+
+
+def _verdict_text(verdict: ScenarioVerdict, fields: "_FieldTexts") -> str:
+    """One scenario verdict's text."""
+    head, scenario, negative, blocked, passed, findings, traces = (
+        _VERDICT_PIECES
+    )
+    return "".join(
+        [
+            head,
+            _leaf(verdict.scenario),
+            scenario,
+            _leaf(verdict.negative),
+            negative,
+            _leaf(verdict.blocked),
+            blocked,
+            _leaf(verdict.passed),
+            passed,
+            _findings(verdict.inconsistencies, 3),
+            findings,
+            *_array([_trace_text(t, fields) for t in verdict.traces], 3),
+            traces,
+        ]
+    )
+
+
+def _trace_text(trace: TraceWalkthrough, fields: "_FieldTexts") -> str:
+    """One trace's text."""
+    head, index, findings, steps = _TRACE_PIECES
+    return "".join(
+        [
+            head,
+            _leaf(trace.trace_index),
+            index,
+            _findings(trace.inconsistencies, 5),
+            findings,
+            *_array(_step_texts(trace.steps, fields), 5),
+            steps,
+        ]
+    )
+
+
+def _step_texts(steps, fields: "_FieldTexts") -> list[str]:
+    """Each step's text, from one ``%`` template."""
+    step_format = _STEP_FORMAT
+    encode = _encode_string
+    return [
+        step_format
+        % (
+            encode(event) if event.__class__ is str else _subtree(event, 7),
+            fields[label],
+            fields[event_type],
+            fields[components],
+            fields[path],
+            "true" if ok is True else _leaf(ok),
+            fields[note],
+        )
+        for event, label, event_type, components, path, ok, note in steps
+    ]
+
+
+#: ``_PADS[depth]``: the newline and indent of a line at ``depth``.
+_PADS = tuple("\n" + "  " * depth for depth in range(8))
+
+
+def _subtree(value, depth: int) -> str:
+    """``indent2_json(value)`` for a value that stands at ``depth``.
+    JSON strings escape their newlines, so every newline in the text
+    starts a line of the layout."""
+    return indent2_json(value).replace("\n", _PADS[depth])
+
+
+class _FieldTexts(dict):
+    """Step field values -> their text at a step key's depth, rendered
+    on first lookup. The memoized fields hold str, None and tuples of
+    str, so equal values have equal text."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = _subtree(value, 7)
+        return text
+
+
+def _leaf(value) -> str:
+    """The text of a scalar field."""
+    if value.__class__ is str:
+        return _encode_string(value)
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value.__class__ is int:
+        return repr(value)
+    return indent2_json(value)
+
+
+def _findings(findings, depth: int) -> str:
+    """The text of a list of findings that stands at ``depth``."""
+    if not findings:
+        return "[]"
+    return _subtree([_inconsistency_to_dict(f) for f in findings], depth)
+
+
+def _array(texts: list, depth: int) -> list:
+    """The pieces of an array that stands at ``depth`` and whose
+    elements' texts are ``texts``: ``[``, the texts with separators
+    between them, ``]``."""
+    if not texts:
+        return ["[]"]
+    pieces = ["," + _PADS[depth + 1]] * (2 * len(texts) + 1)
+    pieces[0] = "[" + _PADS[depth + 1]
+    pieces[1::2] = texts
+    pieces[-1] = _PADS[depth] + "]"
+    return pieces
+
+
+def _template(document: dict, depth: int) -> tuple[str, ...]:
+    """The text around the values of a dict with ``document``'s keys
+    that stands at ``depth``: one piece before the first value, one
+    between each two, one after the last.
+
+    The pieces are cut from the dicts that the ``_*_to_dict`` functions
+    build for empty objects, so the keys and their order are written
+    down once, there."""
+    mark = "\x00"
+    text = indent2_json(dict.fromkeys(document, mark))
+    return tuple(text.replace("\n", _PADS[depth]).split(_encode_string(mark)))
 
 
 def indent2_json(value) -> str:
@@ -176,16 +342,17 @@ def _verdict_to_dict(verdict: ScenarioVerdict) -> dict:
         "inconsistencies": [
             _inconsistency_to_dict(f) for f in verdict.inconsistencies
         ],
-        "traces": [
-            {
-                "index": trace.trace_index,
-                "inconsistencies": [
-                    _inconsistency_to_dict(f) for f in trace.inconsistencies
-                ],
-                "steps": [_step_to_dict(step) for step in trace.steps],
-            }
-            for trace in verdict.traces
+        "traces": [_trace_to_dict(trace) for trace in verdict.traces],
+    }
+
+
+def _trace_to_dict(trace: TraceWalkthrough) -> dict:
+    return {
+        "index": trace.trace_index,
+        "inconsistencies": [
+            _inconsistency_to_dict(f) for f in trace.inconsistencies
         ],
+        "steps": [_step_to_dict(step) for step in trace.steps],
     }
 
 
@@ -198,6 +365,15 @@ def _step_to_dict(step: WalkthroughStep) -> dict:
         "path": list(step.path) if step.path is not None else None,
         "ok": step.ok,
         "note": step.note,
+    }
+
+
+def _dynamic_verdict_to_dict(verdict) -> dict:
+    return {
+        "scenario": verdict.scenario,
+        "passed": verdict.passed,
+        "negative": verdict.negative,
+        "findings": [_inconsistency_to_dict(f) for f in verdict.findings],
     }
 
 
@@ -214,6 +390,19 @@ def _inconsistency_to_dict(finding: Inconsistency) -> dict:
     if finding.provenance is not None:
         data["provenance"] = finding.provenance.to_dict()
     return data
+
+
+# The writer's templates, cut from the dicts of empty objects (the
+# step's values stand in for any step's).
+_REPORT_PIECES = _template(report_to_dict(EvaluationReport("")), 0)
+_VERDICT_PIECES = _template(_verdict_to_dict(ScenarioVerdict("", ())), 2)
+_TRACE_PIECES = _template(_trace_to_dict(TraceWalkthrough(0, (), ())), 4)
+_STEP_FORMAT = "%s".join(
+    piece.replace("%", "%%")
+    for piece in _template(
+        _step_to_dict(WalkthroughStep("", None, None, (), None, True)), 6
+    )
+)
 
 
 # ----------------------------------------------------------------------

@@ -483,14 +483,10 @@ class WalkthroughEngine:
                     )
                 )
 
+        # Positional: the walk's one step per typed event, and keywords
+        # double a tuple-backed step's construction cost.
         step = WalkthroughStep(
-            event_rendering=rendering,
-            event_label=event.label,
-            event_type=event.type_name,
-            components=tops,
-            path=path,
-            ok=ok,
-            note=note,
+            rendering, event.label, event.type_name, tops, path, ok, note
         )
         return step, findings, resolution
 
@@ -691,13 +687,13 @@ class _StepTable:
         try:
             path = self.moves[key]
         except KeyError:
-            builds = self.index.stats().misses
+            builds = self.index.misses
             path = self.moves[key] = self.index.best_path_between(
                 previous,
                 current,
                 respect_directions=self.options.inter_event_directed,
             )
-            self.graph_builds += self.index.stats().misses - builds
+            self.graph_builds += self.index.misses - builds
         if path is None or len(path) > 1:
             self.checks += 1
         return path
@@ -710,7 +706,7 @@ class _StepTable:
         ``None`` when the chain holds."""
         chain = self.chains.get(resolution.event_type)
         if chain is None:
-            builds = self.index.stats().misses
+            builds = self.index.misses
             chain_break, checks = None, 0
             directed = self.options.intra_event_directed
             queries: list[IndexQuery] = []
@@ -733,6 +729,6 @@ class _StepTable:
                     chain_break = ((source, target), tuple(queries))
                     break
             chain = self.chains[resolution.event_type] = (chain_break, checks)
-            self.graph_builds += self.index.stats().misses - builds
+            self.graph_builds += self.index.misses - builds
         self.checks += chain[1]
         return chain[0]

@@ -811,7 +811,7 @@ class JobManager:
                     finished_at=self._clock(),
                     run_id=run_id,
                     consistent=report.consistent,
-                    findings=len(report.all_inconsistencies()),
+                    findings=report.finding_count,
                     wall_seconds=wall,
                 ),
                 detail=f"run {run_id or '-'}",

@@ -94,25 +94,7 @@ def stage_summary(roots: Sequence[Span]) -> dict[str, dict]:
     total CPU seconds per name. This is the run registry's durable form
     of the profile tree — flat, so two runs with differently shaped
     trees still diff name-by-name."""
-    # Iterative preorder walk: ``iter_spans`` is a recursive generator,
-    # which bubbles every yield through O(depth) frames — measurable on
-    # the serve loop, which summarizes ~1k spans per run.
-    stages: dict[str, dict] = {}
-    stack = list(reversed(roots))
-    while stack:
-        span = stack.pop()
-        entry = stages.get(span.name)
-        if entry is None:
-            entry = stages[span.name] = {
-                "count": 0,
-                "wall_seconds": 0.0,
-                "cpu_seconds": 0.0,
-            }
-        entry["count"] += 1
-        entry["wall_seconds"] += span.end_wall - span.start_wall
-        entry["cpu_seconds"] += span.end_cpu - span.start_cpu
-        stack.extend(reversed(span.children))
-    return stages
+    return _summarize_spans(roots)[0]
 
 
 #: The work-unit counters persisted per scenario (from the ``cost.*``
@@ -130,12 +112,37 @@ def scenario_costs(roots: Sequence[Span]) -> dict[str, dict]:
     (0 = the single/parent process). This is the durable form the run
     registry persists and ``sosae runs attribute`` ranks.
     """
+    return _summarize_spans(roots)[1]
+
+
+def _summarize_spans(
+    roots: Sequence[Span],
+) -> tuple[dict[str, dict], dict[str, dict]]:
+    """:func:`stage_summary` and :func:`scenario_costs` of ``roots``,
+    from one walk of the forest (a run record needs both)."""
+    # Iterative preorder walk: ``iter_spans`` is a recursive generator,
+    # which bubbles every yield through O(depth) frames — measurable on
+    # the serve loop, which summarizes ~1k spans per run.
+    stages: dict[str, dict] = {}
     costs: dict[str, dict] = {}
     stack = list(reversed(roots))
     while stack:
         span = stack.pop()
         stack.extend(reversed(span.children))
-        if span.name != "walkthrough.scenario":
+        name = span.name
+        wall = span.end_wall - span.start_wall
+        cpu = span.end_cpu - span.start_cpu
+        entry = stages.get(name)
+        if entry is None:
+            entry = stages[name] = {
+                "count": 0,
+                "wall_seconds": 0.0,
+                "cpu_seconds": 0.0,
+            }
+        entry["count"] += 1
+        entry["wall_seconds"] += wall
+        entry["cpu_seconds"] += cpu
+        if name != "walkthrough.scenario":
             continue
         scenario = span.attributes.get("scenario")
         if not scenario:
@@ -150,13 +157,13 @@ def scenario_costs(roots: Sequence[Span]) -> dict[str, dict]:
                 "shard": span.shard or 0,
             }
             entry.update({counter: 0 for counter in _COST_COUNTERS})
-        entry["wall_seconds"] += span.end_wall - span.start_wall
-        entry["cpu_seconds"] += span.end_cpu - span.start_cpu
+        entry["wall_seconds"] += wall
+        entry["cpu_seconds"] += cpu
         entry["walks"] += 1
         entry["traces"] += span.attributes.get("traces", 0) or 0
         for counter in _COST_COUNTERS:
             entry[counter] += span.attributes.get(f"cost.{counter}", 0) or 0
-    return costs
+    return stages, costs
 
 
 _RUN_ID_RE = re.compile(r"^r(\d+)$")
@@ -285,6 +292,7 @@ class RunRegistry:
         digest pointer, keeping ``runs.jsonl`` lines small.
         """
         roots = tuple(recorder.roots)
+        stages, scenarios = _summarize_spans(roots)
         folded = profile.to_folded() if profile is not None else None
         draft = RunRecord(
             run_id="",
@@ -295,15 +303,15 @@ class RunRegistry:
             consistent=report.consistent,
             scenarios_passed=len(report.passed_scenarios),
             scenarios_failed=len(report.failed_scenarios),
-            findings=len(report.all_inconsistencies()),
+            findings=report.finding_count,
             report_digest=(
                 report_digest
                 if report_digest is not None
                 else _report_digest(report)
             ),
             metrics=recorder.metrics.to_dict(),
-            stages=stage_summary(roots),
-            scenarios=scenario_costs(roots),
+            stages=stages,
+            scenarios=scenarios,
             profile=(
                 {
                     "digest": profile.digest(),

@@ -513,7 +513,7 @@ class ServeDaemon:
                 return RunOutcome(ok=False, error=str(error))
             wall = time.perf_counter() - started
             snapshot = self.metrics.to_dict()
-            findings = len(report.all_inconsistencies())
+            findings = report.finding_count
             values = scalar_values(
                 snapshot,
                 extra={
@@ -588,7 +588,12 @@ class ServeDaemon:
             state.findings = findings
             state.report_json = report_json
             state.metrics_snapshot = snapshot
-            state.stages = stage_summary(recorder.roots)
+            # A recorded run summarized the same span forest already.
+            state.stages = (
+                record.stages
+                if record is not None
+                else stage_summary(recorder.roots)
+            )
             state.alerts = self.engine.to_dict()
             state.coverage = coverage_data
             state.shard_stats = (

@@ -100,6 +100,14 @@ class TestDescriptor:
         assert verdict == copy
         assert hash(verdict) == hash(copy)
 
+    def test_finding_count_counts_every_level_once(self, excised_report):
+        assert excised_report.finding_count == len(
+            excised_report.all_inconsistencies()
+        )
+        assert excised_report.finding_count > 0
+        assert "finding_count" in excised_report.__dict__
+        assert EvaluationReport("empty").finding_count == 0
+
     def test_concurrent_first_reads_agree(self):
         # A lost race may compute twice; every reader still sees the
         # one pure value.

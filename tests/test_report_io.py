@@ -3,19 +3,37 @@
 from __future__ import annotations
 
 import json
+import pickle
 
 import pytest
 
+from repro.core.consistency import (
+    EvaluationReport,
+    Inconsistency,
+    InconsistencyKind,
+    ScenarioVerdict,
+    Severity,
+    TraceWalkthrough,
+    WalkthroughStep,
+)
 from repro.core.evaluator import Sosae
 from repro.core.mapping import Mapping
 from repro.core.report_io import (
+    StoredDynamicVerdict,
     compare_reports,
     indent2_json,
     report_from_json,
     report_to_dict,
     report_to_json,
 )
+from repro.core.walkthrough import WalkthroughOptions
 from repro.errors import SerializationError
+from repro.obs.provenance import (
+    EventContext,
+    IndexQuery,
+    MappingResolution,
+    Provenance,
+)
 from repro.systems.crash import build_crash_mapping
 from repro.systems.generators import SyntheticSpec, build_synthetic
 
@@ -292,6 +310,64 @@ class TestIndent2Writer:
         with pytest.raises(TypeError):
             indent2_json(value)
 
+    @pytest.mark.parametrize("policy", ["error", "warn", "ignore"])
+    def test_simple_and_unmapped_steps_under_each_policy(
+        self, policy, small_ontology, small_scenarios, chain_architecture
+    ):
+        mapping = Mapping(small_ontology, chain_architecture)
+        mapping.map_event("create", "logic", "store")  # the rest unmapped
+        report = Sosae(
+            small_scenarios,
+            chain_architecture,
+            mapping,
+            walkthrough_options=WalkthroughOptions(
+                unmapped_event_policy=policy, simple_event_policy=policy
+            ),
+        ).evaluate()
+        steps = [
+            step
+            for verdict in report.scenario_verdicts
+            for trace in verdict.traces
+            for step in trace.steps
+        ]
+        placeless = [step for step in steps if not step.components]
+        assert any(step.event_type is None for step in placeless)
+        assert any(step.note == "unmapped event type" for step in placeless)
+        assert {step.ok for step in placeless} == {policy != "error"}
+        assert_stdlib_bytes(report)
+
+    def test_hand_built_report_with_every_field_shape(self):
+        report = _every_shape_report()
+        assert_stdlib_bytes(report)
+        assert report_from_json(report_to_json(report)) == report
+
+    def test_empty_report(self):
+        assert_stdlib_bytes(EvaluationReport("empty"))
+        assert_stdlib_bytes(
+            EvaluationReport(
+                "no-traces", scenario_verdicts=(ScenarioVerdict("s", ()),)
+            )
+        )
+
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_eight_hundred_scenario_synthetic_report(self, seed):
+        system = build_synthetic(
+            SyntheticSpec(
+                scenarios=800,
+                events_per_scenario=8,
+                components=15,
+                event_types=60,
+                components_per_event_type=3,
+                reuse=1.0,
+                seed=seed,
+            )
+        )
+        report = Sosae(
+            system.scenarios, system.architecture, system.mapping
+        ).evaluate()
+        assert len(report.scenario_verdicts) == 800
+        assert_stdlib_bytes(report)
+
     def test_indent_is_fixed_at_two(
         self, small_scenarios, chain_architecture, chain_mapping
     ):
@@ -299,3 +375,168 @@ class TestIndent2Writer:
         assert report_to_json(report, 2) == report_to_json(report)
         with pytest.raises(ValueError, match="indent-2"):
             report_to_json(report, 4)
+
+
+_ODD = "caf\u00e9 \u2603 \U0001f600 \"q\" \\ \x00\x01\x1f\n\t\x7f %s %%"
+
+
+def _provenance(label: str) -> Provenance:
+    return Provenance(
+        conclusion=f"no path {_ODD} ({label})",
+        event=EventContext(
+            scenario="s", trace_index=0, event_index=1, event_label=label,
+            event_rendering=_ODD,
+        ),
+        resolution=MappingResolution(
+            event_type="t", hops=("t", "super"), entry_components=("a",),
+            components=("a",),
+        ),
+        queries=(
+            IndexQuery(
+                operation="best_path_between", sources=("a",),
+                targets=("b",), found=False,
+            ),
+        ),
+        notes=("first", _ODD),
+    )
+
+
+def _finding(label: str, provenance: bool = True, **fields) -> Inconsistency:
+    return Inconsistency(
+        kind=fields.pop("kind", InconsistencyKind.MISSING_LINK),
+        message=f"{label}: {_ODD}",
+        scenario=fields.pop("scenario", "s"),
+        event_label=label,
+        elements=("a", _ODD),
+        provenance=_provenance(label) if provenance else None,
+        **fields,
+    )
+
+
+def _every_shape_report() -> EvaluationReport:
+    """A report whose steps, verdicts and findings take every shape the
+    template writer distinguishes."""
+
+    def step(label, **fields):
+        values = dict(
+            event_rendering=f"event {label} {_ODD}",
+            event_label=label,
+            event_type=f"type-{label}",
+            components=("a", "b"),
+            path=None,
+            ok=True,
+        )
+        values.update(fields)
+        return WalkthroughStep(**values)
+
+    steps = (
+        step("1"),  # path None
+        step("2", path=("a",)),  # one-element path
+        step("3", path=("a", "link", "b")),
+        step(None),  # label None
+        step("5", event_type=None, components=(), note="natural-language"),
+        step("6", components=(), ok=False, note=f"unmapped {_ODD}"),
+        step("7", event_label=_ODD, components=(_ODD,)),
+        step("2", path=("a",)),  # repeats of earlier values
+        step(None, components=(), path=()),
+    )
+    return EvaluationReport(
+        architecture=f"arch {_ODD}",
+        findings=(
+            _finding("r1", kind=InconsistencyKind.CONSTRAINT_VIOLATION),
+            _finding("r2", provenance=False, severity=Severity.WARNING),
+        ),
+        scenario_verdicts=(
+            ScenarioVerdict(
+                scenario=f"plain {_ODD}",
+                traces=(TraceWalkthrough(0, steps, ()),),
+            ),
+            ScenarioVerdict(
+                scenario=f"negative {_ODD}",
+                negative=True,
+                blocked=True,
+                inconsistencies=(
+                    _finding(
+                        "n", kind=InconsistencyKind.NEGATIVE_SCENARIO_SUCCEEDED
+                    ),
+                ),
+                traces=(
+                    TraceWalkthrough(0, steps[:2], (_finding("t0"),)),
+                    TraceWalkthrough(1, (), ()),
+                    TraceWalkthrough(2, steps[3:], (_finding("t2"),)),
+                ),
+            ),
+            ScenarioVerdict(
+                scenario="blocked",
+                blocked=True,
+                inconsistencies=(_finding("b", provenance=False),),
+                traces=(),
+            ),
+        ),
+        dynamic_verdicts=(
+            StoredDynamicVerdict(scenario=f"dyn {_ODD}", passed=True),
+            StoredDynamicVerdict(
+                scenario="dyn-fail",
+                passed=False,
+                negative=True,
+                findings=(
+                    _finding(
+                        "d", kind=InconsistencyKind.BEHAVIORAL_DIVERGENCE
+                    ),
+                ),
+            ),
+        ),
+    )
+
+
+class TestWalkthroughStepValue:
+    """A step is an immutable value: the walk builds one per event, and
+    reports, caches and worker processes share them freely."""
+
+    STEP = WalkthroughStep(
+        event_rendering="The system creates the widget",
+        event_label="1",
+        event_type="create",
+        components=("logic", "store"),
+        path=("ui", "ui-logic", "logic"),
+        ok=True,
+    )
+
+    def test_fields_cannot_be_assigned(self):
+        with pytest.raises(AttributeError):
+            self.STEP.ok = False
+        with pytest.raises(AttributeError):
+            self.STEP.extra = 1
+
+    def test_hashable_and_equal_by_value(self):
+        twin = WalkthroughStep(
+            "The system creates the widget", "1", "create",
+            ("logic", "store"), ("ui", "ui-logic", "logic"), True,
+        )
+        assert twin == self.STEP
+        assert hash(twin) == hash(self.STEP)
+        assert len({twin, self.STEP}) == 1
+        assert self.STEP != self.STEP._replace(ok=False)
+        assert self.STEP.note == ""
+
+    def test_pickle_round_trip(self):
+        restored = pickle.loads(pickle.dumps(self.STEP))
+        assert restored == self.STEP
+        assert type(restored) is WalkthroughStep
+
+    def test_str(self):
+        assert str(self.STEP) == (
+            "[ok] (1) The system creates the widget -> {logic, store} "
+            "via ui - ui-logic - logic"
+        )
+        failed = WalkthroughStep(
+            "free text", None, None, (), None, False, "skipped"
+        )
+        assert str(failed) == "[FAIL] free text  # skipped"
+
+    def test_report_round_trip(
+        self, small_scenarios, chain_architecture, chain_mapping
+    ):
+        chain_architecture.excise_links_between("logic", "logic-store")
+        report = evaluate(small_scenarios, chain_architecture, chain_mapping)
+        assert report_from_json(report_to_json(report)) == report

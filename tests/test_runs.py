@@ -79,6 +79,16 @@ class TestStageSummary:
         assert stages["step"]["count"] == 2
         assert stages["step"]["wall_seconds"] == pytest.approx(0.75)
 
+    def test_names_appear_in_preorder(self):
+        root, child, grandchild = (
+            _span(name, 0.0, 1.0) for name in ("a", "b", "c")
+        )
+        root.add_child(child)
+        child.add_child(grandchild)
+        root.add_child(_span("d", 0.0, 1.0))
+        forest = (root, _span("e", 1.0, 2.0))
+        assert list(stage_summary(forest)) == ["a", "b", "c", "d", "e"]
+
     def test_empty_forest(self):
         assert stage_summary(()) == {}
 
@@ -338,6 +348,21 @@ class TestScenarioCosts:
         (loaded,) = registry.load()
         assert loaded.scenarios
         assert set(loaded.scenarios) == set(scenario_costs(recorder.roots))
+
+    def test_record_summarizes_like_the_standalone_walks(
+        self, tmp_path, recorded_evaluation
+    ):
+        # One walk of the forest fills both fields, keys in the same
+        # (preorder) order as each standalone summary.
+        report, recorder = recorded_evaluation
+        record = RunRegistry(tmp_path / "runs").record(
+            "demo", report, recorder, git_sha=None
+        )
+        stages = stage_summary(recorder.roots)
+        costs = scenario_costs(recorder.roots)
+        assert list(record.stages.items()) == list(stages.items())
+        assert list(record.scenarios.items()) == list(costs.items())
+        assert record.findings == len(report.all_inconsistencies())
 
     def test_old_records_without_scenarios_still_load(self, tmp_path):
         record = _record()

@@ -191,6 +191,16 @@ class TestRunOnce:
         assert any(
             isinstance(event, RunRecorded) for event in daemon.bus.events()
         )
+        # The stage gauges show the recorded run's stage summary.
+        gauges = {}
+        for line in daemon.render_metrics().splitlines():
+            if line.startswith("sosae_serve_stage_wall_seconds{"):
+                sample, value = line.rsplit(" ", 1)
+                gauges[sample.split('"')[1]] = float(value)
+        assert gauges == {
+            stage: entry["wall_seconds"]
+            for stage, entry in record.stages.items()
+        }
 
     def test_invalid_interval_is_rejected(self, build):
         with pytest.raises(ReproError, match="interval"):
