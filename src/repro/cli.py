@@ -76,6 +76,7 @@ from __future__ import annotations
 
 import argparse
 import fnmatch
+import functools
 import json
 import os
 import sys
@@ -100,6 +101,7 @@ from repro.core.report import (
 )
 from repro.core.report_io import (
     compare_reports,
+    report_from_dict,
     report_from_json,
     report_to_json,
 )
@@ -867,8 +869,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     jobs_submit.add_argument(
         "--report", type=Path, default=None, metavar="FILE",
-        help="with --wait: also fetch the finished job's report JSON "
-        "from /report/<run_id> and write it here",
+        help="with --wait: also fetch the finished job's report from "
+        "/report/<run_id> and write it here, as evaluate --save-report "
+        "would",
     )
     jobs_status = jobs_sub.add_parser(
         "status", help="fetch one job's record"
@@ -1119,9 +1122,17 @@ def _record_run(
     )
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing leaves a parser
+    unchanged, and no argument's default is a mutable value that a
+    parsed namespace could share and change."""
+    return build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """CLI entry point; returns the process exit status."""
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
     verbosity = -1 if args.quiet else args.verbose
     configure_logging(verbosity, stream=sys.stderr)
@@ -2005,9 +2016,9 @@ def _run_jobs_submit(args: argparse.Namespace) -> int:
     if args.report is not None and record["run_id"]:
         status, report = _http_json(f"{base}/report/{record['run_id']}")
         if status == 200:
+            # The bytes `sosae evaluate --save-report` writes.
             args.report.write_text(
-                json.dumps(report, indent=2, sort_keys=True),
-                encoding="utf-8",
+                report_to_json(report_from_dict(report)), encoding="utf-8"
             )
             print(f"wrote report to {args.report}")
         else:

@@ -15,7 +15,7 @@ that text straight from the report: the report, each scenario verdict,
 each trace and each step stand at a fixed depth and are written from
 templates cut once from the ``_*_to_dict`` functions' own output. Only
 the free-form subtrees (findings with their provenance, and dynamic
-verdicts) go through the general writer :func:`indent2_json`.
+verdicts) go through the stdlib's indent-2 encoder.
 """
 
 from __future__ import annotations
@@ -40,6 +40,10 @@ _FORMAT_VERSION = 1
 
 #: The string escaper ``json.dumps`` uses by default (``ensure_ascii``).
 _encode_string = json.encoder.encode_basestring_ascii
+
+#: ``_encode(value) == json.dumps(value, indent=2)``: the writer of the
+#: free-form subtrees, and of the text the templates are cut from.
+_encode = json.JSONEncoder(indent=2).encode
 
 
 # ----------------------------------------------------------------------
@@ -78,8 +82,8 @@ def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
     label, type, note, components and path repeat across the report, so
     their text is rendered once per call and reused. Strings go through
     the stdlib's C escaper. The free-form subtrees -- findings with
-    their provenance, and dynamic verdicts -- go through
-    :func:`indent2_json`, indented to their depth. Each trace's and
+    their provenance, and dynamic verdicts -- go through the stdlib's
+    indent-2 encoder, indented to their depth. Each trace's and
     each verdict's text is joined from its pieces as soon as they are
     written, so no piece list holds a whole report.
 
@@ -182,10 +186,10 @@ _PADS = tuple("\n" + "  " * depth for depth in range(8))
 
 
 def _subtree(value, depth: int) -> str:
-    """``indent2_json(value)`` for a value that stands at ``depth``.
-    JSON strings escape their newlines, so every newline in the text
-    starts a line of the layout."""
-    return indent2_json(value).replace("\n", _PADS[depth])
+    """``json.dumps(value, indent=2)`` for a value that stands at
+    ``depth``. JSON strings escape their newlines, so every newline in
+    the text starts a line of the layout."""
+    return _encode(value).replace("\n", _PADS[depth])
 
 
 class _FieldTexts(dict):
@@ -208,7 +212,7 @@ def _leaf(value) -> str:
         return "false"
     if value.__class__ is int:
         return repr(value)
-    return indent2_json(value)
+    return _encode(value)
 
 
 def _findings(findings, depth: int) -> str:
@@ -240,97 +244,8 @@ def _template(document: dict, depth: int) -> tuple[str, ...]:
     build for empty objects, so the keys and their order are written
     down once, there."""
     mark = "\x00"
-    text = indent2_json(dict.fromkeys(document, mark))
+    text = _encode(dict.fromkeys(document, mark))
     return tuple(text.replace("\n", _PADS[depth]).split(_encode_string(mark)))
-
-
-def indent2_json(value) -> str:
-    """``json.dumps(value, indent=2)``, byte for byte, without the
-    stdlib's indented path.
-
-    CPython runs its C encoder only when ``indent`` is ``None``; with an
-    indent it walks the value through a chain of pure-Python generators.
-    This writer appends pieces to a list instead: strings go through the
-    same C escaper ``json.dumps`` uses, ``None`` and the booleans are
-    written inline, and every other scalar is handed to ``json.dumps``,
-    so numbers (``NaN`` included) and unserializable values (a
-    ``TypeError``) come out exactly as there. Each element of an array
-    at depth 0 or 1 -- one scenario verdict, one finding -- is joined
-    into its own string, so the piece list never holds a whole report.
-    """
-    prefixes: dict = {}  # str key -> its '"key": ' text
-
-    def key_prefix(key) -> str:
-        if isinstance(key, str):
-            prefix = prefixes[key] = _encode_string(key) + ": "
-            return prefix
-        if isinstance(key, (int, float)) or key is None:
-            return '"' + json.dumps(key) + '": '
-        raise TypeError(
-            f"keys must be str, int, float, bool or None, "
-            f"not {key.__class__.__name__}"
-        )
-
-    def write(value, out: list, pad: str) -> None:
-        # ``pad`` is the newline and indent of the line ``value`` ends on.
-        append = out.append
-        if isinstance(value, str):
-            append(_encode_string(value))
-        elif value is None:
-            append("null")
-        elif value is True:
-            append("true")
-        elif value is False:
-            append("false")
-        elif isinstance(value, dict):
-            if not value:
-                append("{}")
-                return
-            inner = pad + "  "
-            comma = "," + inner
-            separator = "{" + inner
-            for key, item in value.items():
-                append(separator)
-                append(prefixes.get(key) or key_prefix(key))
-                # The common leaves are written here, saving a call each.
-                if item.__class__ is str:
-                    append(_encode_string(item))
-                elif item is True:
-                    append("true")
-                elif item is False:
-                    append("false")
-                elif item is None:
-                    append("null")
-                else:
-                    write(item, out, inner)
-                separator = comma
-            append(pad + "}")
-        elif isinstance(value, (list, tuple)):
-            if not value:
-                append("[]")
-                return
-            inner = pad + "  "
-            comma = "," + inner
-            separator = "[" + inner
-            chunked = len(pad) <= 3  # an array at depth 0 or 1
-            for item in value:
-                append(separator)
-                if item.__class__ is str:
-                    append(_encode_string(item))
-                elif chunked:
-                    element: list = []
-                    write(item, element, inner)
-                    append("".join(element))
-                else:
-                    write(item, out, inner)
-                separator = comma
-            append(pad + "]")
-        else:
-            append(json.dumps(value))
-
-    pieces: list = []
-    write(value, pieces, "\n")
-    return "".join(pieces)
 
 
 def _verdict_to_dict(verdict: ScenarioVerdict) -> dict:

@@ -67,8 +67,9 @@ from repro.obs.promexp import (
     bounded_label_values,
 )
 from repro.obs.recorder import Recorder
+from repro.obs.runs import ReportMemo, current_git_sha
 from repro.obs.spans import SpanRecorder
-from repro.obs.store import JsonlStore, short_digest
+from repro.obs.store import JsonlStore
 
 __all__ = [
     "DEFAULT_QUEUE_LIMIT",
@@ -458,12 +459,8 @@ class JobManager:
         self._clock = clock
         # One `git rev-parse` at construction, not one per job — a
         # subprocess per submission would dwarf small evaluations.
-        from repro.obs.runs import current_git_sha
-
         self._git_sha = current_git_sha()
-        self._last_report_document = None
-        self._last_report_text = ""
-        self._last_report_digest = ""
+        self._rendered = ReportMemo()
         self._cond = threading.Condition()
         self._records: "OrderedDict[str, JobRecord]" = OrderedDict()
         self._bundles: dict[str, dict] = {}
@@ -769,34 +766,19 @@ class JobManager:
                     run_id = ""
                     report_text = ""
                     if self.run_registry is not None:
-                        # One serialization serves both the run
-                        # record's digest and the cached report body —
-                        # the canonical dumps IS what _report_digest
-                        # hashes, and the report cache stores it as-is.
-                        # Same-spec resubmissions (the common retrigger
-                        # case) skip even that: comparing documents is
-                        # far cheaper than re-rendering one, as in the
-                        # serve loop (whose comment says why the
-                        # document, not the report, is the key). Safe
-                        # under eval_lock, which is held here.
-                        from repro.core.report_io import report_to_dict
-
-                        document = report_to_dict(report)
-                        if document == self._last_report_document:
-                            report_text = self._last_report_text
-                            digest = self._last_report_digest
-                        else:
-                            report_text = json.dumps(document, sort_keys=True)
-                            digest = short_digest(report_text)
-                            self._last_report_document = document
-                            self._last_report_text = report_text
-                            self._last_report_digest = digest
+                        # One rendering serves the run record's digest
+                        # and the cached report body; a same-spec
+                        # resubmission (the common retrigger case)
+                        # renders nothing. Safe under eval_lock.
+                        rendered = self._rendered
+                        rendered.update(report)
+                        report_text = rendered.canonical
                         run = self.run_registry.record(
                             f"{self.run_label}-{record.tenant}",
                             report,
                             recorder,
                             git_sha=self._git_sha,
-                            report_digest=digest,
+                            report_digest=rendered.digest,
                             tenant=record.tenant,
                             job_id=job_id,
                         )

@@ -188,6 +188,49 @@ def _report_digest(report) -> str:
     return short_digest(json.dumps(report_to_dict(report), sort_keys=True))
 
 
+class ReportMemo:
+    """The rendered forms of the last report :meth:`update` saw.
+
+    :meth:`update` builds the report's ``report_to_dict`` document on
+    every call and renders again only when it differs from the last
+    one (the document is the key because report equality ignores a
+    finding's provenance, which the JSON carries): ``canonical``, the
+    sorted compact text ``GET /report/<run_id>`` serves, and
+    ``digest``, its :func:`_report_digest`. ``text``, the indent-2
+    text of serve's ``/report``, is rendered on first read.
+
+    The serve loop and the job executor each hold one and call it under
+    their evaluation lock; it takes no lock of its own.
+    """
+
+    def __init__(self) -> None:
+        self._document: Optional[dict] = None
+        self._report = None
+        self._text: Optional[str] = None
+        self.canonical = ""
+        self.digest = ""
+
+    def update(self, report) -> None:
+        # Looked up per call, like _report_digest's: core imports obs.
+        from repro.core.report_io import report_to_dict
+
+        document = report_to_dict(report)
+        if document != self._document:
+            self._document = document
+            self._report = report
+            self._text = None
+            self.canonical = json.dumps(document, sort_keys=True)
+            self.digest = short_digest(self.canonical)
+
+    @property
+    def text(self) -> str:
+        if self._text is None:
+            from repro.core.report_io import report_to_json
+
+            self._text = report_to_json(self._report)
+        return self._text
+
+
 @dataclass(frozen=True)
 class RunRecord:
     """One evaluation run, as persisted in ``runs.jsonl``."""

@@ -47,6 +47,61 @@ class TestDemo:
         assert main(["demo", "crash", "--variant", "excised"]) == 2
 
 
+class TestParserReuse:
+    def test_successive_calls_share_one_parser_and_no_arguments(
+        self, monkeypatch, capsys
+    ):
+        import repro.cli
+
+        built = []
+        build = repro.cli.build_parser
+
+        def counting():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(repro.cli, "build_parser", counting)
+        repro.cli._parser.cache_clear()
+        try:
+            assert main(["-q", "table", "crash", "--markdown"]) == 0
+            assert capsys.readouterr().out.startswith("| event type")
+            assert main(["table", "crash"]) == 0
+            assert not capsys.readouterr().out.startswith("| event type")
+            first = repro.cli._parser().parse_args(
+                ["-vv", "demo", "pims", "--markdown", "--variant", "excised"]
+            )
+            second = repro.cli._parser().parse_args(["demo", "pims"])
+        finally:
+            repro.cli._parser.cache_clear()
+        assert len(built) == 1
+        assert (first.verbose, first.markdown, first.variant) == (
+            2, True, "excised"
+        )
+        assert (second.verbose, second.markdown, second.variant) == (
+            0, False, "intact"
+        )
+
+    def test_no_argument_default_is_mutable(self):
+        import argparse
+
+        from repro.cli import build_parser
+
+        def actions(parser):
+            for action in parser._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    for subparser in action.choices.values():
+                        yield from actions(subparser)
+                else:
+                    yield action
+
+        mutable = [
+            action.dest
+            for action in actions(build_parser())
+            if isinstance(action.default, (list, dict, set, bytearray))
+        ]
+        assert mutable == []
+
+
 class TestTableAndExport:
     def test_table_pims(self, capsys):
         assert main(["table", "pims"]) == 0
@@ -1083,6 +1138,33 @@ class TestJobsCli:
         assert "done" in out
         report = json.loads(report_path.read_text())
         assert report["architecture"]
+
+    @pytest.mark.parametrize("variant", ["intact", "unmapped"])
+    def test_submit_report_writes_the_save_report_bytes(
+        self, job_server, spec_files, tmp_path, capsys, variant
+    ):
+        if variant == "unmapped":
+            # Findings with provenance: an event type that maps nowhere.
+            mapping = json.loads(spec_files["mapping"].read_text())
+            del mapping["entries"]["authenticateUser"]
+            spec_files["mapping"].write_text(json.dumps(mapping))
+        spec = [
+            "--scenarios", str(spec_files["scenarios"]),
+            "--architecture", str(spec_files["architecture"]),
+            "--mapping", str(spec_files["mapping"]),
+        ]
+        _, base = job_server
+        fetched = tmp_path / "fetched.json"
+        saved = tmp_path / "saved.json"
+        status = main(
+            ["jobs", "submit", "--url", base, "--tenant", "acme", *spec,
+             "--wait", "--report", str(fetched)]
+        )
+        assert main(["evaluate", *spec, "--save-report", str(saved)]) == status
+        capsys.readouterr()
+        assert fetched.read_bytes() == saved.read_bytes()
+        if variant == "unmapped":
+            assert '"provenance"' in saved.read_text()
 
     def test_status_and_list_over_http(
         self, job_server, spec_files, capsys

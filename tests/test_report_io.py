@@ -19,9 +19,10 @@ from repro.core.consistency import (
 from repro.core.evaluator import Sosae
 from repro.core.mapping import Mapping
 from repro.core.report_io import (
+    _PADS,
     StoredDynamicVerdict,
+    _subtree,
     compare_reports,
-    indent2_json,
     report_from_json,
     report_to_dict,
     report_to_json,
@@ -217,6 +218,13 @@ def assert_stdlib_bytes(report):
     )
 
 
+def nested(value, depth: int):
+    """``value`` as the innermost element of ``depth`` nested lists."""
+    for _ in range(depth):
+        value = [value]
+    return value
+
+
 class TestIndent2Writer:
     @pytest.mark.parametrize("variant", ["intact", "excised"])
     def test_pims_with_constraints_and_options(self, pims, variant):
@@ -292,7 +300,14 @@ class TestIndent2Writer:
         ],
     )
     def test_hand_built_values(self, value):
-        assert indent2_json(value) == json.dumps(value, indent=2)
+        # A free-form subtree's text at ``depth`` is the stdlib's text
+        # of the same value standing at that depth of a document.
+        for depth in (0, 1, 5):
+            opening = "".join("[" + _PADS[d] for d in range(1, depth + 1))
+            closing = "".join(_PADS[d] + "]" for d in reversed(range(depth)))
+            assert opening + _subtree(value, depth) + closing == json.dumps(
+                nested(value, depth), indent=2
+            )
 
     @pytest.mark.parametrize(
         "value",
@@ -308,7 +323,7 @@ class TestIndent2Writer:
         with pytest.raises(TypeError):
             json.dumps(value, indent=2)
         with pytest.raises(TypeError):
-            indent2_json(value)
+            _subtree(value, 3)
 
     @pytest.mark.parametrize("policy", ["error", "warn", "ignore"])
     def test_simple_and_unmapped_steps_under_each_policy(

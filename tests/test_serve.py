@@ -515,7 +515,7 @@ class TestReportRendering:
                 short_digest(canonical)
             )
             assert daemon.report_json() == indent2(second)
-            assert daemon.jobs.report_json(tick.run_id) == indent2(second)
+            assert daemon.jobs.report_json(tick.run_id) == canonical
 
             bundle = {
                 "scenarioml": to_scenarioml_xml(small_scenarios),
@@ -626,6 +626,51 @@ class TestHttpEndpoints:
         daemon, _ = served
         with pytest.raises(ReproError, match="already running"):
             daemon.start_http()
+
+
+class TestRunReportBodies:
+    def test_every_body_hashes_to_its_run_records_digest(
+        self, tmp_path, pims
+    ):
+        """``GET /report/<run_id>`` serves, for a watched-spec run and a
+        job run alike, the text its run record's ``report_digest``
+        hashes."""
+        excised = pims.excised_architecture()
+        daemon = ServeDaemon(
+            lambda: Sosae(
+                pims.scenarios,
+                excised,
+                pims.mapping.rebind(excised),
+                walkthrough_options=pims.options,
+            ),
+            registry=RunRegistry(tmp_path / "runs"),
+            jobs=True,
+            job_executors=0,
+        )
+        try:
+            watched = daemon.run_once()
+            assert watched.ok and watched.consistent is False
+            job = daemon.jobs.submit(
+                {
+                    "scenarioml": to_scenarioml_xml(pims.scenarios),
+                    "xadl": to_xadl_xml(pims.architecture),
+                    "mapping": pims.mapping.to_json(),
+                },
+                "acme",
+            )
+            assert daemon.jobs.run_pending() == 1
+            job_run = daemon.jobs.get(job.job_id).run_id
+            host, port = daemon.start_http()
+            digests = set()
+            for run_id in (watched.run_id, job_run):
+                status, body = _get(f"http://{host}:{port}/report/{run_id}")
+                assert status == 200
+                record = daemon.registry.get(run_id)
+                assert short_digest(body) == record.report_digest
+                digests.add(record.report_digest)
+            assert len(digests) == 2
+        finally:
+            daemon.shutdown()
 
 
 class TestReadSseEvents:
