@@ -21,10 +21,12 @@ and — optionally — dynamic bindings and constraints) and
 7. when dynamic bindings are present, execute quality-attribute scenarios
    on the simulated architecture.
 
-Steps 1, 3 and 6 read the scenario set through the engine session's
-compiled view (:class:`~repro.scenarioml.compiled.CompiledSuite`): each
-scenario's events and traces, the set's event-type names and the
-argument checks are computed once per evaluation.
+Steps 1, 3 and 6 read the scenario set through the engine's compiled
+view (:class:`~repro.scenarioml.compiled.CompiledSuite`): each
+scenario's events and traces, the set's event-type names, the argument
+checks and the validation issues are computed once, and kept with the
+engine's step table across evaluations of an unchanged pipeline, as
+are the coverage findings.
 
 The result is one :class:`~repro.core.consistency.EvaluationReport`.
 Step 6 runs through a *walk executor* (:func:`walk_serially`, the
@@ -85,10 +87,10 @@ from repro.sim.runtime import RuntimeConfig
 
 def validation_findings(suite: CompiledSuite) -> list[Inconsistency]:
     """Findings from validating the scenario set against its ontology,
-    read from the set's compiled view (:func:`validate_suite`): each
-    scenario's events are walked once per engine session, and each
-    distinct ``(type, arguments)`` binding is checked once, with one
-    finding per occurrence, in :func:`validate_scenario_set` order.
+    read from the set's compiled view (:func:`validate_suite`, which
+    the view answers once): each scenario's events are walked once, and
+    each distinct ``(type, arguments)`` binding is checked once, with
+    one finding per occurrence, in :func:`validate_scenario_set` order.
 
     Architecture-independent: depends only on the scenario set, so
     incremental re-evaluation can carry these over across architecture
@@ -123,11 +125,23 @@ def style_findings(architecture: Architecture) -> list[Inconsistency]:
 
 
 def coverage_findings(
-    mapping: Mapping, suite: CompiledSuite
+    mapping: Mapping, suite: CompiledSuite, memo: Optional[dict] = None
 ) -> list[Inconsistency]:
     """Findings from checking mapping coverage: used event types that map
     to no component, and components no event type can exercise. The used
-    types are the compiled view's event-type names, in first-use order."""
+    types are the compiled view's event-type names, in first-use order.
+
+    ``memo`` is an engine session's :meth:`WalkthroughEngine.memo`, from
+    an engine whose mapping is ``mapping``: its step table is keyed by
+    everything else the findings read, so they are computed once while
+    the table and ``suite`` are kept."""
+    if memo is not None:
+        findings = memo.get("coverage")
+        if findings is None:
+            findings = memo["coverage"] = tuple(
+                coverage_findings(mapping, suite)
+            )
+        return list(findings)
     findings = []
     for name in mapping.unmapped_event_types(suite):
         _, hops = mapping.resolution_for(name)
@@ -290,7 +304,9 @@ class Sosae:
         entry, each event type is resolved and checked once, and each
         scenario is compiled at most once, when a stage first reads it;
         the inputs, the scenario set included, must not be mutated while
-        the evaluation runs."""
+        the evaluation runs. What the session computed is kept for the
+        next evaluation while none of its inputs changed (see
+        :mod:`repro.core.walkthrough`)."""
         instruments = current_instruments()
         recorder, bus = instruments.recorder, instruments.events
         coverage = instruments.coverage
@@ -371,12 +387,17 @@ class Sosae:
         recorder, bus = instruments.recorder, instruments.events
         findings: list[Inconsistency] = []
         suite = self.engine.compiled(self.scenario_set)
+        # The engine's table answers for the engine's mapping, which is
+        # a rebound copy when ours is bound to another architecture.
+        memo = (
+            self.engine.memo() if self.mapping is self.engine.mapping else None
+        )
         stages = [
             ("validation", lambda: validation_findings(suite), {}),
             ("style_check", lambda: style_findings(self.architecture), {}),
             (
                 "coverage",
-                lambda: coverage_findings(self.mapping, suite),
+                lambda: coverage_findings(self.mapping, suite, memo),
                 {},
             ),
             (

@@ -47,6 +47,10 @@ class Mapping:
         self.name = name
         self._event_to_components: dict[str, tuple[str, ...]] = {}
         self._component_index: dict[str, str] = {}  # component -> top-level ancestor
+        #: Bumped by :meth:`map_event` (and so by :meth:`update`) and
+        #: :meth:`unmap_event`, so a cache of resolutions can tell that
+        #: the entries changed.
+        self.version = 0
         self._index_components(architecture, ancestor=None)
 
     def _index_components(
@@ -97,10 +101,12 @@ class Mapping:
             if component_name not in merged:
                 merged.append(component_name)
         self._event_to_components[event_type_name] = tuple(merged)
+        self.version += 1
 
     def unmap_event(self, event_type_name: str) -> None:
         """Remove an event type's mapping entirely."""
         self._event_to_components.pop(event_type_name, None)
+        self.version += 1
 
     def update(self, entries: MappingABC[str, Iterable[str]]) -> None:
         """Bulk :meth:`map_event` from a ``{event_type: components}``

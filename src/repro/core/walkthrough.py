@@ -30,21 +30,32 @@ cleanly is the inconsistency).
 
 The ontology collapses per-occurrence links into per-type links, and the
 walk does its per-type work once per type. :meth:`WalkthroughEngine.session`
-pins the communication index and holds a *step table* for exactly that
-session: per event type, its resolution, unique top-level components and
-intra-event chain verdict; per pair of successive component groups, the
-inter-event witness path; per event object, its rendering. The table also
-holds the session's :class:`~repro.scenarioml.compiled.CompiledSuite`, the
-compiled view of the scenario set (each scenario's events and traces,
-the set's event-type names, the argument checks per type and binding),
-which the walk, validation and the coverage check read, and it tallies
-the walk's counters, which reach the metrics registry once, when the
-session ends. The table starts empty at the outermost entry and is
-dropped at the outermost exit. Sessions nest like pins, and the promise
-that makes the pin safe (the architecture, the mapping, the ontology and
-the scenario set do not change while it is held) is the one that makes
-the table safe, so nothing else keys it. Every evaluation, ``walk_all``
-and ``walk_scenario`` run in a session.
+pins the communication index and holds a *step table*: per event type,
+its resolution, unique top-level components and intra-event chain
+verdict; per pair of successive component groups, the inter-event
+witness path; per event object, its rendering. The table also holds a
+:class:`~repro.scenarioml.compiled.CompiledSuite`, the compiled view of
+the scenario set (each scenario's events and traces, the set's
+event-type names, the argument checks, the validation issues), which
+the walk, validation and the coverage check read, and a memo of the
+coverage findings. It tallies the walk's counters, which reach the
+metrics registry once, at the outermost exit of a session.
+
+Sessions nest like pins, and the promise that makes the pin safe (the
+architecture, the mapping, the ontology and the scenario set do not
+change while it is held) makes the table safe inside one session. The
+table outlives the session under a key of everything it depends on:
+the mapping and its ``version``, the mapping's ontology and its
+``version``, the index and its structural fingerprint (validated at
+pin entry) and the options. The next outermost entry reuses it only
+while that key still holds, so an evaluation of an unchanged pipeline
+resolves, checks and compiles nothing again, and edits between
+sessions are always seen. The suite has its own key, the scenario set,
+its ``version`` and its ontology's ``version``; replacing the suite
+drops the per-event renderings and the memo with it, so the table
+never holds two suites' events. An index that does not memoize never
+computes a fingerprint, so its engine keeps no table past a session.
+Every evaluation, ``walk_all`` and ``walk_scenario`` run in a session.
 """
 
 from __future__ import annotations
@@ -155,7 +166,10 @@ class WalkthroughEngine:
         # checks and module-level graph queries reuse the same warm caches.
         self.index = index or communication_index(architecture)
         self._sessions = 0
+        # The open session's step table, and the one kept between
+        # sessions for the next to reuse while its key holds.
         self._table: Optional[_StepTable] = None
+        self._kept: Optional[_StepTable] = None
 
     # ------------------------------------------------------------------
     # Entry points
@@ -168,13 +182,17 @@ class WalkthroughEngine:
 
         The caller promises that the architecture, the mapping, the
         ontology and the scenario set do not change inside the block.
-        Sessions nest: only the outermost entry starts an empty table,
-        and only the outermost exit adds the walk's counters to the
-        metrics registry and drops the table, so edits between sessions
-        are always seen."""
+        Sessions nest: only the outermost entry picks the table (the
+        kept one while its key holds, else an empty one), and only the
+        outermost exit adds the walk's counters to the metrics
+        registry, so edits between sessions are always seen."""
         with self.index.pinned():
             if not self._sessions:
-                self._table = _StepTable(self)
+                key = self._table_key()
+                table, self._kept = self._kept, None
+                if table is None or key is None or table.key != key:
+                    table = _StepTable(self, key)
+                self._table = table
             self._sessions += 1
             try:
                 yield
@@ -183,11 +201,39 @@ class WalkthroughEngine:
                 if not self._sessions:
                     table, self._table = self._table, None
                     table.flush_counters()
+                    self._kept = table if table.key is not None else None
+
+    def _table_key(self) -> Optional[tuple]:
+        """Everything the step table depends on, or ``None`` when the
+        index keeps no fingerprint to key it by. Read inside the pin,
+        which has just validated the fingerprint."""
+        index = self.index
+        if not index.memoize:
+            return None
+        mapping = self.mapping
+        ontology = mapping.ontology
+        return (
+            mapping,
+            mapping.version,
+            ontology,
+            ontology.version,
+            index,
+            index._fingerprint,
+            self.options,
+        )
 
     def compiled(self, scenario_set: ScenarioSet) -> CompiledSuite:
         """The open session's compiled view of ``scenario_set``; call it
         inside a :meth:`session`."""
         return self._table.suite(scenario_set)
+
+    def memo(self) -> dict:
+        """The open session's memo for answers that depend only on the
+        step table's key and its suite (the evaluator keeps the
+        coverage findings there); call it inside a :meth:`session`,
+        after :meth:`compiled`. It empties whenever the table or its
+        suite is replaced."""
+        return self._table.memo
 
     def walk_all(self, scenario_set: ScenarioSet) -> tuple[ScenarioVerdict, ...]:
         """Walk every scenario in the set."""
@@ -599,14 +645,17 @@ def _failures(walked: tuple[TraceWalkthrough, ...]) -> tuple[int, int]:
 
 
 class _StepTable:
-    """The per-type answers of one engine session (see the module
-    docstring). ``checks`` counts the walk's connectivity checks,
-    whether answered here or by the index: one per inter-event move
-    between disjoint component groups, one per chain pair checked.
-    ``graph_builds`` counts the communication graphs the index built
-    to answer them."""
+    """The per-type answers of an engine's sessions while ``key`` holds
+    (see the module docstring). ``checks`` counts the walk's
+    connectivity checks, whether answered here or by the index: one per
+    inter-event move between disjoint component groups, one per chain
+    pair checked. ``graph_builds`` counts the communication graphs the
+    index built to answer them."""
 
-    def __init__(self, engine: WalkthroughEngine) -> None:
+    def __init__(
+        self, engine: WalkthroughEngine, key: Optional[tuple]
+    ) -> None:
+        self.key = key
         self.mapping = engine.mapping
         self.index = engine.index
         self.options = engine.options
@@ -617,21 +666,35 @@ class _StepTable:
         self.moves: dict[tuple, Optional[tuple[str, ...]]] = {}
         # Holding the event keeps its id from being reused.
         self.renderings: dict[int, tuple[Event, str]] = {}
+        self.memo: dict = {}
         self.checks = 0
         self.graph_builds = 0
         self._suite: Optional[CompiledSuite] = None
+        # The scenario set's and its ontology's versions the suite was
+        # compiled at.
+        self._suite_versions: Optional[tuple[int, int]] = None
         # The walk's counters, in _WALK_COUNTERS order, and the
         # recorder they are owed to.
         self._counts = [0] * len(_WALK_COUNTERS)
         self._counted_for = None
 
     def suite(self, scenario_set: ScenarioSet) -> CompiledSuite:
-        """The session's compiled view of ``scenario_set``."""
+        """The compiled view of ``scenario_set``, kept while the set and
+        its ontology keep their versions. A new view drops the previous
+        one's renderings and the memo."""
+        versions = (scenario_set.version, scenario_set.ontology.version)
         suite = self._suite
-        if suite is None or suite.scenario_set is not scenario_set:
+        if (
+            suite is None
+            or suite.scenario_set is not scenario_set
+            or versions != self._suite_versions
+        ):
             suite = self._suite = CompiledSuite(
                 scenario_set, self.options.trace_options
             )
+            self._suite_versions = versions
+            self.renderings.clear()
+            self.memo.clear()
         return suite
 
     def tally(self, recorder) -> list[int]:

@@ -13,11 +13,14 @@ The ontology collapses per-occurrence work into per-type work (DESIGN
   :class:`~repro.scenarioml.ontology.ArgumentChecker`: one parameter
   table per event type, one answer per distinct ``(type, arguments)``
   binding.
+* the set's validation issues are kept once
+  :func:`~repro.scenarioml.validation.validate_suite` has found them.
 
 Scenarios are compiled lazily, on first use, so a scenario nobody asks
 about costs nothing. The view holds no invalidation logic: its owner
 promises that the scenario set and its ontology do not change while
-the view is alive (the walkthrough engine holds one per session).
+the view is alive (the walkthrough engine keeps one while the set's and
+the ontology's ``version`` counters stand still).
 """
 
 from __future__ import annotations
@@ -85,7 +88,9 @@ def _leaves(events: tuple[Event, ...]) -> Iterator[Event]:
 class CompiledSuite:
     """The compiled view of one :class:`ScenarioSet` (see the module
     docstring). ``trace_options`` bound the traces :meth:`traces`
-    expands."""
+    expands; ``issues`` holds the validation issues once
+    :func:`~repro.scenarioml.validation.validate_suite` has found
+    them."""
 
     def __init__(
         self,
@@ -98,6 +103,7 @@ class CompiledSuite:
         self._scenarios: dict[str, CompiledScenario] = {}
         self._traces: dict[str, tuple[tuple[Event, ...], ...]] = {}
         self._type_names: Optional[tuple[str, ...]] = None
+        self.issues: Optional[tuple] = None
 
     def scenario(self, name: str) -> CompiledScenario:
         """The compiled scenario ``name``; raises

@@ -170,6 +170,9 @@ class Ontology:
         self._instance_types: dict[str, InstanceType] = {}
         self._instances: dict[str, Instance] = {}
         self._event_types: dict[str, EventType] = {}
+        #: Bumped by every ``add_*``, so a cache of answers about the
+        #: ontology can tell that it changed.
+        self.version = 0
 
     # ------------------------------------------------------------------
     # Definition management
@@ -182,6 +185,7 @@ class Ontology:
                 f"term {term.name!r} is already defined in {self.name!r}"
             )
         self._terms[term.name] = term
+        self.version += 1
         return term
 
     def add_instance_type(self, instance_type: InstanceType) -> InstanceType:
@@ -192,6 +196,7 @@ class Ontology:
                 f"in {self.name!r}"
             )
         self._instance_types[instance_type.name] = instance_type
+        self.version += 1
         return instance_type
 
     def add_instance(self, instance: Instance) -> Instance:
@@ -201,6 +206,7 @@ class Ontology:
                 f"instance {instance.name!r} is already defined in {self.name!r}"
             )
         self._instances[instance.name] = instance
+        self.version += 1
         return instance
 
     def add_event_type(self, event_type: EventType) -> EventType:
@@ -211,6 +217,7 @@ class Ontology:
                 f"in {self.name!r}"
             )
         self._event_types[event_type.name] = event_type
+        self.version += 1
         return event_type
 
     def define_term(self, name: str, definition: str = "") -> Term:

@@ -155,6 +155,9 @@ class ScenarioSet:
         self.ontology = ontology
         self.name = name
         self._scenarios: dict[str, Scenario] = {}
+        #: Bumped by :meth:`add` (and so by :meth:`extend`), so a cache
+        #: of answers about the set can tell that it changed.
+        self.version = 0
 
     def add(self, scenario: Scenario) -> Scenario:
         """Register a scenario; names are unique within the set."""
@@ -163,6 +166,7 @@ class ScenarioSet:
                 f"scenario {scenario.name!r} is already in set {self.name!r}"
             )
         self._scenarios[scenario.name] = scenario
+        self.version += 1
         return scenario
 
     def extend(self, scenarios: Iterable[Scenario]) -> None:

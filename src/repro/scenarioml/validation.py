@@ -137,7 +137,14 @@ def validate_suite(suite: CompiledSuite) -> list[ValidationIssue]:
     """:func:`validate_scenario_set` over a compiled view of the set:
     each scenario's events are read from the view, and each distinct
     ``(type, arguments)`` binding is checked once, although every
-    occurrence gets its own issue."""
+    occurrence gets its own issue. The view keeps the issues
+    (``suite.issues``), so it validates the set once."""
+    if suite.issues is None:
+        suite.issues = tuple(_suite_issues(suite))
+    return list(suite.issues)
+
+
+def _suite_issues(suite: CompiledSuite) -> list[ValidationIssue]:
     scenario_set = suite.scenario_set
     issues: list[ValidationIssue] = []
     try:

@@ -9,7 +9,8 @@ to the per-occurrence code it replaces:
 * validation issues equal a reference validator written here, which
   checks every occurrence from scratch, in content and in order;
 * compiled traces equal :meth:`ScenarioSet.traces`;
-* an edit to the scenario set between two evaluations is seen;
+* an edit to the scenario set between two evaluations is seen, and
+  the view is kept across sessions until one is made;
 * inside one evaluation, each scenario is compiled and expanded at
   most once, and a scenario incremental re-evaluation carries over is
   never compiled;
@@ -58,6 +59,7 @@ from repro.scenarioml.validation import (
     validate_scenario_set,
 )
 from repro.systems.generators import SyntheticSpec, build_synthetic
+from repro.systems.pims import build_pims
 
 # ----------------------------------------------------------------------
 # The per-occurrence reference validator
@@ -535,15 +537,33 @@ class TestSessionScope:
                   walkthrough_options=pims.options).evaluate()
         )
 
-    def test_the_view_lives_for_one_session(self, pims):
+    def test_the_view_and_the_table_are_kept_while_the_key_holds(self):
+        pims = build_pims()
         sosae = Sosae(pims.scenarios, pims.architecture, pims.mapping)
         engine = sosae.engine
         with engine.session():
             suite = engine.compiled(pims.scenarios)
+            table = engine._table
             with engine.session():
                 assert engine.compiled(pims.scenarios) is suite
+        assert engine._table is None
+        sosae.evaluate()
         with engine.session():
-            assert engine.compiled(pims.scenarios) is not suite
+            assert engine._table is table
+            assert engine.compiled(pims.scenarios) is suite
+        # A scenario-set edit replaces the view but keeps the table...
+        pims.scenarios.add(dataclasses.replace(
+            pims.scenarios.scenarios[0], name="once-more"
+        ))
+        with engine.session():
+            assert engine._table is table
+            edited = engine.compiled(pims.scenarios)
+            assert edited is not suite
+        # ...and an edit under the table's key replaces both.
+        pims.mapping.unmap_event("saveData")
+        with engine.session():
+            assert engine._table is not table
+            assert engine.compiled(pims.scenarios) is not edited
 
     @pytest.mark.parametrize("observed", [False, True])
     def test_one_compile_and_expansion_per_evaluation(
