@@ -42,7 +42,6 @@ from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
-from weakref import WeakKeyDictionary
 
 import networkx as nx
 
@@ -526,23 +525,20 @@ class CommunicationIndex:
         )
 
 
-_INDICES: "WeakKeyDictionary[Architecture, CommunicationIndex]" = (
-    WeakKeyDictionary()
-)
-
-
 def communication_index(architecture: Architecture) -> CommunicationIndex:
     """The shared per-architecture index.
 
-    Keyed weakly by the architecture object, so the cache neither leaks
-    discarded architectures nor conflates distinct objects with equal
-    names (e.g. an original and its fault-seeded clone). Every consumer
-    resolving through here — the ``graph.py`` module API, the walkthrough
-    engine, constraints, incremental re-evaluation — shares one warm
-    index per architecture object.
+    Kept on the architecture object itself, so the index neither
+    outlives a discarded architecture nor is shared by distinct objects
+    with equal names (e.g. an original and its fault-seeded clone,
+    which copying leaves without one). Every consumer resolving through
+    here — the ``graph.py`` module API, the walkthrough engine,
+    constraints, incremental re-evaluation — shares one warm index per
+    architecture object.
     """
-    index = _INDICES.get(architecture)
+    index = architecture._communication_index
     if index is None:
-        index = CommunicationIndex(architecture)
-        _INDICES[architecture] = index
+        index = architecture._communication_index = CommunicationIndex(
+            architecture
+        )
     return index

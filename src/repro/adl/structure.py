@@ -195,6 +195,11 @@ class Architecture:
     directional integrity. ``style`` optionally names the architectural
     style the description claims to follow (checked by
     :func:`repro.adl.styles.check_style`).
+
+    The architecture carries its shared communication index
+    (:func:`repro.adl.index.communication_index`), so the index and its
+    cached graphs go when the architecture does. Copies and pickles
+    leave it behind: a clone gets an index of its own.
     """
 
     def __init__(
@@ -209,6 +214,7 @@ class Architecture:
         self._connectors: dict[str, Connector] = {}
         self._links: dict[str, Link] = {}
         self._behaviors: dict[str, "object"] = {}
+        self._communication_index = None
 
     # ------------------------------------------------------------------
     # Element management
@@ -465,6 +471,11 @@ class Architecture:
         for component in self._components.values():
             if component.subarchitecture is not None:
                 component.subarchitecture.validate()
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state["_communication_index"] = None
+        return state
 
     def clone(self, name: Optional[str] = None) -> "Architecture":
         """A deep copy, optionally renamed — the safe way to derive a

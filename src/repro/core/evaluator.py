@@ -63,7 +63,11 @@ from repro.core.dynamic import (
 )
 from repro.core.mapping import Mapping
 from repro.core.negative import evaluate_negative_scenario
-from repro.core.walkthrough import WalkthroughEngine, WalkthroughOptions
+from repro.core.walkthrough import (
+    WalkthroughEngine,
+    WalkthroughOptions,
+    finding_event,
+)
 from repro.errors import EvaluationError
 from repro.obs.coverage import (
     NULL_COVERAGE,
@@ -73,7 +77,6 @@ from repro.obs.coverage import (
 from repro.obs.events import (
     EvaluationFinished,
     EvaluationStarted,
-    FindingEmitted,
     StageFinished,
     StageStarted,
 )
@@ -431,14 +434,17 @@ class Sosae:
             recorder, bus, "walkthrough", None,
             scenarios=len(selected), **attributes,
         ) as stage_findings:
-            for verdict in walk(self, selected):
-                verdict_list.append(verdict)
-                # Only the event stream reads walk findings here.
-                if bus.enabled:
-                    verdict_findings = verdict.all_inconsistencies()
-                    stage_findings["count"] += len(verdict_findings)
-                    for finding in verdict_findings:
-                        self._emit_finding(bus, finding)
+            try:
+                for verdict in walk(self, selected):
+                    verdict_list.append(verdict)
+            finally:
+                # One pass observes the walk: scenario spans, samples
+                # and events, each verdict's findings after its pair;
+                # also what a walk that raised got through.
+                if recorder.enabled or bus.enabled:
+                    stage_findings["count"] = self.engine.observe_walk(
+                        recorder, bus, verdict_list
+                    )
         verdicts = tuple(verdict_list)
 
         dynamic_verdicts: tuple[DynamicVerdict, ...] = ()
@@ -490,25 +496,12 @@ class Sosae:
             emitted = findings[before:]
             stage_findings["count"] = len(emitted)
             for finding in emitted:
-                self._emit_finding(bus, finding)
+                bus.emit(finding_event(finding))
         bus.emit(
             StageFinished(
                 stage=stage,
                 wall_seconds=elapsed,
                 findings=stage_findings["count"],
-            )
-        )
-
-    @staticmethod
-    def _emit_finding(bus, finding: Inconsistency) -> None:
-        bus.emit(
-            FindingEmitted(
-                finding_id=finding.finding_id,
-                finding_kind=finding.kind.value,
-                severity=finding.severity.value,
-                scenario=finding.scenario,
-                event_label=finding.event_label,
-                message=finding.message,
             )
         )
 

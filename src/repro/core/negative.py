@@ -15,8 +15,6 @@ architecture blocks the behavior — the desired outcome.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.core.consistency import (
     Inconsistency,
     InconsistencyKind,
@@ -44,7 +42,19 @@ def evaluate_negative_scenario(
             f"scenario {scenario.name!r} is not negative; use the regular "
             "walkthrough"
         )
-    raw = engine.walk_scenario(scenario, scenario_set)
+    # In a session, so the walk's observation reports the verdict
+    # returned here, not the raw walk.
+    with engine.session():
+        raw = engine.walk_scenario(scenario, scenario_set)
+        verdict = _inverted(engine, scenario, raw)
+        engine.settle(raw, verdict)
+    return verdict
+
+
+def _inverted(
+    engine: WalkthroughEngine, scenario: Scenario, raw: ScenarioVerdict
+) -> ScenarioVerdict:
+    """The verdict of a negative scenario whose raw walk is ``raw``."""
     if not raw.walkthrough_succeeded or _has_unrealizable_event(raw):
         # Blocked (or not even realizable): the architecture does not admit
         # the undesirable behavior. Polarity is handled by the verdict; an

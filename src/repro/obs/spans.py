@@ -118,11 +118,10 @@ class Span:
 class _SpanScope:
     """The context manager :meth:`SpanRecorder.span` returns.
 
-    A class, not a ``@contextmanager`` generator: the walk opens one
-    span per scenario, and a generator-based scope costs a generator
-    frame and two ``next``/``throw`` round trips each time. The span is
-    created, numbered and pushed on entry, and finished and popped on
-    exit, also when the block raises any ``BaseException``."""
+    A class, not a ``@contextmanager`` generator, which would cost a
+    generator frame and two ``next``/``throw`` round trips per span. The
+    span is created, numbered and pushed on entry, and finished and
+    popped on exit, also when the block raises any ``BaseException``."""
 
     __slots__ = ("_recorder", "_name", "_attributes", "_span")
 
@@ -174,7 +173,34 @@ class SpanRecorder:
 
     def _open(self, name: str, attributes: dict) -> Span:
         """Create, identify and push a span; the scope's ``__enter__``."""
-        span = Span(name, attributes)
+        span = self._place(Span(name, attributes))
+        self._stack.append(span)
+        span.begin()
+        return span
+
+    def add(
+        self,
+        name: str,
+        attributes: dict,
+        start_wall: float,
+        start_cpu: float,
+        end_wall: float,
+        end_cpu: float,
+    ) -> Span:
+        """Record a span that already ran, from its clocks: numbered and
+        nested under the innermost open span as if opened now, never
+        pushed. The walkthrough engine records its scenario spans this
+        way, after the walk."""
+        span = self._place(Span(name, attributes))
+        span.start_wall = start_wall
+        span.start_cpu = start_cpu
+        span.end_wall = end_wall
+        span.end_cpu = end_cpu
+        return span
+
+    def _place(self, span: Span) -> Span:
+        """Give ``span`` the next id and attach it under the innermost
+        open span (or as a root)."""
         context = self.context
         if context is None:
             context = self.context = TraceContext(trace_id=new_trace_id())
@@ -189,8 +215,6 @@ class SpanRecorder:
         else:
             self.roots.append(span)
             span.parent_id = context.parent_span_id
-        self._stack.append(span)
-        span.begin()
         return span
 
     def record(self, name: Optional[str] = None) -> Callable:

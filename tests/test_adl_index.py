@@ -9,7 +9,10 @@ structural mutations that must invalidate the fingerprint.
 
 from __future__ import annotations
 
+import copy
+import gc
 import itertools
+import weakref
 
 import networkx as nx
 import pytest
@@ -29,6 +32,7 @@ from repro.adl.index import (
 from repro.adl.structure import Architecture, Direction, Interface
 from repro.errors import ArchitectureError
 from repro.systems.generators import SyntheticSpec, build_synthetic
+from repro.systems.pims import DATA_REPOSITORY, LOADER, build_pims
 
 
 # ----------------------------------------------------------------------
@@ -391,6 +395,27 @@ class TestSharedIndex:
         assert communication_index(architecture) is not communication_index(
             clone
         )
+
+    def test_a_deep_copy_gets_its_own_fresh_index(self):
+        architecture = hub_architecture(seed=6, components=3)
+        index = communication_index(architecture)
+        index.can_communicate("component-0", "component-1")
+        duplicate = copy.deepcopy(architecture)
+        fresh = communication_index(duplicate)
+        assert fresh is not index
+        assert fresh.architecture is duplicate
+        assert fresh.stats().misses == 0
+
+    def test_a_dropped_architecture_frees_its_index(self):
+        indexes = []
+        for _ in range(3):
+            pims = build_pims()
+            index = communication_index(pims.architecture)
+            index.can_communicate(LOADER, DATA_REPOSITORY)
+            indexes.append(weakref.ref(index))
+            del pims, index
+            gc.collect()
+        assert [ref() for ref in indexes] == [None, None, None]
 
     def test_unknown_elements_raise(self):
         architecture = hub_architecture(seed=6, components=3)
