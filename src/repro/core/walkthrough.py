@@ -172,12 +172,14 @@ class WalkthroughEngine:
         options: Optional[WalkthroughOptions] = None,
         index: Optional[CommunicationIndex] = None,
     ) -> None:
-        if mapping.architecture is not architecture:
-            # A mapping built against a different (e.g. pre-evolution)
-            # architecture object is fine as long as the entries resolve.
-            mapping = mapping.rebind(architecture)
         self.architecture = architecture
-        self.mapping = mapping
+        # A mapping built against a different (e.g. pre-evolution)
+        # architecture object is fine as long as the entries resolve:
+        # the walk reads a copy bound to ours, derived again at session
+        # entry whenever the caller's mapping has been edited since.
+        self._source = mapping
+        self._source_version = mapping.version
+        self.mapping = mapping.rebind(architecture)
         self.options = options or WalkthroughOptions()
         # One memoized index serves every connectivity query of the walk;
         # by default it is the shared per-architecture index, so constraint
@@ -207,6 +209,14 @@ class WalkthroughEngine:
         always seen."""
         with self.index.pinned():
             if not self._sessions:
+                source = self._source
+                if (
+                    source is not self.mapping
+                    and source.version != self._source_version
+                ):
+                    # A new copy, so the table key changes with it.
+                    self.mapping = source.rebind(self.architecture)
+                    self._source_version = source.version
                 key = self._table_key()
                 table, self._kept = self._kept, None
                 if table is None or key is None or table.key != key:

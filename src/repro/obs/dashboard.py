@@ -361,8 +361,14 @@ def _cost_source(
         if costs:
             return costs, "loaded trace"
     for record in reversed(list(runs)):
-        if record.scenarios:
-            return record.scenarios, f"run {record.run_id}"
+        try:
+            costs = record.scenarios
+        except ReproError:
+            # A missing or damaged cost table degrades to "absent",
+            # like a corrupt coverage matrix.
+            continue
+        if costs:
+            return costs, f"run {record.run_id}"
     return {}, ""
 
 

@@ -15,6 +15,10 @@ Layout of ``.repro-runs/`` (documented in ``docs/RUNS.md``):
 * ``runs.jsonl`` — append-only, one :meth:`RunRecord.to_dict` JSON
   object per line. Run ids are ``r0001``, ``r0002``, … in append order;
   ``latest`` and ``previous`` resolve positionally.
+* ``costs/<digest>.json`` — a per-scenario counter table, stored once
+  per content digest; each record carries the digest and its
+  scenarios' wall and CPU times (see :class:`RunRecord`).
+* ``profiles/<run_id>.folded`` — a profiled run's folded stacks.
 
 Regressions: a *metric* regresses when its value increased by more than
 ``threshold`` (relative; any increase from zero counts). Stage wall
@@ -26,12 +30,14 @@ only counted against the exit status — when an explicit
 from __future__ import annotations
 
 import json
+import os
 import re
 import subprocess
 import time
+from array import array
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union
+from typing import Any, Callable, Optional, Sequence, Union
 
 from repro.errors import ReproError
 from repro.obs.anomaly import DEFAULT_ANOMALY_THRESHOLD, detect_step
@@ -64,7 +70,10 @@ __all__ = [
 DEFAULT_RUNS_DIR = ".repro-runs"
 _RUNS_FILE = "runs.jsonl"
 _PROFILES_DIR = "profiles"
-_FORMAT_VERSION = 1
+_COSTS_DIR = "costs"
+#: Format 1 carried the per-scenario costs inline (``scenarios``);
+#: format 2 carries a counter-table digest and two ns arrays (``costs``).
+_FORMAT_VERSION = 2
 
 
 #: ``RunRegistry.record``'s ``git_sha`` default: look the sha up.
@@ -100,6 +109,12 @@ def stage_summary(roots: Sequence[Span]) -> dict[str, dict]:
 #: The work-unit counters persisted per scenario (from the ``cost.*``
 #: span attributes the walkthrough engine records).
 _COST_COUNTERS = ("steps", "index_queries", "bfs_expansions", "findings")
+#: The span attributes a summary row adds up, in row order after the
+#: wall and CPU seconds; ``walks`` and ``shard`` follow.
+_ROW_KEYS = tuple(f"cost.{counter}" for counter in _COST_COUNTERS) + ("traces",)
+#: A counter table's columns after ``names``; a scenario's summary row
+#: is its wall and CPU seconds followed by these.
+_TABLE_COLUMNS = _COST_COUNTERS + ("traces", "walks", "shard")
 
 
 def scenario_costs(roots: Sequence[Span]) -> dict[str, dict]:
@@ -109,61 +124,127 @@ def scenario_costs(roots: Sequence[Span]) -> dict[str, dict]:
     its ``cost.*`` work-unit attributes (walk steps, index queries, BFS
     expansions, findings), keyed by scenario name; repeated walks of the
     same scenario accumulate. ``shard`` records which worker walked it
-    (0 = the single/parent process). This is the durable form the run
-    registry persists and ``sosae runs attribute`` ranks.
+    (0 = the single/parent process). A run record keeps these as a
+    counter table plus nanosecond times (:attr:`RunRecord.scenarios`
+    reads them back); ``sosae runs attribute`` ranks them.
     """
-    return _summarize_spans(roots)[1]
+    return {
+        name: _cost_entry(row[0], row[1], row[2:])
+        for name, row in _summarize_spans(roots)[1].items()
+    }
+
+
+def _cost_entry(wall: float, cpu: float, counters: Sequence) -> dict:
+    entry = {"wall_seconds": wall, "cpu_seconds": cpu}
+    entry.update(zip(_TABLE_COLUMNS, counters))
+    return entry
 
 
 def _summarize_spans(
     roots: Sequence[Span],
-) -> tuple[dict[str, dict], dict[str, dict]]:
-    """:func:`stage_summary` and :func:`scenario_costs` of ``roots``,
-    from one walk of the forest (a run record needs both)."""
+) -> tuple[dict[str, dict], dict[str, list]]:
+    """:func:`stage_summary` of ``roots`` and each scenario's summary
+    row (wall, CPU, then the :data:`_TABLE_COLUMNS`), in first-walk
+    order, from one walk of the forest (a run record needs both)."""
     # Iterative preorder walk: ``iter_spans`` is a recursive generator,
     # which bubbles every yield through O(depth) frames — measurable on
     # the serve loop, which summarizes ~1k spans per run.
-    stages: dict[str, dict] = {}
-    costs: dict[str, dict] = {}
+    totals: dict[str, list] = {}
+    rows: dict[str, list] = {}
     stack = list(reversed(roots))
     while stack:
         span = stack.pop()
-        stack.extend(reversed(span.children))
+        if span.children:
+            stack.extend(reversed(span.children))
         name = span.name
         wall = span.end_wall - span.start_wall
         cpu = span.end_cpu - span.start_cpu
-        entry = stages.get(name)
-        if entry is None:
-            entry = stages[name] = {
-                "count": 0,
-                "wall_seconds": 0.0,
-                "cpu_seconds": 0.0,
-            }
-        entry["count"] += 1
-        entry["wall_seconds"] += wall
-        entry["cpu_seconds"] += cpu
+        total = totals.get(name)
+        if total is None:
+            totals[name] = [1, wall, cpu]
+        else:
+            total[0] += 1
+            total[1] += wall
+            total[2] += cpu
         if name != "walkthrough.scenario":
             continue
-        scenario = span.attributes.get("scenario")
+        attributes = span.attributes
+        scenario = attributes.get("scenario")
         if not scenario:
             continue
-        entry = costs.get(scenario)
-        if entry is None:
-            entry = costs[scenario] = {
-                "wall_seconds": 0.0,
-                "cpu_seconds": 0.0,
-                "walks": 0,
-                "traces": 0,
-                "shard": span.shard or 0,
-            }
-            entry.update({counter: 0 for counter in _COST_COUNTERS})
-        entry["wall_seconds"] += wall
-        entry["cpu_seconds"] += cpu
-        entry["walks"] += 1
-        entry["traces"] += span.attributes.get("traces", 0) or 0
-        for counter in _COST_COUNTERS:
-            entry[counter] += span.attributes.get(f"cost.{counter}", 0) or 0
-    return stages, costs
+        get = attributes.get
+        row = [wall, cpu, *[get(key, 0) or 0 for key in _ROW_KEYS], 1]
+        known = rows.get(scenario)
+        if known is None:
+            row.append(span.shard or 0)
+            rows[scenario] = row
+        else:
+            for position, value in enumerate(row):
+                known[position] += value
+    stages = {
+        name: {"count": count, "wall_seconds": wall, "cpu_seconds": cpu}
+        for name, (count, wall, cpu) in totals.items()
+    }
+    return stages, rows
+
+
+def _cost_table(rows: dict[str, list]) -> tuple[dict, list, list]:
+    """Summary rows as a counter table (``names`` and the
+    :data:`_TABLE_COLUMNS`, each a list in row order) and the rows'
+    wall and CPU times as integer nanoseconds in the same order."""
+    wall, cpu, *counters = zip(*rows.values())
+    table = {"names": list(rows)}
+    table.update(zip(_TABLE_COLUMNS, map(list, counters)))
+    return table, _nanoseconds(wall), _nanoseconds(cpu)
+
+
+def _nanoseconds(seconds: Sequence[float]) -> list[int]:
+    return [round(value * 1e9) for value in seconds]
+
+
+def _canonical(table: dict) -> str:
+    """A counter table's stored text; its digest names the sidecar."""
+    return json.dumps(table, sort_keys=True, separators=(",", ":"))
+
+
+class _CostTable:
+    """One counter table, by content digest: the columns
+    ``costs/<digest>.json`` at ``path`` holds, read and checked on first
+    use, unless they were known when the table was made (this process
+    built them, or a format-1 record carried them)."""
+
+    __slots__ = ("digest", "path", "known")
+
+    def __init__(
+        self,
+        digest: str,
+        columns: Optional[dict] = None,
+        path: Optional[Path] = None,
+    ) -> None:
+        self.digest = digest
+        self.known = columns
+        self.path = path
+
+    def columns(self) -> dict:
+        if self.known is None:
+            self.known = self._load()
+        return self.known
+
+    def _load(self) -> dict:
+        if self.path is None:
+            raise ReproError(
+                f"cost table {self.digest} was not loaded from a registry"
+            )
+        try:
+            text = self.path.read_text(encoding="utf-8")
+        except OSError:
+            raise ReproError(f"cost table {self.path} is missing") from None
+        if short_digest(text) != self.digest:
+            raise ReproError(
+                f"cost table {self.path} does not match its digest "
+                f"{self.digest} (torn or edited)"
+            )
+        return json.loads(text)
 
 
 _RUN_ID_RE = re.compile(r"^r(\d+)$")
@@ -233,7 +314,12 @@ class ReportMemo:
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One evaluation run, as persisted in ``runs.jsonl``."""
+    """One evaluation run, as persisted in ``runs.jsonl``.
+
+    ``costs`` points at the run's per-scenario costs: ``digest`` names
+    the counter table in ``costs/<digest>.json``, and ``wall_ns`` and
+    ``cpu_ns`` hold each scenario's times in the table's row order
+    (in memory as ``array("q")``). :attr:`scenarios` joins them."""
 
     run_id: str
     label: str
@@ -247,32 +333,112 @@ class RunRecord:
     report_digest: str
     metrics: dict = field(default_factory=dict)   # name -> snapshot dict
     stages: dict = field(default_factory=dict)    # name -> count/wall/cpu
-    scenarios: dict = field(default_factory=dict)  # name -> cost attribution
+    costs: dict = field(default_factory=dict)     # digest, wall_ns, cpu_ns
     profile: dict = field(default_factory=dict)   # digest/samples/hz pointer
     tenant: str = ""                              # job-API tenant, or ""
     job_id: str = ""                              # job-API job id, or ""
     coverage: dict = field(default_factory=dict)  # CoverageMatrix.to_dict()
+    # The counter table ``costs`` names; not persisted.
+    cost_table: Optional[_CostTable] = field(
+        default=None, compare=False, repr=False
+    )
 
     def to_dict(self) -> dict:
-        data = {spec.name: getattr(self, spec.name) for spec in fields(self)}
+        data = {name: getattr(self, name) for name in _PERSISTED}
+        if self.costs:
+            data["costs"] = {
+                "digest": self.costs["digest"],
+                "wall_ns": list(self.costs["wall_ns"]),
+                "cpu_ns": list(self.costs["cpu_ns"]),
+            }
         data["format"] = _FORMAT_VERSION
         return data
 
     @classmethod
-    def from_dict(cls, data: dict) -> "RunRecord":
+    def from_dict(
+        cls,
+        data: dict,
+        tables: Callable[[str, Optional[dict]], _CostTable] = _CostTable,
+    ) -> "RunRecord":
         """Fields added after format 1 keep their defaults when a record
-        lacks them — so records written before per-scenario costs
-        (``scenarios``), the profiler (``profile``: a pointer into
-        ``profiles/<run_id>.folded``), the job API (``tenant``/
-        ``job_id``) or coverage telemetry (``coverage``; also empty for
-        runs evaluated without a recorder) still load."""
-        if data.get("format") != _FORMAT_VERSION:
+        lacks them — so records written before the profiler
+        (``profile``: a pointer into ``profiles/<run_id>.folded``), the
+        job API (``tenant``/``job_id``) or coverage telemetry
+        (``coverage``; also empty for runs evaluated without a recorder)
+        still load. A format-1 record's inline ``scenarios`` become a
+        counter table and ns times like format 2's; ``tables(digest,
+        columns)`` supplies the table object (a registry's: one per
+        digest)."""
+        version = data.get("format")
+        if version not in (1, _FORMAT_VERSION):
             raise ReproError(
-                f"unsupported run record format {data.get('format')!r} "
-                f"(expected {_FORMAT_VERSION})"
+                f"unsupported run record format {version!r} "
+                f"(expected 1 or {_FORMAT_VERSION})"
             )
-        known = (spec.name for spec in fields(cls))
-        return cls(**{name: data[name] for name in known if name in data})
+        known = {name: data[name] for name in _PERSISTED if name in data}
+        columns = None
+        if version == 1:
+            scenarios = data.get("scenarios")
+            if scenarios:
+                columns, wall_ns, cpu_ns = _cost_table({
+                    name: [
+                        entry.get("wall_seconds", 0.0) or 0.0,
+                        entry.get("cpu_seconds", 0.0) or 0.0,
+                        *(entry.get(column, 0) or 0 for column in _TABLE_COLUMNS),
+                    ]
+                    for name, entry in scenarios.items()
+                })
+                known["costs"] = {
+                    "digest": short_digest(_canonical(columns)),
+                    "wall_ns": wall_ns,
+                    "cpu_ns": cpu_ns,
+                }
+        costs = known.get("costs")
+        if not costs:
+            return cls(**known)
+        digest = costs["digest"]
+        known["costs"] = {
+            "digest": digest,
+            "wall_ns": array("q", costs["wall_ns"]),
+            "cpu_ns": array("q", costs["cpu_ns"]),
+        }
+        return cls(**known, cost_table=tables(digest, columns))
+
+    @property
+    def scenarios(self) -> dict[str, dict]:
+        """Per-scenario costs, built on each read from the counter table
+        and the ns times: ``{name: {"wall_seconds", "cpu_seconds",
+        counters...}}`` in table order, as :func:`scenario_costs`
+        harvests them (times rounded to the nanosecond). Empty when the
+        run walked no scenario; a :class:`~repro.errors.ReproError`
+        naming the run and the file when the table cannot be read."""
+        if not self.costs:
+            return {}
+        wall_ns, cpu_ns = self.costs["wall_ns"], self.costs["cpu_ns"]
+        table = self.cost_table or _CostTable(self.costs["digest"])
+        try:
+            columns = table.columns()
+            names = columns["names"]
+            if not len(names) == len(wall_ns) == len(cpu_ns):
+                raise ReproError(
+                    f"cost table {table.path or table.digest} has "
+                    f"{len(names)} rows for {len(wall_ns)} times"
+                )
+        except ReproError as err:
+            raise ReproError(f"run {self.run_id}: {err}") from None
+        counters = [columns[column] for column in _TABLE_COLUMNS]
+        return {
+            name: _cost_entry(wall / 1e9, cpu / 1e9, values)
+            for name, wall, cpu, *values in zip(
+                names, wall_ns, cpu_ns, *counters
+            )
+        }
+
+
+#: The fields a run record line carries (besides ``format``).
+_PERSISTED = tuple(
+    spec.name for spec in fields(RunRecord) if spec.name != "cost_table"
+)
 
 
 class RunRegistry:
@@ -287,7 +453,14 @@ class RunRegistry:
 
     def __init__(self, root: Union[str, Path] = DEFAULT_RUNS_DIR) -> None:
         self.root = Path(root)
-        self._store = JsonlStore(self.root / _RUNS_FILE, RunRecord.from_dict)
+        # One table object per digest, so records share their columns
+        # and each sidecar is read and checked at most once.
+        self._tables: dict[str, _CostTable] = {}
+        # Digests whose sidecar this instance wrote or checked.
+        self._stored: set[str] = set()
+        # The last recorded counter table, its text and its digest.
+        self._last_table: tuple[dict, str, str] = ({}, "", "")
+        self._store = JsonlStore(self.root / _RUNS_FILE, self._decode)
 
     @property
     def path(self) -> Path:
@@ -299,6 +472,41 @@ class RunRegistry:
 
     def profile_path(self, run_id: str) -> Path:
         return self.profiles_dir / f"{run_id}.folded"
+
+    @property
+    def costs_dir(self) -> Path:
+        return self.root / _COSTS_DIR
+
+    def cost_table_path(self, digest: str) -> Path:
+        return self.costs_dir / f"{digest}.json"
+
+    def _decode(self, data: dict) -> RunRecord:
+        return RunRecord.from_dict(data, self._table)
+
+    def _table(self, digest: str, columns: Optional[dict]) -> _CostTable:
+        table = self._tables.get(digest)
+        if table is None:
+            table = self._tables[digest] = _CostTable(
+                digest, columns, self.cost_table_path(digest)
+            )
+        elif table.known is None:
+            table.known = columns
+        return table
+
+    def _store_table(self, digest: str, text: str) -> None:
+        """Write ``costs/<digest>.json`` unless it is there: an existing
+        sidecar is done, once this instance has checked its bytes (a
+        damaged one is replaced). Called under the registry lock."""
+        path = self.cost_table_path(digest)
+        if not path.exists() or (
+            digest not in self._stored
+            and path.read_text(encoding="utf-8") != text
+        ):
+            self.costs_dir.mkdir(parents=True, exist_ok=True)
+            staging = path.with_name(path.name + ".tmp")
+            staging.write_text(text, encoding="utf-8")
+            os.replace(staging, path)
+        self._stored.add(digest)
 
     # ------------------------------------------------------------------
     # Recording
@@ -333,9 +541,27 @@ class RunRegistry:
         is persisted as a folded-text artifact under
         ``profiles/<run_id>.folded``; the record itself carries only a
         digest pointer, keeping ``runs.jsonl`` lines small.
+
+        The per-scenario counters go into ``costs/<digest>.json``,
+        written before the record line and only when no sidecar of that
+        digest exists; the record keeps the digest and each scenario's
+        wall and CPU nanoseconds.
         """
         roots = tuple(recorder.roots)
-        stages, scenarios = _summarize_spans(roots)
+        stages, rows = _summarize_spans(roots)
+        costs: dict = {}
+        text = None
+        if rows:
+            table, wall_ns, cpu_ns = _cost_table(rows)
+            # A tick of an unchanged spec repeats the last table:
+            # comparing is ~50x cheaper than dumping it again.
+            memo = self._last_table
+            if table != memo[0]:
+                text = _canonical(table)
+                memo = self._last_table = (table, text, short_digest(text))
+            table, text, digest = memo
+            costs = {"digest": digest, "wall_ns": wall_ns, "cpu_ns": cpu_ns}
+            self._table(digest, table)
         folded = profile.to_folded() if profile is not None else None
         draft = RunRecord(
             run_id="",
@@ -354,7 +580,7 @@ class RunRegistry:
             ),
             metrics=recorder.metrics.to_dict(),
             stages=stages,
-            scenarios=scenarios,
+            costs=costs,
             profile=(
                 {
                     "digest": profile.digest(),
@@ -384,6 +610,8 @@ class RunRegistry:
             # `runs compact` the file holds fewer lines than the
             # highest id, and counting would mint colliding ids.
             run_id = f"r{_next_run_number(records):04d}"
+            if text is not None:
+                self._store_table(costs["digest"], text)
             if folded is not None:
                 self.profiles_dir.mkdir(parents=True, exist_ok=True)
                 self.profile_path(run_id).write_text(folded, encoding="utf-8")
@@ -410,13 +638,15 @@ class RunRegistry:
         """Rewrite ``runs.jsonl`` keeping only the newest ``keep``
         records (atomic and serve-safe, see
         :meth:`~repro.obs.store.JsonlStore.rewrite`); profile artifacts
-        of dropped runs are deleted. Run ids are never reused —
-        :meth:`record` derives the next id from the highest surviving
-        id, not the line count."""
+        of dropped runs are deleted, and so is every counter table no
+        kept run references. Run ids are never reused — :meth:`record`
+        derives the next id from the highest surviving id, not the line
+        count."""
         if keep < 1:
             raise ReproError(f"runs compact needs keep >= 1, got {keep}")
         kept, dropped = self._store.rewrite(
-            lambda records: range(max(0, len(records) - keep), len(records))
+            lambda records: range(max(0, len(records) - keep), len(records)),
+            then=self._prune_tables,
         )
         for record in dropped:
             if record.profile:
@@ -425,6 +655,16 @@ class RunRegistry:
                 except OSError:
                     pass
         return {"kept": len(kept), "dropped": len(dropped)}
+
+    def _prune_tables(self, kept: tuple[RunRecord, ...]) -> None:
+        """Delete the counter tables no ``kept`` record references.
+        Called under the registry lock, after the rewrite, so a record
+        appended meanwhile cannot lose its table."""
+        referenced = {record.costs["digest"] for record in kept if record.costs}
+        for path in self.costs_dir.glob("*.json"):
+            if path.stem not in referenced:
+                path.unlink(missing_ok=True)
+                self._stored.discard(path.stem)
 
     # ------------------------------------------------------------------
     # Reading
@@ -915,11 +1155,11 @@ def attribute_runs(before: RunRecord, after: RunRecord) -> RunAttribution:
     slower). Runs recorded before per-scenario costs existed attribute
     at stage granularity only.
     """
-    names = sorted(set(before.scenarios) | set(after.scenarios))
+    before_costs, after_costs = before.scenarios, after.scenarios
     deltas = []
-    for name in names:
-        old = before.scenarios.get(name)
-        new = after.scenarios.get(name)
+    for name in sorted(set(before_costs) | set(after_costs)):
+        old = before_costs.get(name)
+        new = after_costs.get(name)
         driver, counters = _scenario_driver(
             old, new, before.run_id, after.run_id
         )

@@ -118,12 +118,15 @@ class JsonlStore:
             return row
 
     def rewrite(
-        self, select: Callable[[tuple], Iterable[int]]
+        self,
+        select: Callable[[tuple], Iterable[int]],
+        then: Optional[Callable[[tuple], None]] = None,
     ) -> tuple[tuple, tuple]:
         """Keep the rows at the indices ``select(rows)`` returns, under
         the lock; if any is dropped, the kept lines are written verbatim
-        to a ``.tmp`` sibling renamed over the store. Returns
-        ``(kept, dropped)`` rows."""
+        to a ``.tmp`` sibling renamed over the store. ``then(kept)``
+        runs last, still under the lock. Returns ``(kept, dropped)``
+        rows."""
         with registry_lock(self.path.parent), self._lock:
             lines, rows = self._read()
             keep = set(select(rows))
@@ -137,6 +140,8 @@ class JsonlStore:
                 )
                 staging.replace(self.path)
             self._rows, self._stamp = kept, file_stamp(self.path)
+            if then is not None:
+                then(kept)
             return kept, dropped
 
     def _fresh_rows(self) -> tuple:

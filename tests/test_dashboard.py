@@ -253,7 +253,7 @@ class TestCostTreemap:
 
     def test_treemap_falls_back_to_recorded_run_costs(self):
         record = RunRecord.from_dict(
-            {**_record().to_dict(),
+            {**_record().to_dict(), "format": 1,
              "scenarios": {
                  "slow-one": {"wall_seconds": 0.4, "shard": 1,
                               "steps": 9, "index_queries": 3,

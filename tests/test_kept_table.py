@@ -313,6 +313,34 @@ EDITS = {
 }
 
 
+class TestForeignBoundMapping:
+    def test_an_edit_reaches_the_walk(self):
+        """A mapping bound to another architecture object (PIMS intact)
+        drives the excised pipeline through a copy; an edit to it
+        between two evaluations must reach the walk as it would a
+        fresh pipeline's."""
+        pims = build_pims()
+        excised = excise_data_access_loader_link(pims.architecture)
+
+        def pipeline():
+            return Sosae(
+                pims.scenarios,
+                excised,
+                pims.mapping,
+                constraints=pims.constraints,
+                walkthrough_options=pims.options,
+            )
+
+        sosae = pipeline()
+        before = report_to_json(sosae.evaluate())
+        sosae.mapping.unmap_event("saveData")
+        after = report_to_json(sosae.evaluate())
+        assert after != before
+        assert after == report_to_json(pipeline().evaluate())
+        assert sosae.mapping is pims.mapping
+        assert sosae.engine.mapping.architecture is excised
+
+
 class TestEditsBetweenEvaluations:
     @pytest.mark.parametrize("edit", sorted(EDITS))
     def test_the_next_report_equals_a_fresh_pipelines(self, edit):

@@ -8,6 +8,7 @@ import pytest
 
 import repro.obs.runs
 from repro.adl.xadl import to_xadl_xml
+from repro.cli import main
 from repro.core.evaluator import Sosae
 from repro.errors import ReproError
 from repro.obs import (
@@ -21,6 +22,7 @@ from repro.obs import (
     ServeDaemon,
     attribute_runs,
     bisect_runs,
+    build_dashboard,
     diff_runs,
     record_metric_value,
     scenario_costs,
@@ -28,7 +30,9 @@ from repro.obs import (
     use,
 )
 from repro.obs.spans import Span
+from repro.obs.store import short_digest
 from repro.scenarioml.xml_io import to_scenarioml_xml
+from repro.systems.pims import build_pims, excise_data_access_loader_link
 
 
 def _span(name: str, start: float, end: float) -> Span:
@@ -55,6 +59,14 @@ def _record(run_id="r0001", metrics=None, stages=None, digest="d", label="l"):
         metrics=metrics or {},
         stages=stages or {},
     )
+
+
+def _format1(record, scenarios=None):
+    """``record`` as a format-1 line: per-scenario costs inline."""
+    data = record.to_dict()
+    del data["costs"]
+    data.update(format=1, scenarios=scenarios or {})
+    return data
 
 
 def _counter(value):
@@ -361,12 +373,19 @@ class TestScenarioCosts:
         stages = stage_summary(recorder.roots)
         costs = scenario_costs(recorder.roots)
         assert list(record.stages.items()) == list(stages.items())
-        assert list(record.scenarios.items()) == list(costs.items())
+        # Persisted times are whole nanoseconds: round(seconds * 1e9).
+        assert list(record.scenarios.items()) == [
+            (name, dict(
+                entry,
+                wall_seconds=round(entry["wall_seconds"] * 1e9) / 1e9,
+                cpu_seconds=round(entry["cpu_seconds"] * 1e9) / 1e9,
+            ))
+            for name, entry in costs.items()
+        ]
         assert record.findings == len(report.all_inconsistencies())
 
     def test_old_records_without_scenarios_still_load(self, tmp_path):
-        record = _record()
-        data = record.to_dict()
+        data = _format1(_record())
         del data["scenarios"]
         assert RunRecord.from_dict(data).scenarios == {}
 
@@ -426,12 +445,10 @@ class TestAttributeRuns:
         after = _record(run_id="rB")
         object.__setattr__  # records are plain dataclasses; rebuild
         before = RunRecord.from_dict(
-            {**before.to_dict(),
-             "scenarios": {"old": {"wall_seconds": 0.1}}}
+            _format1(before, {"old": {"wall_seconds": 0.1}})
         )
         after = RunRecord.from_dict(
-            {**after.to_dict(),
-             "scenarios": {"new": {"wall_seconds": 0.2}}}
+            _format1(after, {"new": {"wall_seconds": 0.2}})
         )
         attribution = attribute_runs(before, after)
         drivers = {row.name: row.driver for row in attribution.scenarios}
@@ -450,14 +467,12 @@ class TestAttributeRuns:
         assert "scenario removed (only in rA)" in rendered
 
     def test_work_unit_growth_named_as_cause(self):
-        before = RunRecord.from_dict(
-            {**_record(run_id="rA").to_dict(),
-             "scenarios": {"s": {"wall_seconds": 0.1, "steps": 10}}}
-        )
-        after = RunRecord.from_dict(
-            {**_record(run_id="rB").to_dict(),
-             "scenarios": {"s": {"wall_seconds": 0.4, "steps": 40}}}
-        )
+        before = RunRecord.from_dict(_format1(
+            _record(run_id="rA"), {"s": {"wall_seconds": 0.1, "steps": 10}}
+        ))
+        after = RunRecord.from_dict(_format1(
+            _record(run_id="rB"), {"s": {"wall_seconds": 0.4, "steps": 40}}
+        ))
         attribution = attribute_runs(before, after)
         assert attribution.top.name == "s"
         assert "steps 10 -> 40" in attribution.top.driver
@@ -468,6 +483,226 @@ class TestAttributeRuns:
         )
         assert attribution.top is None
         assert "per-scenario costs" in attribution.render()
+
+
+def _pims_sosae(excised: bool = False) -> Sosae:
+    pims = build_pims()
+    architecture = pims.architecture
+    if excised:
+        architecture = excise_data_access_loader_link(architecture)
+    return Sosae(
+        pims.scenarios, architecture, pims.mapping.rebind(architecture),
+        constraints=pims.constraints, walkthrough_options=pims.options,
+    )
+
+
+def _record_pims(registry, runs, slow=None, extra=0.02):
+    """Record ``runs`` PIMS evaluations; in the last one, ``slow``'s
+    scenario span is ``extra`` seconds longer."""
+    sosae = _pims_sosae()
+    records = []
+    for index in range(runs):
+        recorder = Recorder()
+        with use(recorder):
+            report = sosae.evaluate()
+        if slow is not None and index == runs - 1:
+            for root in recorder.roots:
+                for span in root.iter_spans():
+                    if span.attributes.get("scenario") == slow:
+                        span.end_wall += extra
+        records.append(registry.record("pims", report, recorder, git_sha=None))
+    return records
+
+
+def _write_lines(root, lines):
+    root.mkdir(parents=True, exist_ok=True)
+    with (root / "runs.jsonl").open("w") as handle:
+        for data in lines:
+            handle.write(json.dumps(data, sort_keys=True) + "\n")
+
+
+def _ranking(attribution):
+    return [(row.name, row.delta, row.driver) for row in attribution.scenarios]
+
+
+class TestCostTables:
+    """Format 2: per-scenario counters in ``costs/<digest>.json``, once
+    per distinct table; each record keeps the digest and ns times."""
+
+    def test_record_line_carries_digest_and_ns_times(
+        self, tmp_path, recorded_evaluation
+    ):
+        report, recorder = recorded_evaluation
+        registry = RunRegistry(tmp_path)
+        record = registry.record("demo", report, recorder, git_sha=None)
+        (line,) = registry.path.read_text().splitlines()
+        data = json.loads(line)
+        assert data["format"] == 2 and "scenarios" not in data
+        assert set(data["costs"]) == {"digest", "wall_ns", "cpu_ns"}
+        costs = scenario_costs(recorder.roots)
+        assert data["costs"]["wall_ns"] == [
+            round(entry["wall_seconds"] * 1e9) for entry in costs.values()
+        ]
+        sidecar = registry.cost_table_path(data["costs"]["digest"])
+        text = sidecar.read_text()
+        assert short_digest(text) == data["costs"]["digest"]
+        table = json.loads(text)
+        assert table["names"] == list(costs)
+        assert table["steps"] == [entry["steps"] for entry in costs.values()]
+        assert RunRegistry(tmp_path).load()[0].scenarios == record.scenarios
+
+    def test_loaded_records_share_one_table(self, tmp_path, recorded_evaluation):
+        report, recorder = recorded_evaluation
+        registry = RunRegistry(tmp_path)
+        for _ in range(3):
+            registry.record("demo", report, recorder, git_sha=None)
+        first, second, third = RunRegistry(tmp_path).load()
+        assert first.cost_table is second.cost_table is third.cost_table
+        assert len(list(registry.costs_dir.iterdir())) == 1
+
+    def test_a_format1_registry_still_reads(self, tmp_path, capsys):
+        recorded = _record_pims(
+            RunRegistry(tmp_path / "new"), 6, slow="compute-net-worth"
+        )
+        old = tmp_path / "old"
+        _write_lines(old, [
+            _format1(record, record.scenarios) for record in recorded
+        ])
+        for verb in (
+            ["list"],
+            ["diff", "r0001", "r0002"],
+            ["bisect", "findings", "--window", "3"],
+        ):
+            assert main(["runs", *verb, "--runs-dir", str(old)]) == 0
+        capsys.readouterr()
+        assert main(
+            ["runs", "attribute", "r0005", "r0006", "--runs-dir", str(old)]
+        ) == 0
+        out = capsys.readouterr().out
+        first_row = out.splitlines()[3]
+        assert first_row.startswith("compute-net-worth"), out
+        loaded = RunRegistry(old).load()
+        assert [r.scenarios for r in loaded] == [
+            r.scenarios for r in recorded
+        ]
+        html = build_dashboard(runs=loaded)
+        assert "source: run r0006" in html
+        assert "compute-net-worth" in html
+        assert not (old / "costs").exists()  # reading writes nothing
+
+    def test_mixed_formats_rank_as_two_format1_records(self, tmp_path):
+        new = tmp_path / "new"
+        before, after = _record_pims(
+            RunRegistry(new), 2, slow="compute-net-worth"
+        )
+        old, mixed = tmp_path / "old", tmp_path / "mixed"
+        _write_lines(old, [
+            _format1(before, before.scenarios),
+            _format1(after, after.scenarios),
+        ])
+        _write_lines(mixed, [
+            _format1(before, before.scenarios), after.to_dict()
+        ])
+        (mixed / "costs").mkdir()
+        sidecar = f"{after.costs['digest']}.json"
+        (mixed / "costs" / sidecar).write_text(
+            (new / "costs" / sidecar).read_text()
+        )
+        rankings = [
+            _ranking(attribute_runs(*RunRegistry(root).load()))
+            for root in (old, mixed, new)
+        ]
+        assert rankings[0] == rankings[1] == rankings[2]
+        assert rankings[0][0][0] == "compute-net-worth"
+
+    @pytest.mark.parametrize("damage", ["missing", "torn"])
+    def test_an_unreadable_table_fails_attribute_only(
+        self, tmp_path, recorded_evaluation, capsys, damage
+    ):
+        report, recorder = recorded_evaluation
+        registry = RunRegistry(tmp_path)
+        for _ in range(5):
+            registry.record("demo", report, recorder, git_sha=None)
+        (sidecar,) = registry.costs_dir.iterdir()
+        if damage == "missing":
+            sidecar.unlink()
+        else:
+            sidecar.write_text(sidecar.read_text()[:40])
+        runs_dir = ["--runs-dir", str(tmp_path)]
+        assert main(["runs", "list", *runs_dir]) == 0
+        assert main(["runs", "diff", "r0001", "r0002", *runs_dir]) == 0
+        assert main(
+            ["runs", "bisect", "findings", "--window", "3", *runs_dir]
+        ) == 0
+        capsys.readouterr()
+        assert main(["runs", "attribute", "r0001", "r0002", *runs_dir]) == 2
+        err = capsys.readouterr().err
+        assert "run r0001" in err and str(sidecar) in err
+        assert ("missing" if damage == "missing" else "torn") in err
+        with pytest.raises(ReproError, match="run r0003"):
+            RunRegistry(tmp_path).get("r0003").scenarios
+        html = build_dashboard(runs=RunRegistry(tmp_path).load())
+        assert "No per-scenario costs" in html
+        # The next record of the same table puts it back.
+        RunRegistry(tmp_path).record("demo", report, recorder, git_sha=None)
+        assert short_digest(sidecar.read_text()) == sidecar.stem
+        assert main(["runs", "attribute", "r0001", "r0006", *runs_dir]) == 0
+
+    def test_an_existing_table_is_not_rewritten(
+        self, tmp_path, recorded_evaluation
+    ):
+        report, recorder = recorded_evaluation
+        RunRegistry(tmp_path).record("demo", report, recorder, git_sha=None)
+        (sidecar,) = (tmp_path / "costs").iterdir()
+        stamp = sidecar.stat().st_mtime_ns, sidecar.stat().st_ino
+        other = RunRegistry(tmp_path)
+        for _ in range(3):
+            other.record("demo", report, recorder, git_sha=None)
+        assert (sidecar.stat().st_mtime_ns, sidecar.stat().st_ino) == stamp
+        assert [p.name for p in (tmp_path / "costs").iterdir()] == [
+            sidecar.name
+        ]
+
+    def test_serve_ticks_of_one_spec_write_at_most_two_tables(self, tmp_path):
+        daemon = ServeDaemon(
+            lambda: _pims_sosae(excised=True),
+            registry=RunRegistry(tmp_path / "runs"),
+        )
+        try:
+            for _ in range(25):
+                assert daemon.run_once().ok
+        finally:
+            daemon.shutdown()
+        records = RunRegistry(tmp_path / "runs").load()
+        assert len(records) == 25
+        assert len({record.costs["digest"] for record in records[1:]}) == 1
+        tables = sorted((tmp_path / "runs" / "costs").iterdir())
+        assert 1 <= len(tables) <= 2
+        assert {path.stem for path in tables} == {
+            record.costs["digest"] for record in records
+        }
+
+    def test_compact_deletes_unreferenced_tables(
+        self, tmp_path, recorded_evaluation
+    ):
+        report, recorder = recorded_evaluation
+        registry = RunRegistry(tmp_path)
+        registry.record("chain", report, recorder, git_sha=None)
+        (chain,) = registry.costs_dir.iterdir()
+        pims = _record_pims(registry, 2)
+        stray = registry.costs_dir / "0123456789abcdef.json"
+        stray.write_text("{}")
+        assert registry.compact(keep=2) == {"kept": 2, "dropped": 1}
+        assert {p.stem for p in registry.costs_dir.iterdir()} == {
+            record.costs["digest"] for record in pims
+        }
+        assert not chain.exists() and not stray.exists()
+        assert attribute_runs(*RunRegistry(tmp_path).load()).scenarios
+        # A table compaction deleted is written again when it recurs.
+        again = registry.record("chain", report, recorder, git_sha=None)
+        assert registry.cost_table_path(again.costs["digest"]) == chain
+        assert chain.exists()
+        assert RunRegistry(tmp_path).get(again.run_id).scenarios
 
 
 class TestProfilePersistence:

@@ -23,7 +23,7 @@ from repro.obs import (
     RunRecord,
     RunRegistry,
 )
-from repro.obs.store import JsonlStore
+from repro.obs.store import JsonlStore, short_digest
 
 
 def _tear(path: Path) -> int:
@@ -175,6 +175,41 @@ class TestRunIdMinting:
             )
 
 
+class TestCostTableRace:
+    def test_two_registries_recording_one_table_leave_one_valid_file(
+        self, tmp_path, recorded_evaluation
+    ):
+        """Two registries on one directory record the same counter
+        table from two threads: one sidecar, whole, and every record
+        resolves through it."""
+        report, recorder = recorded_evaluation
+        registries = (RunRegistry(tmp_path), RunRegistry(tmp_path))
+        errors: list = []
+
+        def record(registry):
+            try:
+                for _ in range(8):
+                    registry.record("tick", report, recorder, git_sha="x")
+            except Exception as error:  # pragma: no cover - reported below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=record, args=(registry,))
+            for registry in registries
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not errors
+        records = RunRegistry(tmp_path).load()
+        assert len({record.run_id for record in records}) == 16
+        (sidecar,) = (tmp_path / "costs").iterdir()
+        assert sidecar.name == f"{records[0].costs['digest']}.json"
+        assert short_digest(sidecar.read_text()) == sidecar.stem
+        assert all(record.scenarios for record in records)
+
+
 class TestDecodeOnce:
     ROUNDS = 6
 
@@ -185,9 +220,9 @@ class TestDecodeOnce:
         decoded: list = []
         original = RunRecord.from_dict.__func__
 
-        def counting(cls, data):
+        def counting(cls, data, *tables):
             decoded.append(data["run_id"])
-            return original(cls, data)
+            return original(cls, data, *tables)
 
         monkeypatch.setattr(RunRecord, "from_dict", classmethod(counting))
         registry = RunRegistry(tmp_path)
