@@ -276,6 +276,11 @@ class CommunicationIndex:
             self._hits += 1
         return graph
 
+    def cached_graphs(self) -> tuple[bool, ...]:
+        """The ``respect_directions`` of each cached communication
+        graph, in the order they were built."""
+        return tuple(self._graphs)
+
     def graph(self, respect_directions: bool = False):
         """The (cached) communication graph. **Read-only** — queries with
         ``avoiding`` overlay :func:`networkx.restricted_view` rather than

@@ -52,8 +52,8 @@ Subcommands:
 ``evaluate`` and ``demo`` accept observability flags: ``--profile``
 prints a span profile summary tree after the report, ``--profile-hz N``
 samples the evaluating thread's stack N times a second from a
-background thread (workers of a ``--workers`` run sample themselves;
-all partial profiles merge deterministically), ``--trace-out FILE``
+background thread (workers of a ``--workers`` run sample themselves
+and their profiles fold into the run's), ``--trace-out FILE``
 writes a Chrome ``chrome://tracing``-compatible trace, ``--metrics-out
 FILE`` dumps the metrics registry as JSON, ``--record`` snapshots
 the evaluation into the run registry (``--runs-dir``, default
@@ -209,8 +209,9 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--workers", type=int, default=1, metavar="N",
         help="shard the walkthrough stage across N worker processes "
-        "(BatchEvaluator; default: 1 = in-process). Telemetry from all "
-        "workers is merged into one trace/metrics/event view.",
+        "(BatchEvaluator; default: 1 = in-process). The workers' walks "
+        "are observed as one in-process walk, each scenario span on its "
+        "shard's lane.",
     )
     _add_observability_arguments(evaluate)
 
@@ -1005,8 +1006,8 @@ class _Observed:
     def profiling(self) -> Iterator[None]:
         """Sample the block at ``--profile-hz`` (no-op without the
         flag). Installing the profiler also makes a sharded run's
-        workers sample themselves at the same rate; their partials
-        merge into ``self.profile``."""
+        workers sample themselves at the same rate; their profiles
+        fold into ``self.profile``."""
         if self.profile_hz is None:
             yield
             return
@@ -1563,8 +1564,8 @@ def _follow_lines(
 
     Truncation and rotation are detected: when the file's inode changes
     (a writer replaced it) or its size shrinks below the read offset (a
-    writer truncated it — per-worker telemetry partials are rewritten
-    between runs), the stale handle is dropped and the new file is read
+    writer truncated it — an event file rewritten between runs), the
+    stale handle is dropped and the new file is read
     from the start instead of waiting forever at the old offset.
     """
     yielded = 0

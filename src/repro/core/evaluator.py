@@ -522,11 +522,12 @@ class Sosae:
         if bus.enabled:
             bus.emit(coverage_computed_event(matrix))
 
-    def record_index_stats(self, recorder, before) -> None:
-        """Accrue the index-cache activity since ``before`` (an
-        ``index.stats()`` snapshot) to the metrics registry (deltas, so
-        repeated evaluations accumulate)."""
-        after = self.index.stats()
+    def record_index_stats(self, recorder, before, after=None) -> None:
+        """Accrue the index-cache activity from ``before`` to ``after``
+        (``index.stats()`` snapshots; ``after`` defaults to now) to the
+        metrics registry (deltas, so repeated evaluations accumulate)."""
+        if after is None:
+            after = self.index.stats()
         recorder.counter("index.hits").inc(after.hits - before.hits)
         recorder.counter("index.misses").inc(after.misses - before.misses)
         recorder.counter("index.invalidations").inc(

@@ -30,6 +30,11 @@ event bus (``sosae evaluate --events out.jsonl`` streams it, ``sosae
 tail`` pretty-prints it) and :mod:`repro.obs.dashboard` renders traces,
 run history, findings, and event streams into one self-contained
 offline HTML page (``sosae dashboard``).
+
+A sharded walk (:mod:`repro.shard`) is observed in the evaluating
+process: its workers return the walkthrough engine's per-scenario rows
+with their verdicts, and the one pass that observes a serial walk
+builds the spans, samples and events from them.
 """
 
 from repro.obs.alerts import (
@@ -48,17 +53,8 @@ from repro.obs.anomaly import (
     median,
     robust_zscore,
 )
-from repro.obs.collector import (
-    MergedTelemetry,
-    ShardSummary,
-    TelemetryCollector,
-    WorkerPartial,
-    clock_anchor,
-    snapshot_partial,
-)
 from repro.obs.context import (
     TraceContext,
-    child_context,
     new_trace_id,
     span_id_for,
 )
@@ -155,7 +151,6 @@ from repro.obs.profiler import (
     ProfileDiff,
     SamplingProfiler,
     diff_profiles,
-    merge_profiles,
 )
 from repro.obs.promexp import (
     DEFAULT_LABEL_TOP_K,
@@ -249,7 +244,6 @@ __all__ = [
     "JobSubmitted",
     "JsonlSink",
     "MappingResolution",
-    "MergedTelemetry",
     "MetricDelta",
     "MetricsRegistry",
     "NULL_COVERAGE",
@@ -275,7 +269,6 @@ __all__ = [
     "SamplingProfiler",
     "ScenarioDelta",
     "ServeDaemon",
-    "ShardSummary",
     "SpecWatcher",
     "ScenarioFinished",
     "ScenarioStarted",
@@ -286,20 +279,16 @@ __all__ = [
     "StageFinished",
     "StageStarted",
     "StepPoint",
-    "TelemetryCollector",
     "TraceContext",
-    "WorkerPartial",
     "attribute_runs",
     "bisect_runs",
     "bounded_label_values",
     "build_bundle_sosae",
     "build_dashboard",
-    "child_context",
     "compact_job_logs",
     "constraint_label",
     "chrome_trace",
     "chrome_trace_json",
-    "clock_anchor",
     "configure_logging",
     "coverage_computed_event",
     "coverage_samples",
@@ -322,7 +311,6 @@ __all__ = [
     "load_trace_file",
     "mad",
     "median",
-    "merge_profiles",
     "metrics_to_json",
     "new_trace_id",
     "parse_rules",
@@ -338,7 +326,6 @@ __all__ = [
     "robust_zscore",
     "scalar_values",
     "scenario_costs",
-    "snapshot_partial",
     "span_id_for",
     "spans_from_chrome_trace",
     "spans_from_jsonl",

@@ -1,41 +1,32 @@
-"""Trace-context propagation for multi-process telemetry.
+"""Span identity: one trace id per recorder and a shard-namespaced id
+per span.
 
-A single-process evaluation records an anonymous span tree: nesting is
-positional, and nothing identifies a span beyond its place in the
-forest. The moment work fans out to worker processes that stops being
-enough — each worker records its own tree against its own
-``perf_counter`` epoch, and the parent needs to know *which* spans came
-from *where* and *under what* they belong.
+:class:`TraceContext` is the identity a
+:class:`~repro.obs.spans.SpanRecorder` records under:
 
-:class:`TraceContext` is the identity a parent hands to each worker:
+* ``trace_id`` — one opaque id per recorder's trace;
+* ``shard`` — the number that namespaces the recorder's span serials
+  (0 for a recorder in the evaluating process).
 
-* ``trace_id`` — one opaque id per distributed evaluation, shared by
-  every participating process;
-* ``shard`` — the worker's shard number (the parent itself is shard 0);
-* ``parent_span_id`` — the id of the parent-process span the worker's
-  root spans stitch under when the collector merges the partials.
-
-A :class:`~repro.obs.spans.SpanRecorder` constructed with a context
-stamps every span it opens with ``(trace_id, shard, span_id)`` plus a
-``parent_id`` reference — ids are assigned *at creation*, in a single
-process, from a per-recorder serial, so they are deterministic for a
-given pipeline run and globally unique across the trace (the shard
-number namespaces the serial). A recorder without an explicit context
-lazily creates a private one (fresh ``trace_id``, shard 0), so stable
-ids exist even for plain single-process runs.
+A recorder stamps every span it opens with ``(trace_id, shard,
+span_id)`` plus a ``parent_id`` reference. Ids are assigned *at
+creation* from a per-recorder serial, so they are deterministic for a
+given pipeline run. A recorder without an explicit context lazily
+creates a private one (fresh ``trace_id``, shard 0). A sharded walk's
+scenario spans are recorded in the evaluating process, so they carry
+its ``s0.<serial>`` ids; their ``shard`` attribute names the worker
+that walked them.
 """
 
 from __future__ import annotations
 
 import uuid
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.errors import ReproError
 
 __all__ = [
     "TraceContext",
-    "child_context",
     "new_trace_id",
     "span_id_for",
 ]
@@ -49,21 +40,18 @@ def new_trace_id() -> str:
 def span_id_for(shard: int, serial: int) -> str:
     """The canonical span id for the ``serial``-th span of ``shard``.
 
-    Deterministic and collision-free across shards: the shard number
-    namespaces the per-recorder serial, so two processes of the same
-    trace can never mint the same id.
+    The shard number namespaces the per-recorder serial, so recorders
+    with different shard numbers never mint the same id.
     """
     return f"s{shard}.{serial}"
 
 
 @dataclass(frozen=True)
 class TraceContext:
-    """The serializable identity one process of a distributed trace
-    records under."""
+    """The identity one span recorder records under."""
 
     trace_id: str
     shard: int = 0
-    parent_span_id: Optional[str] = None
 
     def __post_init__(self) -> None:
         if not self.trace_id:
@@ -72,41 +60,3 @@ class TraceContext:
             raise ReproError(
                 f"TraceContext shard must be >= 0, got {self.shard}"
             )
-
-    def to_dict(self) -> dict:
-        return {
-            "trace_id": self.trace_id,
-            "shard": self.shard,
-            "parent_span_id": self.parent_span_id,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceContext":
-        try:
-            return cls(
-                trace_id=data["trace_id"],
-                shard=int(data.get("shard", 0)),
-                parent_span_id=data.get("parent_span_id"),
-            )
-        except (TypeError, KeyError) as error:
-            raise ReproError(
-                f"not a trace context: {data!r} ({error})"
-            ) from None
-
-
-def child_context(
-    parent: TraceContext, shard: int, parent_span_id: Optional[str] = None
-) -> TraceContext:
-    """The context a parent hands to worker ``shard``: same trace, the
-    worker's shard number, and (by default) the parent's own
-    ``parent_span_id`` replaced by the span the worker should stitch
-    under."""
-    return TraceContext(
-        trace_id=parent.trace_id,
-        shard=shard,
-        parent_span_id=(
-            parent_span_id
-            if parent_span_id is not None
-            else parent.parent_span_id
-        ),
-    )

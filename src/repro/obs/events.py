@@ -557,9 +557,6 @@ class NullEventBus:
     def pulse(self) -> None:
         pass
 
-    def forward(self, event: TelemetryEvent) -> None:
-        pass
-
     def subscribe(self, subscriber: Callable) -> Callable[[], None]:
         return lambda: None
 
@@ -699,22 +696,6 @@ class EventBus:
     def events(self) -> tuple[TelemetryEvent, ...]:
         """The buffered recent events, oldest first."""
         return tuple(self._buffer)
-
-    def forward(self, event: TelemetryEvent) -> None:
-        """Relay an event recorded on *another* bus (a worker process's)
-        into this stream: the event gets this bus's next ``seq`` — the
-        global sequence of the merged stream — but keeps the original
-        ``timestamp``, because the moment it happened in the worker is
-        the truth and the moment the parent collected it is not. The
-        stamp goes on a copy: the merged telemetry the event came from
-        keeps its own sequence."""
-        with self._lock:
-            self._seq += 1
-            stamped = replace(event, seq=self._seq)
-            self._buffer.append(stamped)
-            subscribers = tuple(self._subscribers)
-        for subscriber in subscribers:
-            subscriber(stamped)
 
     def _dispatch(self, events: list[TelemetryEvent]) -> None:
         # The seq stamps and buffer appends are guarded: the serve loop

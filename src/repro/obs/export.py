@@ -155,7 +155,7 @@ def chrome_trace(
 
     Each span lands on the thread lane of its shard (``tid = shard + 1``,
     named ``"shard N"``; identity-less spans share lane 1 with shard 0),
-    so a merged multi-worker trace renders as per-shard swimlanes in
+    so a sharded walk's trace renders as per-shard swimlanes in
     Perfetto. Single-shard traces keep the legacy document shape — one
     process-name metadata row, no thread rows. Spans with a stable
     identity carry ``span_id``/``parent_span_id`` in ``args``, which the
@@ -224,9 +224,9 @@ def spans_from_chrome_trace(document: dict) -> tuple[Span, ...]:
     When the events carry stable span identities (``args.span_id`` /
     ``args.parent_span_id``, written by :func:`chrome_trace` since trace
     contexts exist), the tree is linked exactly by those references — a
-    stitched multi-shard trace round-trips with worker subtrees nested
-    under their parent-process span even though they sit on different
-    thread lanes. Pre-identity documents fall back to the original
+    multi-shard trace round-trips with each scenario span nested under
+    its walkthrough stage even though they sit on different thread
+    lanes. Pre-identity documents fall back to the original
     interval-containment reconstruction (per thread lane), exactly as
     the trace viewer draws nesting. Only complete (``"X"``) events
     participate; CPU times are not representable and come back as zero.

@@ -29,15 +29,12 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterator, Union
+from typing import Iterator, Union
 
 from repro.obs.coverage import NULL_COVERAGE, CoverageBuilder, NullCoverage
 from repro.obs.events import NULL_EVENT_BUS, EventBus, NullEventBus
 from repro.obs.profiler import NULL_PROFILER, NullProfiler, SamplingProfiler
 from repro.obs.recorder import NULL_RECORDER, NullRecorder, Recorder
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.collector import MergedTelemetry
 
 __all__ = [
     "Instruments",
@@ -57,19 +54,6 @@ class Instruments:
     events: Union[NullEventBus, EventBus] = NULL_EVENT_BUS
     coverage: Union[NullCoverage, CoverageBuilder] = NULL_COVERAGE
     profiler: Union[NullProfiler, SamplingProfiler] = NULL_PROFILER
-
-    def absorb(self, merged: "MergedTelemetry") -> None:
-        """Hand a sharded walk's merged telemetry to the live channels.
-
-        Spans and metrics already merged into the parent recorder (the
-        collector's parent); the shards' profile and events, in
-        ``(shard, seq)`` order, land here. Coverage needs no merge: the
-        pipeline derives it from the merged verdicts."""
-        if self.profiler.enabled and merged.profile is not None:
-            self.profiler.ingest(merged.profile)
-        if self.events.enabled:
-            for event in merged.events:
-                self.events.forward(event)
 
 
 _current = Instruments()

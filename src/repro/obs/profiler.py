@@ -15,8 +15,8 @@ stdlib machinery only:
 - :class:`Profile` aggregates samples into folded stacks keyed by
   ``(module, qualname, line)``. ``to_folded()`` renders the standard
   ``frame;frame;frame count`` text format (root first, leaf last) with
-  lines sorted, so equal sample multisets serialize byte-identically —
-  the property the deterministic multi-worker merge is tested against.
+  lines sorted, so equal sample multisets serialize byte-identically,
+  however a shard worker's profiles were folded in.
 - :func:`diff_profiles` computes differential folded stacks between two
   profiles: per-frame *self* and *cumulative* share deltas, ranked by
   regression. ``sosae profile diff`` prints it; the dashboard renders
@@ -34,7 +34,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 from repro.errors import ReproError
 from repro.obs.store import short_digest
@@ -71,7 +71,7 @@ class Profile:
 
     ``counts`` maps root-first stack tuples to sample counts. Merging
     is commutative addition, and :meth:`to_folded` sorts lines, so any
-    ingest order of the same partials folds to byte-identical text.
+    merge order of the same profiles folds to byte-identical text.
     """
 
     __slots__ = ("counts", "hz", "wall_seconds")
@@ -208,8 +208,8 @@ class SamplingProfiler:
 
     The profiled thread does no extra work: a daemon thread wakes at
     ``1/hz`` intervals, reads the target's frame via
-    ``sys._current_frames()``, and folds it into ``counts``. Worker
-    profiles arriving from shards are queued by :meth:`ingest` and
+    ``sys._current_frames()``, and folds it into ``counts``. Profiles
+    shard workers return are queued by :meth:`ingest` and
     folded in at :meth:`stop` (keeping the sampler thread the sole
     writer of ``counts`` while running).
     """
@@ -484,16 +484,3 @@ def diff_profiles(before: Profile, after: Profile) -> ProfileDiff:
     ]
     deltas.sort(key=lambda d: (-d.self_delta, d.frame))
     return ProfileDiff(before=before, after=after, frames=tuple(deltas))
-
-
-def merge_profiles(profiles: Sequence[Profile]) -> Optional[Profile]:
-    """Fold an ordered sequence of profiles into one (None when empty).
-
-    Merging is commutative in the counts, but callers wanting
-    byte-identical folded output regardless of arrival order should
-    pass a deterministically ordered sequence (wall_seconds sums in
-    float order)."""
-    merged: Optional[Profile] = None
-    for profile in profiles:
-        merged = profile if merged is None else merged.merge(profile)
-    return merged

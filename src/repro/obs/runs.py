@@ -495,10 +495,16 @@ class RunRegistry:
 
     def _store_table(self, digest: str, text: str) -> None:
         """Write ``costs/<digest>.json`` unless it is there: an existing
-        sidecar is done, once this instance has checked its bytes (a
-        damaged one is replaced). Called under the registry lock."""
+        sidecar is done once this instance has checked its bytes, and
+        while its size stays ``len(text)`` (the text is ASCII JSON), so
+        a sidecar torn after the check is replaced too. Called under the
+        registry lock."""
         path = self.cost_table_path(digest)
-        if not path.exists() or (
+        try:
+            size = path.stat().st_size
+        except FileNotFoundError:
+            size = None
+        if size != len(text) or (
             digest not in self._stored
             and path.read_text(encoding="utf-8") != text
         ):

@@ -319,8 +319,8 @@ class ServeDaemon:
 
     With ``workers`` > 1, *full* evaluations run through
     :class:`~repro.shard.BatchEvaluator` — the walkthrough stage is
-    sharded across worker processes and each run's merged telemetry
-    lands in the same recorder the single-process path uses. Per-shard
+    sharded across worker processes, and the parent observes the
+    workers' walks in the same recorder the single-process path uses. Per-shard
     timings are exposed as ``serve.shard.*`` gauges on ``/metrics``.
     An incremental run walks in this process (it re-walks a handful of
     scenarios; process fan-out would cost more than it saves).

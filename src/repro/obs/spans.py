@@ -28,12 +28,12 @@ from repro.obs.context import TraceContext, new_trace_id, span_id_for
 class Span:
     """One timed, attributed region; finished spans form a tree.
 
-    ``span_id``/``parent_id``/``trace_id``/``shard`` are the distributed
-    identity stamped by the recorder (``None`` on spans deserialized
-    from pre-identity trace files): ids are assigned at creation from
-    the recorder's :class:`~repro.obs.context.TraceContext`, so a span
-    tree recorded in a worker process keeps stable references when it is
-    serialized, shipped, and stitched into the parent's trace.
+    ``span_id``/``parent_id``/``trace_id``/``shard`` are the identity
+    stamped by the recorder (``None`` on spans deserialized from
+    pre-identity trace files): ids are assigned at creation from the
+    recorder's :class:`~repro.obs.context.TraceContext`, so a span tree
+    keeps stable references when it is serialized and read back. A
+    sharded walk's scenario spans carry the worker's shard number.
     """
 
     __slots__ = (
@@ -148,10 +148,10 @@ class _SpanScope:
 class SpanRecorder:
     """Collects a forest of spans from one synchronous pipeline run.
 
-    ``context`` fixes the recorder's distributed identity (trace id,
-    shard number, and the parent-process span its roots belong under);
-    without one, a private context (fresh trace id, shard 0) is created
-    on first use, so every recorded span still carries stable ids.
+    ``context`` fixes the recorder's identity (trace id and shard
+    number); without one, a private context (fresh trace id, shard 0)
+    is created on first use, so every recorded span still carries
+    stable ids.
     """
 
     enabled = True
@@ -214,7 +214,6 @@ class SpanRecorder:
             span.parent_id = parent.span_id
         else:
             self.roots.append(span)
-            span.parent_id = context.parent_span_id
         return span
 
     def record(self, name: Optional[str] = None) -> Callable:

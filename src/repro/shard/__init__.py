@@ -5,10 +5,10 @@ first cut).
 :class:`~repro.core.evaluator.Sosae` pipeline: it fans the walkthrough
 stage out across a stdlib ``ProcessPoolExecutor`` that it keeps until
 :meth:`~repro.shard.batch.BatchEvaluator.close`, with verdict and
-finding parity against :meth:`~repro.core.evaluator.Sosae.evaluate`,
-and streams each worker's telemetry through
-:class:`~repro.obs.collector.TelemetryCollector` into one merged
-trace/metrics/event view. See ``docs/SHARD.md``.
+finding parity against :meth:`~repro.core.evaluator.Sosae.evaluate`.
+An observed walk's workers return the engine's per-scenario rows with
+their verdicts, and the parent observes them in the one pass that
+observes a serial walk. See ``docs/SHARD.md``.
 """
 
 from repro.shard.batch import BatchEvaluator, ShardStats, plan_shards

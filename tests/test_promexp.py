@@ -202,27 +202,6 @@ class TestQuantileEdgeCases:
         assert "sosae_same_seconds_count 32" in text
         assert "sosae_same_seconds_sum 64" in text
 
-    def test_merged_registry_summary_spans_both_shards(self):
-        """A collector-merged registry's summary reflects the union of
-        worker reservoirs, not either shard alone."""
-        from repro.obs import MetricsRegistry as Registry
-
-        low, high = Registry(), Registry()
-        for value in (0.1, 0.1, 0.1):
-            low.histogram("walk_seconds").observe(value)
-        for value in (0.9, 0.9, 0.9):
-            high.histogram("walk_seconds").observe(value)
-        merged = Registry()
-        merged.merge_state(low.state_dict())
-        merged.merge_state(high.state_dict())
-        text = render_prometheus(merged.to_dict())
-        assert "sosae_walk_seconds_count 6" in text
-        assert 'sosae_walk_seconds{quantile="0.5"}' in text
-        assert 'sosae_walk_seconds{quantile="0.99"} 0.9' in text
-        snapshot = merged.to_dict()["walk_seconds"]
-        assert snapshot["min"] == pytest.approx(0.1)
-        assert snapshot["max"] == pytest.approx(0.9)
-
 
 class TestBoundedLabelValues:
     def test_top_k_keeps_the_heaviest_keys(self):

@@ -648,6 +648,24 @@ class TestCostTables:
         assert short_digest(sidecar.read_text()) == sidecar.stem
         assert main(["runs", "attribute", "r0001", "r0006", *runs_dir]) == 0
 
+    def test_a_table_torn_after_its_check_is_rewritten(
+        self, tmp_path, recorded_evaluation, capsys
+    ):
+        # One long-lived registry, as a serve daemon keeps: it checked
+        # the table when it wrote it, and sees the tear on the next
+        # record all the same.
+        report, recorder = recorded_evaluation
+        registry = RunRegistry(tmp_path)
+        registry.record("demo", report, recorder, git_sha=None)
+        (sidecar,) = registry.costs_dir.iterdir()
+        sidecar.write_text(sidecar.read_text()[:40])
+        registry.record("demo", report, recorder, git_sha=None)
+        assert short_digest(sidecar.read_text()) == sidecar.stem
+        capsys.readouterr()
+        assert main(
+            ["runs", "attribute", "r0001", "r0002", "--runs-dir", str(tmp_path)]
+        ) == 0
+
     def test_an_existing_table_is_not_rewritten(
         self, tmp_path, recorded_evaluation
     ):
