@@ -62,11 +62,15 @@ __all__ = [
 class IndexStats:
     """A snapshot of one index's cache behavior.
 
-    ``hits``/``misses`` count memoized-answer lookups (graphs, BFS trees,
-    reachability sets, best-path results); ``invalidations`` counts
-    fingerprint changes that dropped the caches; ``build_seconds`` is the
-    cumulative wall time spent constructing communication graphs. An
-    unmemoized index records every lookup as a miss.
+    ``hits`` counts answers served from a cache: a graph, a BFS tree, a
+    reachability set, a best path, the articulation points or the
+    connectivity verdict. ``misses`` counts communication-graph builds
+    and nothing else: a tree, set or path computed afresh from a cached
+    graph counts one hit (the graph) and no miss. ``invalidations``
+    counts fingerprint changes that dropped the caches;
+    ``build_seconds`` is the cumulative wall time spent constructing
+    communication graphs. An unmemoized index builds a graph, so
+    misses, on every query that needs one, and never hits.
     """
 
     hits: int = 0
@@ -76,7 +80,10 @@ class IndexStats:
 
     @property
     def hit_rate(self) -> float:
-        """Hits over total lookups (0.0 before any lookup)."""
+        """Hits over hits plus graph builds (0.0 before either). Misses
+        count only graph builds, so this is not the share of lookups a
+        cache answered: one build followed by any cached answers reads
+        close to 1.0."""
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 

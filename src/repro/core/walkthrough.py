@@ -33,7 +33,12 @@ walk does its per-type work once per type. :meth:`WalkthroughEngine.session`
 pins the communication index and holds a *step table*: per event type,
 its resolution, unique top-level components and intra-event chain
 verdict; per pair of successive component groups, the inter-event
-witness path; per event object, its rendering. The table also holds a
+witness path; per event object, its rendering; per scenario object
+walked, its raw verdict, walk counters and connectivity checks, which
+a later walk of the scenario replays (paper step 4: the verdict
+depends only on the scenario's events, the mapping, the ontology and
+the architecture's structure, all of which the table's key covers).
+The table also holds a
 :class:`~repro.scenarioml.compiled.CompiledSuite`, the compiled view of
 the scenario set (each scenario's events and traces, the set's
 event-type names, the argument checks, the validation issues), which
@@ -52,18 +57,25 @@ while that key still holds, so an evaluation of an unchanged pipeline
 resolves, checks and compiles nothing again, and edits between
 sessions are always seen. The suite has its own key, the scenario set,
 its ``version`` and its ontology's ``version``; replacing the suite
-drops the per-event renderings and the memo with it, so the table
-never holds two suites' events. An index that does not memoize never
+drops the per-event renderings, the per-scenario walks and the memo
+with it, so the table never holds two suites' events. An evaluation of
+an unchanged pipeline therefore walks no scenario: each returns its
+kept verdict object. An index that does not memoize never
 computes a fingerprint, so its engine keeps no table past a session.
 Every evaluation, ``walk_all`` and ``walk_scenario`` run in a session.
 
 Observing the walk costs one row per scenario. While a recorder or an
 event bus is live, :meth:`WalkthroughEngine.walk_scenario` appends the
 scenario, its verdict, its wall and CPU clocks at start and end and its
-tally differences to the step table's rows, and touches no span,
-histogram or event. One pass then turns the rows into the
-``walkthrough.scenario`` spans, the ``walkthrough.scenario_seconds``
-samples and the scenario-started/finished events, in walk order, with
+work (steps, connectivity checks, graph builds) to the step table's
+rows, and touches no span, histogram or event. A replayed scenario
+adds its kept counters to the recorder's tally and appends a row with
+fresh clocks, so its span and sample time the replay, and zero graph
+builds, as a walk over the table's kept answers would. Unobserved, a
+walk or a replay reads no clock and appends no row. One pass then
+turns the rows into the ``walkthrough.scenario`` spans, the
+``walkthrough.scenario_seconds`` samples and the
+scenario-started/finished events, in walk order, with
 the ids, parents and payloads per-scenario observation gave them: at
 the end of the evaluator's walkthrough stage, which streams each
 verdict's findings after its pair, and at the outermost exit of a
@@ -320,9 +332,7 @@ class WalkthroughEngine:
                 self._adopted(rows, shard, shift, graphs)
             )
         if recorder.enabled:
-            tally = table.tally(recorder)
-            for slot, value in enumerate(counts):
-                tally[slot] += value
+            _add(table.tally(recorder), counts)
 
     def _adopted(
         self,
@@ -385,49 +395,53 @@ class WalkthroughEngine:
         if table is None:
             with self.session():
                 return self.walk_scenario(scenario, scenario_set)
-        traces = table.suite(scenario_set).traces(scenario.name)
+        suite = table.suite(scenario_set)
         instruments = current_instruments()
         recorder, bus = instruments.recorder, instruments.events
+        # A scenario walked under the table's key and suite walks the
+        # same again: replay its verdict and tallies.
+        walked = table.walked.get(id(scenario))
         if not (recorder.enabled or bus.enabled):
-            return ScenarioVerdict(
-                scenario=scenario.name,
-                traces=self._walk_traces(table, None, scenario, traces),
-                negative=scenario.is_negative,
-            )
+            if walked is None:
+                walked = self._walk(
+                    table, scenario, suite.traces(scenario.name),
+                    [0] * len(_WALK_COUNTERS),
+                )
+            return walked[1]
         # Observed: one row, which `_StepTable.observe` turns into the
         # scenario's span, sample and events after the walk. The cost
-        # figures are differences of tallies the step table keeps
-        # anyway; connectivity checks are counted whether the step
-        # table or the index answered them, so a scenario's cost does
-        # not depend on which scenario met its event types first.
+        # figures are the walk's tallies; connectivity checks are
+        # counted whether the step table or the index answered them, so
+        # a scenario's cost does not depend on which scenario met its
+        # event types first. A replay builds no graph, as a walk over
+        # the table's answers would not.
         rows = table.rows_for(recorder, bus)
         tally = table.tally(recorder) if recorder.enabled else None
-        if tally is not None:
-            before = (tally[_STEPS], table.checks, table.graph_builds)
-        name, negative = scenario.name, scenario.is_negative
         start_wall, start_cpu = perf_counter(), process_time()
-        try:
-            walked = self._walk_traces(table, tally, scenario, traces)
-        except BaseException as error:
-            rows.append((
-                None, name, negative, len(traces), start_wall, start_cpu,
-                perf_counter(), process_time(), None, type(error).__name__,
-                0,
-            ))
-            raise
-        verdict = ScenarioVerdict(
-            scenario=name, traces=walked, negative=negative
-        )
-        costs = None
+        builds = 0
+        if walked is None:
+            traces = suite.traces(scenario.name)
+            counts = [0] * len(_WALK_COUNTERS)
+            builds = table.graph_builds
+            try:
+                walked = self._walk(table, scenario, traces, counts)
+            except BaseException as error:
+                if tally is not None:
+                    _add(tally, counts)
+                rows.append((
+                    None, scenario.name, scenario.is_negative, len(traces),
+                    start_wall, start_cpu, perf_counter(), process_time(),
+                    None, type(error).__name__, 0,
+                ))
+                raise
+            builds = table.graph_builds - builds
+        _, verdict, counts, checks = walked
         if tally is not None:
-            costs = (
-                tally[_STEPS] - before[0],
-                table.checks - before[1],
-                table.graph_builds - before[2],
-            )
+            _add(tally, counts)
         rows.append((
-            verdict, name, negative, len(traces), start_wall, start_cpu,
-            perf_counter(), process_time(), costs, None, 0,
+            verdict, scenario.name, scenario.is_negative, counts[_TRACES],
+            start_wall, start_cpu, perf_counter(), process_time(),
+            (counts[_STEPS], checks, builds), None, 0,
         ))
         if bus.heartbeat_interval is not None:
             # The scenario's events wait for the end of the walk; its
@@ -439,29 +453,40 @@ class WalkthroughEngine:
     # Trace walkthrough
     # ------------------------------------------------------------------
 
-    def _walk_traces(
+    def _walk(
         self,
         table: "_StepTable",
-        tally: Optional[list[int]],
         scenario: Scenario,
         traces: tuple[tuple[Event, ...], ...],
-    ) -> tuple[TraceWalkthrough, ...]:
-        return tuple(
-            self._walk_trace(table, tally, scenario, index, trace)
-            for index, trace in enumerate(traces)
+        counts: list[int],
+    ) -> tuple:
+        """Walk every trace of ``scenario``, tallying into ``counts``,
+        and keep the walk as the table's entry for the scenario (see
+        :class:`_StepTable`); returns the entry."""
+        checks = table.checks
+        verdict = ScenarioVerdict(
+            scenario=scenario.name,
+            traces=tuple(
+                self._walk_trace(table, counts, scenario, index, trace)
+                for index, trace in enumerate(traces)
+            ),
+            negative=scenario.is_negative,
         )
+        walked = table.walked[id(scenario)] = (
+            scenario, verdict, tuple(counts), table.checks - checks
+        )
+        return walked
 
     def _walk_trace(
         self,
         table: "_StepTable",
-        tally: Optional[list[int]],
+        tally: list[int],
         scenario: Scenario,
         index: int,
         trace: tuple[Event, ...],
     ) -> TraceWalkthrough:
-        # Observability cost discipline: with the recorder on, the walk's
-        # counters go to the step table's ``tally``, which the session
-        # adds to the registry once; with it off, ``tally`` is None.
+        # The walk's counters go to the scenario's ``tally``, which its
+        # table entry keeps and a live recorder's tally adds up.
         steps: list[WalkthroughStep] = []
         findings: list[Inconsistency] = []
         previous_components: Optional[tuple[str, ...]] = None
@@ -494,18 +519,17 @@ class WalkthroughEngine:
                     f"trace of {scenario.name!r} contains unexpanded "
                     f"{type(event).__name__}"
                 )
-        if tally is not None:
-            tally[_TRACES] += 1
-            tally[_STEPS] += len(steps)
-            tally[_RESOLUTIONS] += resolutions
-            tally[_FALLBACKS] += fallbacks
-            tally[_UNMAPPED] += typed_events - resolutions
-            if findings:
-                tally[_MISSING_LINKS] += sum(
-                    1
-                    for finding in findings
-                    if finding.kind is InconsistencyKind.MISSING_LINK
-                )
+        tally[_TRACES] += 1
+        tally[_STEPS] += len(steps)
+        tally[_RESOLUTIONS] += resolutions
+        tally[_FALLBACKS] += fallbacks
+        tally[_UNMAPPED] += typed_events - resolutions
+        if findings:
+            tally[_MISSING_LINKS] += sum(
+                1
+                for finding in findings
+                if finding.kind is InconsistencyKind.MISSING_LINK
+            )
         return TraceWalkthrough(
             trace_index=index, steps=tuple(steps), inconsistencies=tuple(findings)
         )
@@ -740,6 +764,12 @@ _WALK_COUNTERS = (
 ) = range(len(_WALK_COUNTERS))
 
 
+def _add(tally: list[int], counts: Sequence[int]) -> None:
+    """Add a scenario's walk counters to ``tally``, slot by slot."""
+    for slot, value in enumerate(counts):
+        tally[slot] += value
+
+
 def _failures(walked: tuple[TraceWalkthrough, ...]) -> tuple[int, int]:
     """The failing steps and the findings of a scenario's walked
     traces. A step fails only with a finding of its own, so only the
@@ -852,14 +882,16 @@ class _StepTable:
     connectivity checks, whether answered here or by the index: one per
     inter-event move between disjoint component groups, one per chain
     pair checked. ``graph_builds`` counts the communication graphs the
-    index built to answer them. ``rows`` are the observed walk's, one
-    per scenario walked since they were last observed: ``(verdict,
-    name, negative, traces, start_wall, start_cpu, end_wall, end_cpu,
-    costs, error, shard)``, where ``costs`` are the ``(steps, index
-    queries, graph builds)`` differences while a recorder is live, a
-    walk that raised has no verdict and the exception type's name as
-    ``error``, and ``shard`` is the shard worker that walked it (0 in
-    this process)."""
+    index built to answer them. ``walked`` keeps, per scenario object
+    walked to the end, the scenario, its raw verdict, its walk counters
+    and its checks; a walk that raised keeps nothing. ``rows`` are the
+    observed walk's, one per scenario walked or replayed since they
+    were last observed: ``(verdict, name, negative, traces,
+    start_wall, start_cpu, end_wall, end_cpu, costs, error, shard)``,
+    where ``costs`` are the ``(steps, index queries, graph builds)``, a
+    walk that raised has no verdict or costs and the exception type's
+    name as ``error``, and ``shard`` is the shard worker that walked it
+    (0 in this process)."""
 
     def __init__(
         self, engine: WalkthroughEngine, key: Optional[tuple]
@@ -875,6 +907,9 @@ class _StepTable:
         self.moves: dict[tuple, Optional[tuple[str, ...]]] = {}
         # Holding the event keeps its id from being reused.
         self.renderings: dict[int, tuple[Event, str]] = {}
+        # Per scenario object, held likewise: (scenario, raw verdict,
+        # walk counters in _WALK_COUNTERS order, connectivity checks).
+        self.walked: dict[int, tuple] = {}
         self.memo: dict = {}
         self.checks = 0
         self.graph_builds = 0
@@ -894,7 +929,7 @@ class _StepTable:
     def suite(self, scenario_set: ScenarioSet) -> CompiledSuite:
         """The compiled view of ``scenario_set``, kept while the set and
         its ontology keep their versions. A new view drops the previous
-        one's renderings and the memo."""
+        one's renderings, walks and the memo."""
         versions = (scenario_set.version, scenario_set.ontology.version)
         suite = self._suite
         if (
@@ -907,6 +942,7 @@ class _StepTable:
             )
             self._suite_versions = versions
             self.renderings.clear()
+            self.walked.clear()
             self.memo.clear()
         return suite
 

@@ -24,6 +24,7 @@ from repro.adl.graph import (
     directed_communication_graph,
     reachable_elements,
 )
+import repro.adl.index as index_module
 from repro.adl.index import (
     CommunicationIndex,
     communication_index,
@@ -364,6 +365,27 @@ class TestIndexStats:
         stats = index.stats()
         assert stats.hits == 0
         assert stats.misses >= 2
+
+    def test_misses_count_graph_builds(self, monkeypatch):
+        builds = []
+        build = index_module.build_communication_graph
+
+        def counted(architecture):
+            builds.append(architecture)
+            return build(architecture)
+
+        monkeypatch.setattr(index_module, "build_communication_graph", counted)
+        architecture = build_pims().architecture
+        components = [component.name for component in architecture.components]
+        index = CommunicationIndex(architecture)
+        for source, target in itertools.product(components[:6], repeat=2):
+            index.path(source, target)
+        stats = index.stats()
+        # 36 queries compute six BFS trees, yet only the one graph build
+        # misses; every later graph fetch (35 by the queries, six by the
+        # tree computations) and the 30 cached trees are hits.
+        assert stats.misses == len(builds) == 1
+        assert stats.hits == 71
 
     def test_stats_snapshot_and_reset(self):
         architecture = hub_architecture(seed=7, components=4)

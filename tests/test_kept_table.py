@@ -16,6 +16,12 @@ tests hold a kept table to the fresh one it stands in for:
 * an interrupted evaluation leaves nothing behind that the next one
   reads wrongly, alternating scenario sets keeps one suite's events,
   and an index that does not memoize keeps no table.
+
+The table also keeps each walked scenario's raw verdict and tallies,
+so an evaluation of an unchanged pipeline walks no event and replays
+them. These tests check that it replays (no ``_walk_typed_event``
+call) and that the replay reports what a walk would, whichever of an
+unobserved or observed evaluation walked first.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ from repro.scenarioml.ontology import Parameter
 from repro.scenarioml.scenario import Scenario, ScenarioSet
 from repro.sim.network import ChannelPolicy
 from repro.sim.runtime import RuntimeConfig
-from repro.systems.crash import build_crash
+from repro.systems.crash import build_crash, build_crash_mapping
 from repro.systems.generators import SyntheticSpec, build_synthetic
 from repro.systems.pims import (
     DATA_ACCESS,
@@ -194,6 +200,21 @@ def _unobserved(inputs: Inputs, sosae: Sosae) -> dict:
     return {"report": report_to_json(inputs.evaluate(sosae))}
 
 
+def _count_walks(monkeypatch, sosae: Sosae) -> list:
+    """Record the scenario of every typed event ``sosae``'s engine walks
+    from now on; the list it appends to."""
+    walked = []
+    walk = WalkthroughEngine._walk_typed_event
+
+    def counted(self, table, scenario, *args):
+        walked.append(scenario.name)
+        return walk(self, table, scenario, *args)
+
+    monkeypatch.setattr(sosae.engine, "_walk_typed_event",
+                        counted.__get__(sosae.engine))
+    return walked
+
+
 # ----------------------------------------------------------------------
 # Repeated evaluations
 # ----------------------------------------------------------------------
@@ -216,6 +237,76 @@ class TestRepeatedEvaluations:
             expected = run(fresh_inputs, fresh_inputs.sosae())
             assert run(kept_inputs, kept) == expected, attempt
         assert kept.engine._kept is not None
+
+
+# ----------------------------------------------------------------------
+# Replayed scenarios
+# ----------------------------------------------------------------------
+
+
+class TestReplay:
+    def test_an_unchanged_pipeline_walks_nothing(self, monkeypatch):
+        inputs = _pims(excised=True, copies=4)
+        sosae = inputs.sosae()
+        first = sosae.evaluate()
+        walked = _count_walks(monkeypatch, sosae)
+        second = sosae.evaluate()
+        assert walked == []
+        assert len(second.scenario_verdicts) == len(first.scenario_verdicts)
+        for again, verdict in zip(second.scenario_verdicts,
+                                  first.scenario_verdicts):
+            assert again is verdict
+
+    @pytest.mark.parametrize(
+        "order", [(False, True), (True, False)],
+        ids=["unobserved-then-observed", "observed-then-unobserved"],
+    )
+    @pytest.mark.parametrize("system", sorted(SYSTEMS))
+    def test_a_replay_equals_a_fresh_walk(self, monkeypatch, system, order):
+        """The second evaluation replays what the first walked, with the
+        other observation; it reports what a fresh pipeline reports
+        after the same first evaluation."""
+        kept_inputs, fresh_inputs = SYSTEMS[system](), SYSTEMS[system]()
+        kept = kept_inputs.sosae()
+        walked = None
+        for observe in order:
+            run = _observed if observe else _unobserved
+            expected = run(fresh_inputs, fresh_inputs.sosae())
+            assert run(kept_inputs, kept) == expected, observe
+            if walked is None:
+                walked = _count_walks(monkeypatch, kept)
+        assert walked == []
+
+    def test_a_replayed_negative_scenario_reports_its_verdict(
+        self, monkeypatch
+    ):
+        """CRASH with the link that admits its negative scenario: the
+        replayed scenario-finished reports the inverted verdict."""
+        crash = build_crash()
+        architecture = crash.insecure_architecture()
+        sosae = Sosae(
+            crash.scenarios,
+            architecture,
+            build_crash_mapping(crash.ontology, architecture),
+            walkthrough_options=crash.options,
+        )
+        sosae.evaluate()
+        walked = _count_walks(monkeypatch, sosae)
+        bus = EventBus()
+        with instrumented(events=bus):
+            report = sosae.evaluate()
+        assert walked == []
+        (verdict,) = [
+            verdict for verdict in report.scenario_verdicts
+            if verdict.scenario == "unauthorized-network-access"
+        ]
+        (finished,) = [
+            event for event in bus.events()
+            if event.kind == "scenario-finished"
+            and event.scenario == verdict.scenario
+        ]
+        assert not verdict.passed and not finished.passed
+        assert finished.findings == len(verdict.all_inconsistencies()) > 0
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +434,9 @@ class TestForeignBoundMapping:
 
 class TestEditsBetweenEvaluations:
     @pytest.mark.parametrize("edit", sorted(EDITS))
-    def test_the_next_report_equals_a_fresh_pipelines(self, edit):
+    def test_the_next_report_equals_a_fresh_pipelines(
+        self, monkeypatch, edit
+    ):
         setup, change = EDITS[edit]
         pims = build_pims()
         setup(pims, None)
@@ -359,7 +452,9 @@ class TestEditsBetweenEvaluations:
 
         sosae = pipeline(pims.options)
         before = report_to_json(sosae.evaluate())
+        walked = _count_walks(monkeypatch, sosae)
         assert report_to_json(sosae.evaluate()) == before
+        assert walked == []
         change(pims, sosae)
         after = report_to_json(sosae.evaluate())
         assert after != before
@@ -373,18 +468,21 @@ class TestEditsBetweenEvaluations:
 # ----------------------------------------------------------------------
 
 
-def _interrupt_walk(monkeypatch, sosae):
+def _interrupt_walk(monkeypatch, sosae) -> list:
+    """Interrupt the 40th typed event ``sosae``'s engine walks; the
+    scenarios of the events walked, the interrupted one last."""
     calls = []
     walk = WalkthroughEngine._walk_typed_event
 
-    def interrupted(self, *args):
-        calls.append(None)
+    def interrupted(self, table, scenario, *args):
+        calls.append(scenario.name)
         if len(calls) == 40:
             raise KeyboardInterrupt
-        return walk(self, *args)
+        return walk(self, table, scenario, *args)
 
     monkeypatch.setattr(sosae.engine, "_walk_typed_event",
                         interrupted.__get__(sosae.engine))
+    return calls
 
 
 def _interrupt_validation(monkeypatch, sosae):
@@ -434,6 +532,31 @@ class TestRobustness:
         assert _without_bfs(run(inputs, sosae)) == _without_bfs(
             run(fresh, fresh.sosae())
         )
+
+    @pytest.mark.parametrize("observe", [False, True],
+                             ids=["unobserved", "observed"])
+    def test_an_interrupted_walk_keeps_no_entry_for_its_scenario(
+        self, monkeypatch, observe
+    ):
+        run = _observed if observe else _unobserved
+        inputs = _pims(excised=True, copies=10)
+        fresh = _pims(excised=True, copies=10)
+        sosae = inputs.sosae()
+        with monkeypatch.context() as patch:
+            interrupted = _interrupt_walk(patch, sosae)
+            with pytest.raises(KeyboardInterrupt):
+                run(inputs, sosae)
+        walked = {
+            scenario.name
+            for scenario, *_ in sosae.engine._kept.walked.values()
+        }
+        assert walked and interrupted[-1] not in walked
+        rewalked = _count_walks(monkeypatch, sosae)
+        assert _without_bfs(run(inputs, sosae)) == _without_bfs(
+            run(fresh, fresh.sosae())
+        )
+        assert interrupted[-1] in rewalked
+        assert not walked & set(rewalked)
 
     def test_alternating_scenario_sets_keep_one_suites_renderings(self):
         first, second = build_pims(), build_pims()
