@@ -179,8 +179,10 @@ def _write_action(parent: ET.Element, action: Action) -> None:
 # Parsing
 # ----------------------------------------------------------------------
 
-def parse_xadl(document: str) -> Architecture:
-    """Parse xADL XML into an :class:`Architecture`."""
+def parse_xadl(document: str | bytes) -> Architecture:
+    """Parse xADL XML into an :class:`Architecture`.
+
+    Bytes are decoded as the XML declaration says, UTF-8 by default."""
     try:
         root = ET.fromstring(document)
     except ET.ParseError as error:

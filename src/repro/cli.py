@@ -77,6 +77,7 @@ from __future__ import annotations
 import argparse
 import fnmatch
 import functools
+import gc
 import json
 import os
 import sys
@@ -1139,7 +1140,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     configure_logging(verbosity, stream=sys.stderr)
     try:
         if args.command == "evaluate":
-            return _run_evaluate(args)
+            with _collector_paused():
+                return _run_evaluate(args)
         if args.command == "demo":
             return _run_demo(args)
         if args.command == "table":
@@ -1184,22 +1186,41 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     return 2
 
 
+@contextmanager
+def _collector_paused() -> Iterator[None]:
+    """Pause the cycle collector for a one-shot run, then restore the
+    state it was found in.
+
+    ``evaluate`` builds a spec, its compiled suite and its verdicts and
+    then exits: the collector's passes over them (one full pass and
+    many young ones per run) free nothing, and the report writer leaves
+    no cycle behind. The long-lived commands keep collecting."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _build_spec_sosae(
     scenarios: Path, architecture: Path, mapping: Path, acme: bool
 ) -> Sosae:
     """A fresh pipeline from the three spec files (the ``evaluate``
     inputs; ``serve`` re-invokes this whenever a watched file changes)."""
-    scenario_set = parse_scenarioml(scenarios.read_text())
-    architecture_text = architecture.read_text()
+    scenario_set = parse_scenarioml(scenarios.read_bytes())
     parsed = (
-        parse_acme(architecture_text)
+        parse_acme(architecture.read_text(encoding="utf-8"))
         if acme
-        else parse_xadl(architecture_text)
+        else parse_xadl(architecture.read_bytes())
     )
     return Sosae(
         scenario_set,
         parsed,
-        Mapping.from_json(mapping.read_text(), scenario_set.ontology, parsed),
+        Mapping.from_json(
+            mapping.read_text(encoding="utf-8"), scenario_set.ontology, parsed
+        ),
     )
 
 
@@ -1231,7 +1252,7 @@ def _run_evaluate(args: argparse.Namespace) -> int:
         _LOG.info("wrote report to %s", args.save_report)
     status = 0 if report.consistent else 1
     if args.baseline is not None:
-        baseline = report_from_json(args.baseline.read_text())
+        baseline = report_from_json(args.baseline.read_text(encoding="utf-8"))
         comparison = compare_reports(baseline, report)
         print(f"baseline comparison: {comparison.summary()}")
         if not comparison.clean:
@@ -1400,7 +1421,7 @@ def _explained_report(args: argparse.Namespace):
     if args.report is not None and args.system is not None:
         raise ReproError("explain takes --report or --system, not both")
     if args.report is not None:
-        return report_from_json(args.report.read_text())
+        return report_from_json(args.report.read_text(encoding="utf-8"))
     if args.system is None:
         raise ReproError(
             "explain needs a findings source: --report FILE or "
@@ -1717,7 +1738,7 @@ def _run_dashboard(args: argparse.Namespace) -> int:
     else:
         events = read_events(args.events) if args.events is not None else ()
     report = (
-        report_from_json(args.report.read_text())
+        report_from_json(args.report.read_text(encoding="utf-8"))
         if args.report is not None
         else None
     )

@@ -14,8 +14,9 @@ hold thousands of walkthrough steps, so :func:`report_to_json` writes
 that text straight from the report: the report, each scenario verdict,
 each trace and each step stand at a fixed depth and are written from
 templates cut once from the ``_*_to_dict`` functions' own output. Only
-the free-form subtrees (findings with their provenance, and dynamic
-verdicts) go through the stdlib's indent-2 encoder.
+non-empty free-form subtrees (findings with their provenance, and
+dynamic verdicts) go through the stdlib's indent-2 encoder, so writing a
+report with neither makes no cyclic garbage.
 """
 
 from __future__ import annotations
@@ -81,9 +82,11 @@ def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
     from the report's objects; a step is one ``%`` format. A step's
     label, type, note, components and path repeat across the report, so
     their text is rendered once per call and reused. Strings go through
-    the stdlib's C escaper. The free-form subtrees -- findings with
-    their provenance, and dynamic verdicts -- go through the stdlib's
-    indent-2 encoder, indented to their depth. Each trace's and
+    the stdlib's C escaper. Only non-empty free-form subtrees --
+    findings with their provenance, and dynamic verdicts -- go through
+    the stdlib's indent-2 encoder, indented to their depth. That encoder
+    is pure Python and leaves a cycle of closures behind on each call,
+    so a report with neither writes no cyclic garbage. Each trace's and
     each verdict's text is joined from its pieces as soon as they are
     written, so no piece list holds a whole report.
 
@@ -113,10 +116,7 @@ def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
             findings,
             *_array(verdicts, 1),
             scenarios,
-            _subtree(
-                [_dynamic_verdict_to_dict(v) for v in report.dynamic_verdicts],
-                1,
-            ),
+            _dynamic_verdicts(report.dynamic_verdicts),
             dynamic,
         ]
     )
@@ -182,7 +182,7 @@ def _step_texts(steps, fields: "_FieldTexts") -> list[str]:
 
 
 #: ``_PADS[depth]``: the newline and indent of a line at ``depth``.
-_PADS = tuple("\n" + "  " * depth for depth in range(8))
+_PADS = tuple("\n" + "  " * depth for depth in range(9))
 
 
 def _subtree(value, depth: int) -> str:
@@ -195,10 +195,21 @@ def _subtree(value, depth: int) -> str:
 class _FieldTexts(dict):
     """Step field values -> their text at a step key's depth, rendered
     on first lookup. The memoized fields hold str, None and tuples of
-    str, so equal values have equal text."""
+    str, so equal values have equal text; those are written here, and
+    only a value of another shape goes through the stdlib's encoder."""
 
     def __missing__(self, value) -> str:
-        text = self[value] = _subtree(value, 7)
+        if value is None:
+            text = "null"
+        elif value.__class__ is str:
+            text = _encode_string(value)
+        elif value.__class__ is tuple and all(
+            item.__class__ is str for item in value
+        ):
+            text = "".join(_array(list(map(_encode_string, value)), 7))
+        else:
+            text = _subtree(value, 7)
+        self[value] = text
         return text
 
 
@@ -220,6 +231,13 @@ def _findings(findings, depth: int) -> str:
     if not findings:
         return "[]"
     return _subtree([_inconsistency_to_dict(f) for f in findings], depth)
+
+
+def _dynamic_verdicts(verdicts) -> str:
+    """The text of the report's dynamic verdicts."""
+    if not verdicts:
+        return "[]"
+    return _subtree([_dynamic_verdict_to_dict(v) for v in verdicts], 1)
 
 
 def _array(texts: list, depth: int) -> list:

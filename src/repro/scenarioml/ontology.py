@@ -580,8 +580,10 @@ class ArgumentChecker:
     The ontology collapses per-occurrence checks into per-type ones:
     the checker builds one :class:`ParameterTable` per event type and
     one superclass chain per domain class, and :meth:`check` answers
-    once per distinct ``(type, arguments)`` binding. The ontology must
-    not change while a checker is in use."""
+    once per distinct ``(type, arguments)`` binding -- or once per
+    ``(type, argument names)`` signature when the type has no typed
+    parameter, since then no argument's value can change the answer.
+    The ontology must not change while a checker is in use."""
 
     def __init__(self, ontology: Ontology) -> None:
         self.ontology = ontology
@@ -631,8 +633,14 @@ class ArgumentChecker:
     def check(
         self, event_type_name: str, arguments: Mapping[str, str]
     ) -> Optional[OntologyError]:
-        """:meth:`error`, answered once per distinct binding."""
-        key = (event_type_name, tuple(arguments.items()))
+        """:meth:`error`, answered once per distinct binding, or once
+        per signature for a type with no typed parameter."""
+        key = (
+            event_type_name,
+            tuple(arguments.items())
+            if self.table(event_type_name).typed
+            else tuple(arguments),
+        )
         verdict = self._verdicts.get(key, _UNCHECKED)
         if verdict is _UNCHECKED:
             verdict = self._verdicts[key] = self.error(

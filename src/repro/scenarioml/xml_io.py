@@ -186,8 +186,10 @@ def _event_element(event: Event) -> ET.Element:
 # Parsing
 # ----------------------------------------------------------------------
 
-def parse_scenarioml(document: str) -> ScenarioSet:
-    """Parse ScenarioML XML into a :class:`ScenarioSet` with its ontology."""
+def parse_scenarioml(document: str | bytes) -> ScenarioSet:
+    """Parse ScenarioML XML into a :class:`ScenarioSet` with its ontology.
+
+    Bytes are decoded as the XML declaration says, UTF-8 by default."""
     try:
         root = ET.fromstring(document)
     except ET.ParseError as error:

@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import repro
+from repro import cli
 from repro.cli import main
 from repro.obs import read_events
 
@@ -267,6 +273,155 @@ class TestEvaluateFromFiles:
         assert main([*base_args, "--baseline", str(saved)]) == 0
         out = capsys.readouterr().out
         assert "no verdict changes" in out
+
+
+class TestEvaluateCollectorPause:
+    """``evaluate`` runs with the cycle collector paused and leaves it
+    as it found it, whether it succeeds or fails."""
+
+    @pytest.fixture
+    def spec_args(self, tmp_path: Path, capsys) -> list[str]:
+        args = ["evaluate"]
+        for artifact, flag, filename in (
+            ("scenarioml", "--scenarios", "scenarios.xml"),
+            ("xadl", "--architecture", "architecture.xml"),
+            ("mapping", "--mapping", "mapping.json"),
+        ):
+            assert main(["export", "pims", artifact]) == 0
+            path = tmp_path / filename
+            path.write_text(capsys.readouterr().out)
+            args += [flag, str(path)]
+        return args
+
+    @pytest.fixture
+    def collector_enabled(self):
+        enabled = gc.isenabled()
+        yield
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+    @staticmethod
+    def malformed_args(tmp_path: Path, spec_args: list[str]) -> list[str]:
+        bad = tmp_path / "bad.xml"
+        bad.write_text("<scenarioml><unclosed></scenarioml>")
+        return [*spec_args, "--scenarios", str(bad)]
+
+    @staticmethod
+    def missing_args(tmp_path: Path) -> list[str]:
+        return [
+            "evaluate",
+            "--scenarios", str(tmp_path / "missing.xml"),
+            "--architecture", str(tmp_path / "missing.xml"),
+            "--mapping", str(tmp_path / "missing.json"),
+        ]
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("case", ["ok", "malformed", "missing"])
+    def test_collector_state_is_restored(
+        self, enabled, case, spec_args, tmp_path, collector_enabled, capsys
+    ):
+        argv, status = {
+            "ok": (spec_args, 0),
+            "malformed": (self.malformed_args(tmp_path, spec_args), 2),
+            "missing": (self.missing_args(tmp_path), 2),
+        }[case]
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        assert main(argv) == status
+        assert gc.isenabled() is enabled
+
+    def test_no_collection_runs_during_evaluate(
+        self, spec_args, collector_enabled, capsys
+    ):
+        # Argument parsing before the run may still collect; a pass
+        # whose stack reaches into the run may not.
+        run = cli._run_evaluate.__code__
+        starts = []
+
+        def count(phase, info):
+            frame = sys._getframe()
+            while frame is not None and frame.f_code is not run:
+                frame = frame.f_back
+            if phase == "start" and frame is not None:
+                starts.append(info["generation"])
+
+        gc.enable()
+        gc.callbacks.append(count)
+        try:
+            assert main(spec_args) == 0
+        finally:
+            gc.callbacks.remove(count)
+        assert starts == []
+        assert "overall: CONSISTENT" in capsys.readouterr().out
+
+    def test_other_commands_keep_collecting(self, collector_enabled, capsys):
+        phases = []
+
+        def record(phase, info):
+            phases.append(phase)
+
+        gc.enable()
+        gc.callbacks.append(record)
+        try:
+            assert main(["demo", "pims"]) == 0
+        finally:
+            gc.callbacks.remove(record)
+        assert gc.isenabled()
+        assert "start" in phases
+
+
+class TestUtf8Inputs:
+    def test_evaluate_reads_utf8_specs_under_the_c_locale(self, tmp_path):
+        # Spec files are UTF-8 whatever the locale: a non-ASCII scenario
+        # title must not depend on the process's preferred encoding.
+        env = dict(
+            os.environ,
+            LC_ALL="C",
+            PYTHONCOERCECLOCALE="0",
+            PYTHONUTF8="0",
+            PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+        )
+        env.pop("PYTHONIOENCODING", None)
+        paths = {}
+        for artifact, filename in (
+            ("scenarioml", "scenarios.xml"),
+            ("xadl", "architecture.xml"),
+            ("mapping", "mapping.json"),
+        ):
+            completed = subprocess.run(
+                [sys.executable, "-m", "repro", "export", "pims", artifact],
+                capture_output=True, env=env, timeout=120, check=True,
+            )
+            paths[artifact] = tmp_path / filename
+            paths[artifact].write_bytes(completed.stdout)
+        scenarios = paths["scenarioml"]
+        text = scenarios.read_bytes().decode("utf-8")
+        assert 'title="Create portfolio"' in text
+        scenarios.write_bytes(
+            text.replace(
+                'title="Create portfolio"', 'title="Cr\u00e9er \u2603"', 1
+            ).encode("utf-8")
+        )
+        completed = subprocess.run(
+            [
+                sys.executable, "-m", "repro", "evaluate",
+                "--scenarios", str(scenarios),
+                "--architecture", str(paths["xadl"]),
+                "--mapping", str(paths["mapping"]),
+                "--baseline", str(tmp_path / "baseline.json"),
+                "--save-report", str(tmp_path / "baseline.json"),
+            ],
+            capture_output=True, env=env, timeout=120,
+        )
+        stderr = completed.stderr.decode("utf-8", "replace")
+        assert completed.returncode == 0, stderr
+        assert "UnicodeDecodeError" not in stderr
+        assert b"overall: CONSISTENT" in completed.stdout
+        assert b"no verdict changes" in completed.stdout
 
 
 class TestObservabilityFlags:
@@ -833,6 +988,38 @@ class TestWorkersFlag:
         )
         assert status == 0
         assert "CONSISTENT" in capsys.readouterr().out
+
+    def test_evaluate_workers_output_is_byte_identical(
+        self, tmp_path, capsys
+    ):
+        # One link removed: some scenarios fail, so findings and their
+        # provenance are in both the printed and the saved report.
+        from repro.adl.xadl import to_xadl_xml
+        from repro.scenarioml.xml_io import to_scenarioml_xml
+        from repro.systems.generators import SyntheticSpec, build_synthetic
+
+        system = build_synthetic(SyntheticSpec(scenarios=40, seed=0))
+        system.architecture.remove_link(next(iter(system.architecture.links)).name)
+        spec = ["evaluate"]
+        for flag, path, text in (
+            ("--scenarios", tmp_path / "s.xml",
+             to_scenarioml_xml(system.scenarios)),
+            ("--architecture", tmp_path / "a.xml",
+             to_xadl_xml(system.architecture)),
+            ("--mapping", tmp_path / "m.json", system.mapping.to_json()),
+        ):
+            path.write_text(text, encoding="utf-8")
+            spec += [flag, str(path)]
+        outputs = []
+        for workers in ("1", "2"):
+            saved = tmp_path / f"report-w{workers}.json"
+            status = main(
+                [*spec, "--workers", workers, "--save-report", str(saved)]
+            )
+            outputs.append((status, capsys.readouterr().out, saved.read_bytes()))
+        assert outputs[0][0] == 1
+        assert "FAIL" in outputs[0][1] and "PASS" in outputs[0][1]
+        assert outputs[1] == outputs[0]
 
 
 class TestRunsAttribute:

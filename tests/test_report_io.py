@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import pickle
 
@@ -382,6 +383,83 @@ class TestIndent2Writer:
         ).evaluate()
         assert len(report.scenario_verdicts) == 800
         assert_stdlib_bytes(report)
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"path": ()},
+            {"path": ("a",)},
+            {"path": ("a", "link", "b"), "components": ("a", "b")},
+            {"components": ()},
+            {"components": ("only",)},
+            {"event_label": None, "event_type": None},
+            {"event_label": "caf\u00e9 \u2603 \U0001f600"},
+            {"event_type": "control \x00\x01\x1f\n\t\x7f \"q\" \\"},
+            {"components": ("50%", "%s", "%%", "%(x)s"), "note": "%d %"},
+            {"path": ("\u00e9", "\x00", "%"), "note": "\u2603\n"},
+            # Shapes outside str, None and tuples of str.
+            {"event_label": 7},
+            {"components": ("a", 1, None)},
+        ],
+    )
+    def test_step_field_shapes(self, fields):
+        values = dict(
+            event_rendering="e",
+            event_label="1",
+            event_type="t",
+            components=("a",),
+            path=None,
+            ok=True,
+        )
+        values.update(fields)
+        step = WalkthroughStep(**values)
+        report = EvaluationReport(
+            "a",
+            scenario_verdicts=(
+                ScenarioVerdict(
+                    "s", (TraceWalkthrough(0, (step, step), ()),)
+                ),
+            ),
+        )
+        assert_stdlib_bytes(report)
+
+    @pytest.mark.parametrize("source", ["synthetic", "hand-built"])
+    def test_writing_without_findings_leaves_no_cyclic_garbage(
+        self, source
+    ):
+        # The stdlib's indent encoder leaves a cycle of closures per
+        # call; only findings and dynamic verdicts still use it.
+        if source == "synthetic":
+            system = build_synthetic(SyntheticSpec(scenarios=40, seed=0))
+            report = Sosae(
+                system.scenarios, system.architecture, system.mapping
+            ).evaluate()
+        else:
+            every = _every_shape_report()
+            report = EvaluationReport(
+                "hand-built",
+                scenario_verdicts=(
+                    ScenarioVerdict(
+                        "s", (every.scenario_verdicts[0].traces[0],)
+                    ),
+                ),
+            )
+        assert not report.findings and not report.dynamic_verdicts
+        assert all(
+            not verdict.inconsistencies
+            and not any(trace.inconsistencies for trace in verdict.traces)
+            for verdict in report.scenario_verdicts
+        )
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            text = report_to_json(report)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert text == json.dumps(report_to_dict(report), indent=2)
 
     def test_indent_is_fixed_at_two(
         self, small_scenarios, chain_architecture, chain_mapping

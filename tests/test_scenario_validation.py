@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ScenarioError
 from repro.scenarioml.events import Episode, SimpleEvent, TypedEvent
-from repro.scenarioml.ontology import Ontology
+from repro.scenarioml.ontology import ArgumentChecker, Ontology
 from repro.scenarioml.scenario import Scenario, ScenarioSet
 from repro.scenarioml.validation import (
     IssueSeverity,
@@ -186,3 +186,72 @@ class TestValidateScenarioSet:
 
     def test_crash_set_is_valid(self, crash):
         assert errors(validate_scenario_set(crash.scenarios)) == []
+
+
+class TestArgumentCheckerSignatures:
+    """A type with no typed parameter is checked once per signature
+    (type and argument names); a typed one once per binding. Either
+    way each check answers what a fresh check of the binding says."""
+
+    BINDINGS = (
+        ("create", {"subject": "widget"}),
+        ("create", {"subject": "gadget"}),
+        ("create", {}),
+        ("create", {"subject": "widget", "extra": "1"}),
+        ("create", {"extra": "1"}),
+        ("create", {"extra": "2"}),
+        ("act", {"subject": "widget"}),
+        ("act", {"subject": "gadget"}),
+        ("ghost", {}),
+        ("ghost", {"q": "1"}),
+        ("notify", {"who": "alice"}),
+        ("notify", {"who": "backend"}),
+        ("notify", {"who": "literal"}),
+        ("notify", {"who": "rock"}),
+        ("notify", {}),
+        ("notify", {"who": "alice", "extra": "1"}),
+        ("move", {"a": "1", "b": "2"}),
+        ("move", {"b": "1", "a": "2"}),
+        ("move", {"a": "1"}),
+        ("move", {"a": "2"}),
+        ("move", {"a": "1", "b": "2", "c": "3"}),
+    )
+
+    @pytest.fixture
+    def ontology(self, small_ontology: Ontology) -> Ontology:
+        small_ontology.define_instance_type("Thing")
+        small_ontology.define_instance("rock", "Thing")
+        small_ontology.define_event_type(
+            "move", "The system moves [a] to [b]", parameters=["a", "b"]
+        )
+        return small_ontology
+
+    def test_each_check_equals_a_fresh_check(self, ontology: Ontology):
+        checker = ArgumentChecker(ontology)
+        for _ in range(2):
+            for type_name, arguments in self.BINDINGS:
+                fresh = ArgumentChecker(ontology).error(type_name, arguments)
+                verdict = checker.check(type_name, arguments)
+                assert (type(verdict), str(verdict)) == (
+                    type(fresh),
+                    str(fresh),
+                ), (type_name, arguments)
+
+    def test_one_check_per_signature_of_an_untyped_type(
+        self, ontology: Ontology
+    ):
+        checker = ArgumentChecker(ontology)
+        for type_name, arguments in self.BINDINGS:
+            checker.check(type_name, arguments)
+        keys = {
+            (type_name, tuple(arguments.items()))
+            if checker.table(type_name).typed
+            else (type_name, tuple(arguments))
+            for type_name, arguments in self.BINDINGS
+        }
+        assert len(checker._verdicts) == len(keys) < len(self.BINDINGS)
+        # "notify" has a typed parameter: each binding is its own check.
+        notify = [a for t, a in self.BINDINGS if t == "notify"]
+        assert sum(key[0] == "notify" for key in checker._verdicts) == len(
+            notify
+        )
