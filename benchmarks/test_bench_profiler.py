@@ -56,9 +56,13 @@ def _sampler_threads() -> list[str]:
     ]
 
 
-def _walk_seconds(engine, scenarios) -> float:
+def _walk_seconds(system) -> float:
+    """One walk of every scenario by a new engine. An engine keeps its
+    verdicts and replays them on the next walk, so a reused one would
+    time a replay; every engine shares the architecture's warm index."""
+    engine = WalkthroughEngine(system.architecture, system.mapping)
     start = time.perf_counter()
-    engine.walk_all(scenarios)
+    engine.walk_all(system.scenarios)
     return time.perf_counter() - start
 
 
@@ -84,19 +88,18 @@ def test_bench_profiler_disabled_path_is_structurally_zero():
 
 def test_bench_profiler_overhead(benchmark):
     system = build_synthetic(SPEC)
-    engine = WalkthroughEngine(system.architecture, system.mapping)
-    engine.walk_all(system.scenarios)  # warm every index cache
+    _walk_seconds(system)  # warm every index cache
 
     def measure():
         baselines: list[float] = []
         profileds: list[float] = []
         profiles = []
         for _ in range(ROUNDS):
-            baselines.append(_walk_seconds(engine, system.scenarios))
+            baselines.append(_walk_seconds(system))
             profiler = SamplingProfiler(hz=DEFAULT_PROFILE_HZ).start()
             try:
                 with instrumented(profiler=profiler):
-                    profileds.append(_walk_seconds(engine, system.scenarios))
+                    profileds.append(_walk_seconds(system))
             finally:
                 profiles.append(profiler.stop())
         merged = profiles[0]
@@ -131,7 +134,7 @@ def test_bench_profiler_overhead(benchmark):
     # profiler's own start/stop bookkeeping instead of the workload.
     with SamplingProfiler(hz=5000.0) as profiler:
         for _ in range(10):
-            engine.walk_all(system.scenarios)
+            _walk_seconds(system)
     captured = profiler.profile()
     flat = ";".join(frame for stack in captured.counts for frame in stack)
     assert "walkthrough" in flat

@@ -38,6 +38,7 @@ code, so their answers are identical tuple-for-tuple.
 from __future__ import annotations
 
 import time
+import weakref
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -197,7 +198,9 @@ class CommunicationIndex:
     """
 
     def __init__(self, architecture: Architecture, memoize: bool = True) -> None:
-        self.architecture = architecture
+        # The architecture, or a weak reference to it when the index is
+        # the one kept on the architecture (see `communication_index`).
+        self._architecture = architecture
         self.memoize = memoize
         self._fingerprint: Optional[tuple] = None
         self._graphs: dict[bool, nx.MultiGraph | nx.MultiDiGraph] = {}
@@ -213,6 +216,17 @@ class CommunicationIndex:
         self._misses: int = 0
         self._invalidations: int = 0
         self._build_seconds: float = 0.0
+
+    @property
+    def architecture(self) -> Architecture:
+        held = self._architecture
+        if held.__class__ is weakref.ref:
+            held = held()
+            if held is None:
+                raise ArchitectureError(
+                    "the architecture of this communication index is gone"
+                )
+        return held
 
     # ------------------------------------------------------------------
     # Cache lifecycle
@@ -546,11 +560,14 @@ def communication_index(architecture: Architecture) -> CommunicationIndex:
     which copying leaves without one). Every consumer resolving through
     here — the ``graph.py`` module API, the walkthrough engine,
     constraints, incremental re-evaluation — shares one warm index per
-    architecture object.
+    architecture object. The index reaches its architecture through a
+    weak reference, so the pair is no reference cycle: a dropped
+    architecture is freed, index and all, without the cycle collector.
     """
     index = architecture._communication_index
     if index is None:
         index = architecture._communication_index = CommunicationIndex(
             architecture
         )
+        index._architecture = weakref.ref(architecture)
     return index

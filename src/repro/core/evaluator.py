@@ -236,15 +236,23 @@ class Sosae:
         self.constraints = list(constraints)
         self.bindings = bindings
         self.entity_to_component = dict(entity_to_component or {})
-        self.walkthrough_options = walkthrough_options or WalkthroughOptions()
         self.runtime_config = runtime_config
         self.behavior_options = behavior_options
         self.engine = WalkthroughEngine(
-            architecture, mapping, self.walkthrough_options
+            architecture, mapping, walkthrough_options
         )
         # The engine resolves the shared per-architecture communication
         # index; constraint checks in `evaluate` hit the same warm caches.
         self.index = self.engine.index
+
+    @property
+    def walkthrough_options(self) -> WalkthroughOptions:
+        """The walk's options: the engine's, set through either name."""
+        return self.engine.options
+
+    @walkthrough_options.setter
+    def walkthrough_options(self, options: WalkthroughOptions) -> None:
+        self.engine.options = options
 
     # ------------------------------------------------------------------
     # Pipeline
@@ -298,9 +306,10 @@ class Sosae:
         count).
 
         The installed coverage builder, when enabled, is fed from the
-        finished report's verdicts; while the recorder or event bus is
-        live and no builder is installed, a fresh one is finalized
-        onto the recorder and announced on the bus.
+        finished report's verdicts, inside the session, whose memo keeps
+        the verdicts' fold for a replay to reuse; while the recorder or
+        event bus is live and no builder is installed, a fresh one is
+        finalized onto the recorder and announced on the bus.
 
         The whole evaluation runs in one engine session: the walk and the
         constraint checks share one structural fingerprint check at
@@ -316,13 +325,10 @@ class Sosae:
         reused = reused_findings or {}
         if not recorder.enabled and not bus.enabled:
             with self.engine.session():
-                report = self._evaluate(
+                return self._evaluate(
                     walk, scenario_names, include_dynamic, dynamic_scenarios,
                     reused, attributes,
                 )
-            if coverage.enabled:
-                coverage.record_verdicts(report.scenario_verdicts, self.mapping)
-            return report
         if bus.enabled:
             bus.emit(
                 EvaluationStarted(
@@ -351,8 +357,6 @@ class Sosae:
                     walk, scenario_names, include_dynamic, dynamic_scenarios,
                     reused, attributes,
                 )
-            if coverage.enabled:
-                coverage.record_verdicts(report.scenario_verdicts, self.mapping)
             span.set_attribute("consistent", report.consistent)
             span.set_attribute("findings", len(report.findings))
         if builder is not None:
@@ -451,6 +455,10 @@ class Sosae:
         if include_dynamic:
             with self._staged(recorder, bus, "dynamic", None):
                 dynamic_verdicts = self._run_dynamic(dynamic_scenarios)
+
+        coverage = instruments.coverage
+        if coverage.enabled:
+            coverage.record_verdicts(verdicts, self.mapping, memo)
 
         return EvaluationReport(
             architecture=self.architecture.name,

@@ -15,8 +15,9 @@ that text straight from the report: the report, each scenario verdict,
 each trace and each step stand at a fixed depth and are written from
 templates cut once from the ``_*_to_dict`` functions' own output. Only
 non-empty free-form subtrees (findings with their provenance, and
-dynamic verdicts) go through the stdlib's indent-2 encoder, so writing a
-report with neither makes no cyclic garbage.
+dynamic verdicts) are written value by value, by a plain recursive
+writer that makes the stdlib encoder's text and, unlike it, no cyclic
+garbage: writing any report leaves nothing for the cycle collector.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ _FORMAT_VERSION = 1
 
 #: The string escaper ``json.dumps`` uses by default (``ensure_ascii``).
 _encode_string = json.encoder.encode_basestring_ascii
-
-#: ``_encode(value) == json.dumps(value, indent=2)``: the writer of the
-#: free-form subtrees, and of the text the templates are cut from.
-_encode = json.JSONEncoder(indent=2).encode
 
 
 # ----------------------------------------------------------------------
@@ -83,12 +80,11 @@ def report_to_json(report: EvaluationReport, indent: int = 2) -> str:
     label, type, note, components and path repeat across the report, so
     their text is rendered once per call and reused. Strings go through
     the stdlib's C escaper. Only non-empty free-form subtrees --
-    findings with their provenance, and dynamic verdicts -- go through
-    the stdlib's indent-2 encoder, indented to their depth. That encoder
-    is pure Python and leaves a cycle of closures behind on each call,
-    so a report with neither writes no cyclic garbage. Each trace's and
-    each verdict's text is joined from its pieces as soon as they are
-    written, so no piece list holds a whole report.
+    findings with their provenance, and dynamic verdicts -- are written
+    value by value (see :func:`_write`), at their depth, leaving no
+    cyclic garbage. Each trace's and each verdict's text is joined from
+    its pieces as soon as they are written, so no piece list holds a
+    whole report.
 
     The layout is fixed: ``indent`` is accepted only as ``2``, for
     callers that pass it explicitly.
@@ -187,29 +183,108 @@ _PADS = tuple("\n" + "  " * depth for depth in range(9))
 
 def _subtree(value, depth: int) -> str:
     """``json.dumps(value, indent=2)`` for a value that stands at
-    ``depth``. JSON strings escape their newlines, so every newline in
-    the text starts a line of the layout."""
-    return _encode(value).replace("\n", _PADS[depth])
+    ``depth``: the free-form subtrees, and the text the templates are
+    cut from."""
+    pieces: list[str] = []
+    _write(value, depth, pieces)
+    return "".join(pieces)
+
+
+def _write(value, depth: int, pieces: list) -> None:
+    """Append the indent-2 text of ``value``, standing at ``depth``, to
+    ``pieces``: the stdlib's pure-Python encoder's checks, in its order,
+    and its output. That encoder builds its recursion from closures that
+    refer to each other, a cycle left behind on every call; this plain
+    recursion leaves none."""
+    if isinstance(value, str):
+        pieces.append(_encode_string(value))
+    elif value is None:
+        pieces.append("null")
+    elif value is True:
+        pieces.append("true")
+    elif value is False:
+        pieces.append("false")
+    elif isinstance(value, int):
+        pieces.append(int.__repr__(value))
+    elif isinstance(value, float):
+        pieces.append(_float_text(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            pieces.append("[]")
+            return
+        pad = _pad(depth + 1)
+        separator, comma = "[" + pad, "," + pad
+        for item in value:
+            pieces.append(separator)
+            separator = comma
+            _write(item, depth + 1, pieces)
+        pieces.append(_pad(depth) + "]")
+    elif isinstance(value, dict):
+        if not value:
+            pieces.append("{}")
+            return
+        pad = _pad(depth + 1)
+        separator, comma = "{" + pad, "," + pad
+        for key, item in value.items():
+            pieces.append(separator)
+            separator = comma
+            pieces.append(_encode_string(_key_text(key)))
+            pieces.append(": ")
+            _write(item, depth + 1, pieces)
+        pieces.append(_pad(depth) + "}")
+    else:
+        raise TypeError(
+            f"Object of type {value.__class__.__name__} "
+            "is not JSON serializable"
+        )
+
+
+def _pad(depth: int) -> str:
+    """The newline and indent of a line at ``depth``."""
+    return _PADS[depth] if depth < len(_PADS) else "\n" + "  " * depth
+
+
+def _float_text(value: float) -> str:
+    """A float's JSON text, as the stdlib writes it."""
+    if value != value:
+        return "NaN"
+    if value == _INFINITY:
+        return "Infinity"
+    if value == -_INFINITY:
+        return "-Infinity"
+    return float.__repr__(value)
+
+
+_INFINITY = float("inf")
+
+
+def _key_text(key) -> str:
+    """A dict key as the string the stdlib writes for it."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(
+        "keys must be str, int, float, bool or None, "
+        f"not {key.__class__.__name__}"
+    )
 
 
 class _FieldTexts(dict):
     """Step field values -> their text at a step key's depth, rendered
     on first lookup. The memoized fields hold str, None and tuples of
-    str, so equal values have equal text; those are written here, and
-    only a value of another shape goes through the stdlib's encoder."""
+    str, so equal values have equal text."""
 
     def __missing__(self, value) -> str:
-        if value is None:
-            text = "null"
-        elif value.__class__ is str:
-            text = _encode_string(value)
-        elif value.__class__ is tuple and all(
-            item.__class__ is str for item in value
-        ):
-            text = "".join(_array(list(map(_encode_string, value)), 7))
-        else:
-            text = _subtree(value, 7)
-        self[value] = text
+        text = self[value] = _subtree(value, 7)
         return text
 
 
@@ -223,7 +298,7 @@ def _leaf(value) -> str:
         return "false"
     if value.__class__ is int:
         return repr(value)
-    return _encode(value)
+    return _subtree(value, 0)
 
 
 def _findings(findings, depth: int) -> str:
@@ -262,8 +337,8 @@ def _template(document: dict, depth: int) -> tuple[str, ...]:
     build for empty objects, so the keys and their order are written
     down once, there."""
     mark = "\x00"
-    text = _encode(dict.fromkeys(document, mark))
-    return tuple(text.replace("\n", _PADS[depth]).split(_encode_string(mark)))
+    text = _subtree(dict.fromkeys(document, mark), depth)
+    return tuple(text.split(_encode_string(mark)))
 
 
 def _verdict_to_dict(verdict: ScenarioVerdict) -> dict:

@@ -80,10 +80,15 @@ the ids, parents and payloads per-scenario observation gave them: at
 the end of the evaluator's walkthrough stage, which streams each
 verdict's findings after its pair, and at the outermost exit of a
 session for any rows left (a direct ``walk_scenario`` or ``walk_all``
-call, a walk that raised). A shard worker takes its rows and counters
-out of its session (:meth:`WalkthroughEngine.take_walk`) and the parent
-adds them to its own (:meth:`WalkthroughEngine.add_walk`), so one pass
-observes a sharded walk as it observes a serial one.
+call, a walk that raised). The parts of a scenario's observation that
+only its verdict decides (its span's attributes but the graph builds,
+its events' payloads but the wall time, its findings) are made when a
+row of it is first observed and kept in its walked entry, so a replay
+stamps only clocks, ids, ``seq`` and graph builds. A shard worker
+takes its rows and counters out of its session
+(:meth:`WalkthroughEngine.take_walk`) and the parent adds them to its
+own (:meth:`WalkthroughEngine.add_walk`), so one pass observes a
+sharded walk as it observes a serial one.
 """
 
 from __future__ import annotations
@@ -351,7 +356,7 @@ class WalkthroughEngine:
         built = iter(graphs)
         for (
             verdict, name, negative, traces, start_wall, start_cpu,
-            end_wall, end_cpu, costs, error, _,
+            end_wall, end_cpu, costs, error, _, _,
         ) in rows:
             if costs is not None and costs[2]:
                 kinds = list(islice(built, costs[2]))
@@ -364,6 +369,7 @@ class WalkthroughEngine:
             yield (
                 verdict, name, negative, traces, start_wall + shift,
                 start_cpu, end_wall + shift, end_cpu, costs, error, shard,
+                None,
             )
 
     def settle(self, raw: ScenarioVerdict, verdict: ScenarioVerdict) -> None:
@@ -431,17 +437,17 @@ class WalkthroughEngine:
                 rows.append((
                     None, scenario.name, scenario.is_negative, len(traces),
                     start_wall, start_cpu, perf_counter(), process_time(),
-                    None, type(error).__name__, 0,
+                    None, type(error).__name__, 0, None,
                 ))
                 raise
             builds = table.graph_builds - builds
-        _, verdict, counts, checks = walked
+        _, verdict, counts, checks, kept = walked
         if tally is not None:
             _add(tally, counts)
         rows.append((
             verdict, scenario.name, scenario.is_negative, counts[_TRACES],
             start_wall, start_cpu, perf_counter(), process_time(),
-            (counts[_STEPS], checks, builds), None, 0,
+            (counts[_STEPS], checks, builds), None, 0, kept,
         ))
         if bus.heartbeat_interval is not None:
             # The scenario's events wait for the end of the walk; its
@@ -473,7 +479,7 @@ class WalkthroughEngine:
             negative=scenario.is_negative,
         )
         walked = table.walked[id(scenario)] = (
-            scenario, verdict, tuple(counts), table.checks - checks
+            scenario, verdict, tuple(counts), table.checks - checks, []
         )
         return walked
 
@@ -794,27 +800,65 @@ def finding_event(finding: Inconsistency) -> FindingEmitted:
     )
 
 
-def _record_spans(recorder, rows: list[tuple]) -> None:
+def _observed_parts(row: tuple) -> Optional[tuple]:
+    """What a row's observation does not stamp afresh, ``None`` for a
+    walk that raised: its span's attributes, its scenario-started
+    payload, its scenario-finished payload but ``wall_seconds``, and its
+    verdict's findings. A row walked or replayed here keeps them in its
+    scenario's walked entry (see :class:`_StepTable`), for as long as
+    the row's verdict is the one they were made from, so an unchanged
+    scenario's replays count its failing steps and findings once."""
+    verdict = row[0]
+    if verdict is None:
+        return None
+    kept = row[11]
+    if kept and kept[0] is verdict:
+        return kept[1]
+    _, name, negative, traces = row[:4]
+    steps, checks, builds = row[8]
+    failing, findings = _failures(verdict.traces)
+    found = verdict.all_inconsistencies()
+    parts = (
+        {
+            "scenario": name,
+            "negative": negative,
+            "traces": traces,
+            "cost.steps": steps,
+            "cost.failing_steps": failing,
+            "cost.index_queries": checks,
+            "cost.bfs_expansions": builds,
+            "cost.findings": findings,
+        },
+        {"scenario": name, "negative": negative, "traces": traces},
+        {"scenario": name, "passed": verdict.passed, "findings": len(found)},
+        found,
+    )
+    if kept is not None:
+        kept[:] = (verdict, parts)
+    return parts
+
+
+def _record_spans(recorder, rows: list[tuple], parts: list) -> None:
     """The rows' ``walkthrough.scenario`` spans, under the innermost
     open span, and their ``walkthrough.scenario_seconds`` samples, in
-    walk order."""
+    walk order; ``parts`` are the rows' :func:`_observed_parts`."""
     add = recorder.spans.add
     seconds = []
     for (
-        verdict, name, negative, traces, start_wall, start_cpu,
-        end_wall, end_cpu, costs, error, shard,
-    ) in rows:
-        attributes = {"scenario": name, "negative": negative, "traces": traces}
-        if error is None:
-            failing, findings = _failures(verdict.traces)
-            attributes["cost.steps"] = costs[0]
-            attributes["cost.failing_steps"] = failing
-            attributes["cost.index_queries"] = costs[1]
-            attributes["cost.bfs_expansions"] = costs[2]
-            attributes["cost.findings"] = findings
+        _, name, negative, traces, start_wall, start_cpu,
+        end_wall, end_cpu, costs, error, shard, _,
+    ), part in zip(rows, parts):
+        if part is not None:
+            # A copy per span, with the row's own graph builds.
+            attributes = {**part[0], "cost.bfs_expansions": costs[2]}
             seconds.append(end_wall - start_wall)
         else:
-            attributes["error"] = error
+            attributes = {
+                "scenario": name,
+                "negative": negative,
+                "traces": traces,
+                "error": error,
+            }
         span = add(
             "walkthrough.scenario", attributes,
             start_wall, start_cpu, end_wall, end_cpu,
@@ -828,52 +872,47 @@ def _record_spans(recorder, rows: list[tuple]) -> None:
 
 
 def _scenario_events(
-    rows: list[tuple], verdicts: Sequence[ScenarioVerdict]
+    rows: list[tuple], parts: list, verdicts: Sequence[ScenarioVerdict]
 ) -> tuple[list[TelemetryEvent], int]:
     """The rows' scenario-started/finished pairs, each verdict's
     findings after its row's pair (alone when it has none), and the
-    number of findings."""
+    number of findings; ``parts`` are the rows' :func:`_observed_parts`."""
     events: list[TelemetryEvent] = []
     streamed = 0
-    pending = iter(rows)
-    row = next(pending, None)
+    pending = zip(rows, parts)
+    row, part = next(pending, (None, None))
     for verdict in verdicts:
-        found = verdict.all_inconsistencies()
         if row is not None and row[0] is verdict:
-            _scenario_pair(events, row, found)
-            row = next(pending, None)
+            found = part[3]
+            _scenario_pair(events, row, part)
+            row, part = next(pending, (None, None))
+        else:
+            found = verdict.all_inconsistencies()
         if found:
             streamed += len(found)
             events.extend(map(finding_event, found))
     while row is not None:
-        _scenario_pair(events, row)
-        row = next(pending, None)
+        _scenario_pair(events, row, part)
+        row, part = next(pending, (None, None))
     return events, streamed
 
 
 def _scenario_pair(
-    events: list[TelemetryEvent],
-    row: tuple,
-    found: Optional[tuple[Inconsistency, ...]] = None,
+    events: list[TelemetryEvent], row: tuple, part: Optional[tuple]
 ) -> None:
     """Append a row's scenario-started event and, unless its walk
-    raised, its scenario-finished event; ``found`` is the verdict's
-    ``all_inconsistencies()`` when the caller has it."""
-    verdict, name, negative, traces, start_wall, _, end_wall = row[:7]
-    events.append(
-        ScenarioStarted.of(scenario=name, negative=negative, traces=traces)
-    )
-    if verdict is not None:
-        if found is None:
-            found = verdict.all_inconsistencies()
+    raised, its scenario-finished event; ``part`` is the row's
+    :func:`_observed_parts`."""
+    if part is None:
+        _, name, negative, traces = row[:4]
         events.append(
-            ScenarioFinished.of(
-                scenario=name,
-                passed=verdict.passed,
-                findings=len(found),
-                wall_seconds=end_wall - start_wall,
-            )
+            ScenarioStarted.of(scenario=name, negative=negative, traces=traces)
         )
+        return
+    events.append(ScenarioStarted.of(**part[1]))
+    events.append(
+        ScenarioFinished.of(**part[2], wall_seconds=row[6] - row[4])
+    )
 
 
 class _StepTable:
@@ -883,15 +922,18 @@ class _StepTable:
     inter-event move between disjoint component groups, one per chain
     pair checked. ``graph_builds`` counts the communication graphs the
     index built to answer them. ``walked`` keeps, per scenario object
-    walked to the end, the scenario, its raw verdict, its walk counters
-    and its checks; a walk that raised keeps nothing. ``rows`` are the
-    observed walk's, one per scenario walked or replayed since they
-    were last observed: ``(verdict, name, negative, traces,
-    start_wall, start_cpu, end_wall, end_cpu, costs, error, shard)``,
-    where ``costs`` are the ``(steps, index queries, graph builds)``, a
-    walk that raised has no verdict or costs and the exception type's
-    name as ``error``, and ``shard`` is the shard worker that walked it
-    (0 in this process)."""
+    walked to the end, the scenario, its raw verdict, its walk counters,
+    its checks and a list that holds, once a row of it was observed,
+    that row's verdict and :func:`_observed_parts`; a walk that raised
+    keeps nothing. ``rows`` are the observed walk's, one per scenario
+    walked or replayed since they were last observed: ``(verdict, name,
+    negative, traces, start_wall, start_cpu, end_wall, end_cpu, costs,
+    error, shard, kept)``, where ``costs`` are the ``(steps, index
+    queries, graph builds)``, a walk that raised has no verdict or costs
+    and the exception type's name as ``error``, ``shard`` is the shard
+    worker that walked it (0 in this process), and ``kept`` is its
+    walked entry's list (``None`` for a walk that raised or a row added
+    from another process)."""
 
     def __init__(
         self, engine: WalkthroughEngine, key: Optional[tuple]
@@ -908,7 +950,8 @@ class _StepTable:
         # Holding the event keeps its id from being reused.
         self.renderings: dict[int, tuple[Event, str]] = {}
         # Per scenario object, held likewise: (scenario, raw verdict,
-        # walk counters in _WALK_COUNTERS order, connectivity checks).
+        # walk counters in _WALK_COUNTERS order, connectivity checks,
+        # kept observation parts).
         self.walked: dict[int, tuple] = {}
         self.memo: dict = {}
         self.checks = 0
@@ -997,11 +1040,12 @@ class _StepTable:
         another process). Returns the number of findings streamed."""
         rows = self.rows_for(recorder, bus)
         self.rows, self._rows_for = [], (None, None)
+        parts = list(map(_observed_parts, rows))
         if recorder.enabled and rows:
-            _record_spans(recorder, rows)
+            _record_spans(recorder, rows, parts)
         if not bus.enabled:
             return 0
-        events, streamed = _scenario_events(rows, verdicts)
+        events, streamed = _scenario_events(rows, parts, verdicts)
         if events:
             bus.emit_many(events)
         return streamed

@@ -34,6 +34,7 @@ import json
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import is_
 from typing import TYPE_CHECKING, Iterable, Optional
 
 from repro.caching import cached_property
@@ -98,6 +99,39 @@ def constraint_label(constraint) -> str:
     return type(constraint).__name__
 
 
+def _fold(
+    verdicts: Iterable["ScenarioVerdict"], memo: Optional[dict]
+) -> tuple[Counter, Counter]:
+    """The verdicts' typed steps counted by ``(event type, components)``
+    placement, and their multi-element witness paths counted, kept in
+    ``memo`` (when given) with the traces they were counted from."""
+    traces = tuple(verdict.traces for verdict in verdicts)
+    if memo is not None:
+        kept = memo.get("coverage.fold")
+        if (
+            kept is not None
+            and len(kept[0]) == len(traces)
+            and all(map(is_, kept[0], traces))
+        ):
+            return kept[1], kept[2]
+    steps = [
+        step
+        for walks in traces
+        for trace in walks
+        for step in trace.steps
+        if step.event_type is not None
+    ]
+    placements = Counter((step.event_type, step.components) for step in steps)
+    paths = Counter(
+        step.path
+        for step in steps
+        if step.path is not None and len(step.path) > 1
+    )
+    if memo is not None:
+        memo["coverage.fold"] = (traces, placements, paths)
+    return placements, paths
+
+
 class CoverageBuilder:
     """Accumulates exercise counts for one evaluation (or several, when
     one builder is installed across them).
@@ -118,7 +152,10 @@ class CoverageBuilder:
         self._unmapped_events = 0
 
     def record_verdicts(
-        self, verdicts: Iterable["ScenarioVerdict"], mapping: "Mapping"
+        self,
+        verdicts: Iterable["ScenarioVerdict"],
+        mapping: "Mapping",
+        memo: Optional[dict] = None,
     ) -> None:
         """Count what the verdicts' walkthrough steps exercised.
 
@@ -126,24 +163,16 @@ class CoverageBuilder:
         the walkthrough placed it on, and the mapping entry that
         answered for it (``mapping.resolution_for`` walks the same
         supertype chain the walkthrough did); every consecutive pair of
-        a step's witness path counts as a link crossing."""
+        a step's witness path counts as a link crossing.
+
+        ``memo`` is an engine session's
+        :meth:`~repro.core.walkthrough.WalkthroughEngine.memo` when the
+        engine walks for ``mapping``: the steps' fold is kept there,
+        and verdicts whose traces are the very objects of the last
+        fold's (a replay of an unchanged pipeline) reuse it."""
         if not self.enabled:
             return
-        steps = [
-            step
-            for verdict in verdicts
-            for trace in verdict.traces
-            for step in trace.steps
-            if step.event_type is not None
-        ]
-        placements = Counter(
-            (step.event_type, step.components) for step in steps
-        )
-        paths = Counter(
-            step.path
-            for step in steps
-            if step.path is not None and len(step.path) > 1
-        )
+        placements, paths = _fold(verdicts, memo)
         event_types, entries = self._event_types, self._entries
         for (event_type, components), count in placements.items():
             event_types[event_type] = event_types.get(event_type, 0) + count

@@ -60,6 +60,7 @@ its rules over the fresh scalars and the run-registry window, emitting
 
 from __future__ import annotations
 
+import gc
 import json
 import queue
 import threading
@@ -387,6 +388,10 @@ class ServeDaemon:
         self._profiles: deque[Profile] = deque(maxlen=profile_history)
         self._batch = None
         self._sosae = None
+        # Whether the heap is frozen by this daemon, and whether the
+        # next successful run freezes it (see `run_once`).
+        self._frozen = False
+        self._freeze_due = False
         self._git_sha: Optional[str] = None
         # (pipeline, report) of the last successful watch-loop run: an
         # incremental edit re-evaluates from that report, and only when
@@ -441,7 +446,31 @@ class ServeDaemon:
         the last report came from the pipeline the rebuild replaced,
         the run goes through the incremental re-evaluation path instead
         of a full pipeline (falling back to the full pipeline on error).
+
+        The first successful run of each newly built pipeline (the
+        readiness run, and the first after a rebuild) ends with
+        :func:`gc.freeze`: everything alive then -- the imports, the
+        pipeline, its step table and verdicts, the daemon -- moves to
+        the collector's permanent generation, so a later tick's passes
+        scan only what ticks made since. The heap is unfrozen before a
+        rebuild replaces the pipeline and at :meth:`shutdown`. The
+        freeze is process-wide: it holds every object of the process,
+        not only this daemon's.
         """
+        with self.eval_lock:
+            outcome = self._run(rebuild, changed_paths)
+            if outcome.ok and self._freeze_due:
+                # The tick's own objects are gone; what is left lives
+                # until the next rebuild or shutdown.
+                self._freeze_due = False
+                self._frozen = True
+                gc.freeze()
+        return outcome
+
+    def _run(
+        self, rebuild: bool, changed_paths: Sequence[Union[str, Path]]
+    ) -> RunOutcome:
+        """:meth:`run_once`'s evaluation, under ``eval_lock``."""
         started_wall = time.time()
         started = time.perf_counter()
         used_incremental = False
@@ -454,14 +483,19 @@ class ServeDaemon:
             if self.profile_hz
             else NULL_PROFILER
         )
-        with self.eval_lock, instrumented(
+        with instrumented(
             events=self.bus, recorder=recorder, profiler=profiler
         ):
             try:
                 previous_sosae = None
                 if self._sosae is None or rebuild:
                     previous_sosae = self._sosae
-                    self._sosae = self.build_sosae()
+                    sosae = self.build_sosae()
+                    # The replaced pipeline's objects are the collector's
+                    # again; the new one's first good run freezes anew.
+                    self._thaw()
+                    self._sosae = sosae
+                    self._freeze_due = True
                     # One `git rev-parse` per (re)build, not per run: a
                     # subprocess every interval tick would dwarf a small
                     # evaluation, and the sha only moves when the user
@@ -758,8 +792,8 @@ class ServeDaemon:
         self._stop.set()
 
     def shutdown(self) -> None:
-        """Stop the loop, tear the HTTP server down, and reap the shard
-        pool's workers."""
+        """Stop the loop, tear the HTTP server down, reap the shard
+        pool's workers, and unfreeze the heap."""
         self._stop.set()
         if self.jobs is not None:
             self.jobs.close()
@@ -772,6 +806,13 @@ class ServeDaemon:
             self._http_thread = None
         if self._batch is not None:
             self._batch.close()
+        self._thaw()
+
+    def _thaw(self) -> None:
+        """Give the heap this daemon froze back to the collector."""
+        if self._frozen:
+            self._frozen = False
+            gc.unfreeze()
 
     # ------------------------------------------------------------------
     # Endpoint bodies (read by the handler, computed under the lock)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from repro.adl.structure import Architecture, Direction, Interface
@@ -170,3 +172,19 @@ def pims():
 def crash():
     """The full CRASH case study (session-scoped; treat as read-only)."""
     return build_crash()
+
+
+@pytest.fixture(autouse=True)
+def heap_left_unfrozen():
+    """Fail a test that leaves the heap frozen. A serve daemon's first
+    successful run freezes the whole process's heap until the daemon
+    shuts down; a test that runs one shuts it down, so no later test
+    runs with its objects out of the collector's reach."""
+    yield
+    frozen = gc.get_freeze_count()
+    if frozen:
+        gc.unfreeze()
+        pytest.fail(
+            f"the test left {frozen} objects frozen: shut its serve "
+            "daemons down"
+        )

@@ -428,6 +428,51 @@ class TestSharedIndex:
         assert fresh.architecture is duplicate
         assert fresh.stats().misses == 0
 
+    def test_the_shared_index_refers_back_weakly(self):
+        architecture = hub_architecture(seed=6, components=3)
+        index = communication_index(architecture)
+        assert index.can_communicate("component-0", "component-1")
+        dropped = weakref.ref(architecture)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del architecture
+            # Freed by its reference count: the pair is no cycle.
+            assert dropped() is None
+        finally:
+            if enabled:
+                gc.enable()
+        with pytest.raises(ArchitectureError, match="is gone"):
+            index.can_communicate("component-0", "component-1")
+
+    def test_a_directly_built_index_holds_its_architecture(self):
+        index = CommunicationIndex(hub_architecture(seed=6, components=3))
+        assert index.can_communicate("component-0", "component-1")
+        assert index.architecture.name
+
+    def test_a_dropped_pipeline_frees_its_architecture(self):
+        from repro.core.evaluator import Sosae
+
+        pims = build_pims()
+        architecture = pims.excised_architecture()
+        sosae = Sosae(
+            pims.scenarios,
+            architecture,
+            pims.mapping.rebind(architecture),
+            constraints=pims.constraints,
+            walkthrough_options=pims.options,
+        )
+        assert not sosae.evaluate().consistent
+        dropped = weakref.ref(architecture)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del sosae, architecture
+            assert dropped() is None
+        finally:
+            if enabled:
+                gc.enable()
+
     def test_a_dropped_architecture_frees_its_index(self):
         indexes = []
         for _ in range(3):

@@ -309,6 +309,76 @@ class TestReplay:
         assert finished.findings == len(verdict.all_inconsistencies()) > 0
 
 
+    def test_kept_parts_follow_the_observed_verdict(self):
+        """An evaluation observes a negative scenario's inverted verdict
+        and a direct walk its raw one: the raw walk's scenario-finished
+        must not report the parts kept for the inverted verdict."""
+        crash = build_crash()
+        architecture = crash.insecure_architecture()
+        sosae = Sosae(
+            crash.scenarios,
+            architecture,
+            build_crash_mapping(crash.ontology, architecture),
+            walkthrough_options=crash.options,
+        )
+        bus = EventBus()
+        with instrumented(events=bus):
+            report = sosae.evaluate()
+            raw = sosae.engine.walk_all(sosae.scenario_set)
+        name = "unauthorized-network-access"
+        inverted = report.verdict(name)
+        (walked,) = [verdict for verdict in raw if verdict.scenario == name]
+        assert walked is not inverted
+        finished = [
+            event.findings for event in bus.events()
+            if event.kind == "scenario-finished" and event.scenario == name
+        ]
+        assert finished == [
+            len(inverted.all_inconsistencies()),
+            len(walked.all_inconsistencies()),
+        ]
+        assert finished[0] != finished[1]
+
+    def test_a_replay_reuses_the_coverage_fold(self):
+        inputs = _pims(excised=True, copies=4)
+        sosae = inputs.sosae()
+        first = _observed(inputs, sosae)
+        fold = sosae.engine._kept.memo["coverage.fold"]
+        assert _observed(inputs, sosae) == first
+        assert sosae.engine._kept.memo["coverage.fold"] is fold
+
+    def test_other_scenarios_are_folded_anew(self):
+        """Two evaluations of as many scenarios, but not the same ones:
+        the second's coverage is a fresh pipeline's."""
+        def coverage(sosae, names):
+            recorder = Recorder()
+            with instrumented(recorder=recorder):
+                sosae.evaluate(scenario_names=names)
+            return recorder.coverage.digest
+
+        inputs, fresh = _pims(excised=True), _pims(excised=True)
+        names = [scenario.name for scenario in inputs.scenarios]
+        sosae = inputs.sosae()
+        coverage(sosae, names[:3])
+        assert coverage(sosae, names[-3:]) == coverage(
+            fresh.sosae(), names[-3:]
+        )
+
+    def test_a_replay_reuses_each_scenarios_observation_parts(self):
+        inputs = _pims(excised=True, copies=4)
+        sosae = inputs.sosae()
+        sosae.evaluate()
+        walked = sosae.engine._kept.walked.values()
+        # Unobserved, no part is made.
+        assert all(kept == [] for *_, kept in walked)
+        first = _observed(inputs, sosae)
+        parts = {id(kept): kept[1] for *_, kept in walked}
+        assert all(parts.values())
+        assert _observed(inputs, sosae) == first
+        for *_, kept in walked:
+            assert kept[1] is parts[id(kept)]
+
+
 # ----------------------------------------------------------------------
 # Edits between evaluations
 # ----------------------------------------------------------------------
@@ -379,7 +449,7 @@ def _remove_a_link(pims, sosae):
 
 
 def _swap_options(pims, sosae):
-    sosae.walkthrough_options = sosae.engine.options = dataclasses.replace(
+    sosae.walkthrough_options = dataclasses.replace(
         pims.options, inter_event_respect_directions=True
     )
 
@@ -402,6 +472,22 @@ EDITS = {
     "architecture-link-removal": (_nothing, _remove_a_link),
     "engine-options-swap": (_nothing, _swap_options),
 }
+
+
+class TestOptions:
+    def test_setting_the_pipelines_options_is_a_new_pipelines_report(self):
+        inputs, fresh = _pims(excised=True), _pims(excised=True)
+        sosae = inputs.sosae()
+        before = report_to_json(sosae.evaluate())
+        options = dataclasses.replace(
+            inputs.options, inter_event_respect_directions=True
+        )
+        sosae.walkthrough_options = options
+        assert sosae.engine.options is options
+        fresh.options = options
+        after = report_to_json(sosae.evaluate())
+        assert after == report_to_json(fresh.sosae().evaluate())
+        assert after != before
 
 
 class TestForeignBoundMapping:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import json
 import pickle
@@ -30,6 +31,7 @@ from repro.core.report_io import (
 )
 from repro.core.walkthrough import WalkthroughOptions
 from repro.errors import SerializationError
+from repro.scenarioml.scenario import ScenarioSet
 from repro.obs.provenance import (
     EventContext,
     IndexQuery,
@@ -428,7 +430,7 @@ class TestIndent2Writer:
         self, source
     ):
         # The stdlib's indent encoder leaves a cycle of closures per
-        # call; only findings and dynamic verdicts still use it.
+        # call; the writer never calls it.
         if source == "synthetic":
             system = build_synthetic(SyntheticSpec(scenarios=40, seed=0))
             report = Sosae(
@@ -450,6 +452,25 @@ class TestIndent2Writer:
             and not any(trace.inconsistencies for trace in verdict.traces)
             for verdict in report.scenario_verdicts
         )
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            text = report_to_json(report)
+            assert gc.collect() == 0
+        finally:
+            if enabled:
+                gc.enable()
+        assert text == json.dumps(report_to_dict(report), indent=2)
+
+    @pytest.mark.parametrize(
+        "source", ["pims", "pims-x40", "crash-dynamic", "hand-built"]
+    )
+    def test_writing_findings_leaves_no_cyclic_garbage(
+        self, source, pims, crash
+    ):
+        report = _report_with_findings(source, pims, crash)
+        assert report.all_inconsistencies()
         enabled = gc.isenabled()
         gc.collect()
         gc.disable()
@@ -504,6 +525,49 @@ def _finding(label: str, provenance: bool = True, **fields) -> Inconsistency:
         provenance=_provenance(label) if provenance else None,
         **fields,
     )
+
+
+def _report_with_findings(source: str, pims, crash) -> EvaluationReport:
+    """PIMS excised (alone, or with 39 renamed replicas of its
+    scenarios), CRASH insecure with its dynamic verdicts, or the
+    hand-built report of every shape."""
+    if source == "hand-built":
+        return _every_shape_report()
+    if source == "crash-dynamic":
+        from repro.sim.network import ChannelPolicy
+        from repro.sim.runtime import RuntimeConfig
+
+        architecture = crash.insecure_architecture()
+        report = Sosae(
+            crash.scenarios,
+            architecture,
+            build_crash_mapping(crash.ontology, architecture),
+            bindings=crash.bindings,
+            walkthrough_options=crash.options,
+            runtime_config=RuntimeConfig(
+                policy=ChannelPolicy(latency=1.0, failure_detection=True)
+            ),
+        ).evaluate(include_dynamic=True)
+        assert report.dynamic_verdicts
+        return report
+    architecture = pims.excised_architecture()
+    scenarios = pims.scenarios
+    if source == "pims-x40":
+        scenarios = ScenarioSet(pims.ontology, name="pims-x40")
+        scenarios.extend(pims.scenarios)
+        for index in range(1, 40):
+            scenarios.extend(
+                dataclasses.replace(scenario, name=f"{scenario.name}+r{index}")
+                for scenario in pims.scenarios
+                if scenario.alternative_of is None
+            )
+    return Sosae(
+        scenarios,
+        architecture,
+        pims.mapping.rebind(architecture),
+        constraints=pims.constraints,
+        walkthrough_options=pims.options,
+    ).evaluate()
 
 
 def _every_shape_report() -> EvaluationReport:

@@ -949,8 +949,11 @@ class TestGitShaLookup:
             lambda: Sosae(small_scenarios, chain_architecture, chain_mapping),
             registry=RunRegistry(tmp_path / "runs"),
         )
-        for _ in range(5):
-            assert daemon.run_once().ok
+        try:
+            for _ in range(5):
+                assert daemon.run_once().ok
+        finally:
+            daemon.shutdown()
         assert len(spawns) == 1
         assert {record.git_sha for record in daemon.registry.load()} == {
             None

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import multiprocessing
@@ -16,15 +17,18 @@ from dataclasses import replace
 import pytest
 
 import repro.core.report_io
-from repro.adl.xadl import to_xadl_xml
+import repro.obs.serve
+from repro.adl.xadl import parse_xadl, to_xadl_xml
 from repro.core.consistency import Inconsistency, InconsistencyKind
 from repro.core.evaluator import Sosae
+from repro.core.mapping import Mapping
 from repro.core.report_io import report_to_dict
 from repro.errors import ReproError
 from repro.obs import (
     AlertRule,
     Profile,
     Provenance,
+    Recorder,
     RunRegistry,
     RunRecorded,
     ServeDaemon,
@@ -32,8 +36,10 @@ from repro.obs import (
     read_sse_events,
 )
 from repro.obs.store import short_digest
-from repro.scenarioml.xml_io import to_scenarioml_xml
+from repro.scenarioml.scenario import ScenarioSet
+from repro.scenarioml.xml_io import parse_scenarioml, to_scenarioml_xml
 from repro.systems.generators import SyntheticSpec, build_synthetic
+from repro.systems.pims import build_pims
 
 
 class TestSpecWatcher:
@@ -82,6 +88,22 @@ class TestSpecWatcher:
 
 
 @pytest.fixture
+def serve_daemon():
+    """Build serve daemons that are shut down after the test, so the
+    heap their first runs freeze is unfrozen again."""
+    daemons = []
+
+    def build(*args, **kwargs) -> ServeDaemon:
+        daemon = ServeDaemon(*args, **kwargs)
+        daemons.append(daemon)
+        return daemon
+
+    yield build
+    for daemon in daemons:
+        daemon.shutdown()
+
+
+@pytest.fixture
 def build(small_scenarios, chain_architecture, chain_mapping):
     return lambda: Sosae(small_scenarios, chain_architecture, chain_mapping)
 
@@ -95,8 +117,8 @@ def failing_build(small_scenarios, chain_architecture, chain_mapping):
 
 
 class TestRunOnce:
-    def test_successful_run_updates_state(self, build):
-        daemon = ServeDaemon(build)
+    def test_successful_run_updates_state(self, serve_daemon, build):
+        daemon = serve_daemon(build)
         assert daemon.ready() is False
         outcome = daemon.run_once()
         assert outcome.ok is True
@@ -106,8 +128,8 @@ class TestRunOnce:
         assert daemon.health()["runs_completed"] == 1
         assert json.loads(daemon.report_json())["findings"] == []
 
-    def test_metrics_accumulate_across_runs(self, build):
-        daemon = ServeDaemon(build)
+    def test_metrics_accumulate_across_runs(self, serve_daemon, build):
+        daemon = serve_daemon(build)
         daemon.run_once()
         daemon.run_once()
         text = daemon.render_metrics()
@@ -134,24 +156,24 @@ class TestRunOnce:
         assert "sosae_serve_run_failures_total 1" in daemon.render_metrics()
 
     def test_recovery_clears_the_last_error(
-        self, build, failing_build
+        self, serve_daemon, build, failing_build
     ):
         builders = [failing_build, build]
 
         def flaky():
             return builders.pop(0)()
 
-        daemon = ServeDaemon(flaky)
+        daemon = serve_daemon(flaky)
         daemon.run_once()
         outcome = daemon.run_once(rebuild=True)
         assert outcome.ok is True
         assert daemon.health()["last_error"] is None
 
     def test_findings_rule_fires_and_lands_on_the_bus(
-        self, small_scenarios, chain_architecture, chain_mapping
+        self, serve_daemon, small_scenarios, chain_architecture, chain_mapping
     ):
         chain_architecture.excise_links_between("logic", "logic-store")
-        daemon = ServeDaemon(
+        daemon = serve_daemon(
             lambda: Sosae(
                 small_scenarios, chain_architecture, chain_mapping
             ),
@@ -181,9 +203,11 @@ class TestRunOnce:
             in daemon.render_metrics()
         )
 
-    def test_records_runs_when_given_a_registry(self, build, tmp_path):
+    def test_records_runs_when_given_a_registry(
+        self, serve_daemon, build, tmp_path,
+    ):
         registry = RunRegistry(tmp_path / "runs")
-        daemon = ServeDaemon(build, registry=registry, label="loop")
+        daemon = serve_daemon(build, registry=registry, label="loop")
         outcome = daemon.run_once()
         assert outcome.run_id == "r0001"
         (record,) = registry.load()
@@ -208,12 +232,14 @@ class TestRunOnce:
 
 
 class TestServeLoop:
-    def test_max_runs_bounds_the_loop(self, build):
-        daemon = ServeDaemon(build, interval=0.001)
+    def test_max_runs_bounds_the_loop(self, serve_daemon, build):
+        daemon = serve_daemon(build, interval=0.001)
         daemon.serve_loop(poll=0.001, max_runs=3)
         assert daemon.health()["runs_completed"] == 3
 
-    def test_spec_change_triggers_a_rebuild(self, tmp_path, build):
+    def test_spec_change_triggers_a_rebuild(
+        self, serve_daemon, tmp_path, build,
+    ):
         spec = tmp_path / "watched.xml"
         spec.write_text("v1")
         builds = []
@@ -222,7 +248,7 @@ class TestServeLoop:
             builds.append(spec.read_text())
             return build()
 
-        daemon = ServeDaemon(counting_build, watch_paths=[spec])
+        daemon = serve_daemon(counting_build, watch_paths=[spec])
         daemon.serve_loop(poll=0.001, max_runs=1)
         spec.write_text("v2")
         daemon.serve_loop(poll=0.001, max_runs=1)
@@ -253,11 +279,11 @@ class TestIncrementalServe:
         return state, build
 
     def test_architecture_edit_takes_the_incremental_path(
-        self, tmp_path, versioned_build, chain_architecture
+        self, serve_daemon, tmp_path, versioned_build, chain_architecture
     ):
         arch_path = tmp_path / "architecture.xml"
         state, build = versioned_build
-        daemon = ServeDaemon(build, incremental_safe_paths=(arch_path,))
+        daemon = serve_daemon(build, incremental_safe_paths=(arch_path,))
         first = daemon.run_once()  # cold build: neither hit nor miss
         state["architecture"] = chain_architecture.clone("v2")
         second = daemon.run_once(rebuild=True, changed_paths=(arch_path,))
@@ -275,12 +301,12 @@ class TestIncrementalServe:
         )
 
     def test_unsafe_path_edit_falls_back_to_full(
-        self, tmp_path, versioned_build, chain_architecture
+        self, serve_daemon, tmp_path, versioned_build, chain_architecture
     ):
         arch_path = tmp_path / "architecture.xml"
         scenario_path = tmp_path / "scenarios.xml"
         state, build = versioned_build
-        daemon = ServeDaemon(build, incremental_safe_paths=(arch_path,))
+        daemon = serve_daemon(build, incremental_safe_paths=(arch_path,))
         daemon.run_once()
         state["architecture"] = chain_architecture.clone("v2")
         outcome = daemon.run_once(
@@ -292,12 +318,12 @@ class TestIncrementalServe:
         assert health["incremental_misses"] == 1
 
     def test_watched_edit_routes_through_the_loop(
-        self, tmp_path, versioned_build, chain_architecture
+        self, serve_daemon, tmp_path, versioned_build, chain_architecture
     ):
         arch_path = tmp_path / "architecture.xml"
         arch_path.write_text("v1")
         state, build = versioned_build
-        daemon = ServeDaemon(
+        daemon = serve_daemon(
             build,
             watch_paths=(arch_path,),
             incremental_safe_paths=(arch_path,),
@@ -309,7 +335,8 @@ class TestIncrementalServe:
         assert daemon.health()["incremental_hits"] == 1
 
     def test_incremental_tick_records_what_a_full_tick_records(
-        self, tmp_path, monkeypatch, small_scenarios, chain_architecture,
+        self, serve_daemon, tmp_path, monkeypatch, small_scenarios,
+        chain_architecture,
         chain_mapping,
     ):
         """An architecture-only watched edit goes incremental, builds
@@ -345,7 +372,7 @@ class TestIncrementalServe:
         )
 
         def daemon(name):
-            return ServeDaemon(
+            return serve_daemon(
                 build,
                 rules=(hit_rule,),
                 watch_paths=(scenario_path, arch_path, mapping_path),
@@ -387,7 +414,7 @@ class TestIncrementalServe:
         assert "evaluate.incremental" not in edited.stages
 
     def test_nested_move_goes_incremental_and_records_the_full_report(
-        self, tmp_path, nested_vault
+        self, serve_daemon, tmp_path, nested_vault
     ):
         """An xADL edit that only moves a mapped nested component to
         another top-level component leaves the top-level diff empty; the
@@ -407,7 +434,7 @@ class TestIncrementalServe:
         mapping_path.write_text(mapping.to_json())
 
         def daemon(name):
-            return ServeDaemon(
+            return serve_daemon(
                 lambda: _build_spec_sosae(
                     scenario_path, arch_path, mapping_path, acme=False
                 ),
@@ -450,7 +477,8 @@ class TestReportRendering:
         return calls
 
     def test_unchanged_ticks_render_once_and_edits_rerender(
-        self, counted_renders, small_scenarios, chain_architecture,
+        self, serve_daemon, counted_renders, small_scenarios,
+        chain_architecture,
         chain_mapping,
     ):
         state = {"architecture": chain_architecture}
@@ -463,7 +491,7 @@ class TestReportRendering:
                 chain_mapping.rebind(architecture),
             )
 
-        daemon = ServeDaemon(build)
+        daemon = serve_daemon(build)
         assert daemon.run_once().ok and daemon.run_once().ok
         assert len(counted_renders) == 1
         text = daemon.report_json()
@@ -698,8 +726,8 @@ class TestShardedServe:
         daemon.shutdown()
         assert set(multiprocessing.active_children()) <= before
 
-    def test_single_worker_exposes_no_shard_gauges(self, build):
-        daemon = ServeDaemon(build)
+    def test_single_worker_exposes_no_shard_gauges(self, serve_daemon, build):
+        daemon = serve_daemon(build)
         daemon.run_once()
         assert "serve_shard" not in daemon.render_metrics()
 
@@ -757,17 +785,19 @@ class TestContinuousProfiling:
             daemon.shutdown()
 
     def test_profile_ring_is_bounded_and_last_selects_a_suffix(
-        self, build
+        self, serve_daemon, build
     ):
-        daemon = ServeDaemon(build, profile_hz=2000.0, profile_history=2)
+        daemon = serve_daemon(build, profile_hz=2000.0, profile_history=2)
         for _ in range(3):
             daemon.run_once()
         merged_all = Profile.from_folded(daemon.profile_folded())
         merged_last = Profile.from_folded(daemon.profile_folded(last=1))
         assert merged_last.samples <= merged_all.samples
 
-    def test_unprofiled_daemon_reports_no_folded_text(self, build):
-        daemon = ServeDaemon(build)
+    def test_unprofiled_daemon_reports_no_folded_text(
+        self, serve_daemon, build,
+    ):
+        daemon = serve_daemon(build)
         daemon.run_once()
         assert daemon.profile_folded() is None
 
@@ -779,8 +809,10 @@ class TestInsufficientHistorySurfacing:
             mode="anomaly", window=window, threshold=3.5,
         )
 
-    def test_outcome_names_the_underfilled_rules(self, build, tmp_path):
-        daemon = ServeDaemon(
+    def test_outcome_names_the_underfilled_rules(
+        self, serve_daemon, build, tmp_path,
+    ):
+        daemon = serve_daemon(
             build,
             registry=RunRegistry(tmp_path / "runs"),
             rules=[self._anomaly_rule(window=6)],
@@ -807,8 +839,10 @@ class TestInsufficientHistorySurfacing:
         finally:
             daemon.shutdown()
 
-    def test_filled_window_clears_the_outcome_field(self, build, tmp_path):
-        daemon = ServeDaemon(
+    def test_filled_window_clears_the_outcome_field(
+        self, serve_daemon, build, tmp_path,
+    ):
+        daemon = serve_daemon(
             build,
             registry=RunRegistry(tmp_path / "runs"),
             rules=[self._anomaly_rule(window=4)],
@@ -945,3 +979,194 @@ class TestScrapeUnderLoad:
                 "run counter went backwards within one scraper"
             )
         assert max(metric_reads) >= 1
+
+
+def _pims_spec_build(tmp_path):
+    """A builder that parses PIMS excised from spec files, as ``sosae
+    serve`` does on every spec change: each pipeline is new, and its
+    report has findings."""
+    pims = build_pims()
+    architecture = pims.excised_architecture()
+    scenarios = tmp_path / "scenarios.xml"
+    xadl = tmp_path / "architecture.xml"
+    mapping = tmp_path / "mapping.json"
+    scenarios.write_text(to_scenarioml_xml(pims.scenarios))
+    xadl.write_text(to_xadl_xml(architecture))
+    mapping.write_text(pims.mapping.rebind(architecture).to_json())
+
+    def build() -> Sosae:
+        scenario_set = parse_scenarioml(scenarios.read_bytes())
+        parsed = parse_xadl(xadl.read_bytes())
+        return Sosae(
+            scenario_set,
+            parsed,
+            Mapping.from_json(
+                mapping.read_text(), scenario_set.ontology, parsed
+            ),
+            constraints=pims.constraints,
+            walkthrough_options=pims.options,
+        )
+
+    return build
+
+
+class TestHeapFreeze:
+    """A daemon freezes the heap after the first successful run of each
+    pipeline it builds, and unfreezes it before a rebuild and at
+    shutdown."""
+
+    def test_what_is_frozen_holds_no_cyclic_garbage(
+        self, serve_daemon, tmp_path, monkeypatch
+    ):
+        build = _pims_spec_build(tmp_path)
+        garbage = []
+        freeze = gc.freeze
+
+        def checked_freeze():
+            garbage.append(gc.collect())
+            freeze()
+
+        monkeypatch.setattr(gc, "freeze", checked_freeze)
+        # networkx compiles a decorated function on its first call and
+        # leaves a small cycle behind, once per process: call them now.
+        assert build().evaluate().all_inconsistencies()
+        gc.collect()
+        gc.disable()
+        try:
+            daemon = serve_daemon(
+                build, registry=RunRegistry(tmp_path / "runs")
+            )
+            assert daemon.run_once().ok
+            assert daemon.run_once().ok
+            assert daemon.run_once(rebuild=True).ok
+        finally:
+            gc.enable()
+        # The readiness run and the first run after the rebuild froze.
+        assert garbage == [0, 0]
+
+    def test_shutdown_unfreezes(self, build):
+        daemon = ServeDaemon(build)
+        assert daemon.run_once().ok
+        assert gc.get_freeze_count() > 0
+        daemon.shutdown()
+        assert gc.get_freeze_count() == 0
+
+    def test_a_failed_first_run_freezes_nothing(self, serve_daemon):
+        def failing_build():
+            raise ReproError("spec went sideways")
+
+        daemon = serve_daemon(failing_build)
+        assert not daemon.run_once().ok
+        assert gc.get_freeze_count() == 0
+
+    def test_rebuilds_hold_one_pipeline_at_a_time(
+        self, serve_daemon, tmp_path, monkeypatch
+    ):
+        build = _pims_spec_build(tmp_path)
+        gc.collect()
+        before = len(gc.get_objects())
+        pipeline = build()
+        pipeline.evaluate()
+        gc.collect()
+        worth = len(gc.get_objects()) - before
+        del pipeline
+        frozen_in_evaluate = []
+        evaluate = Sosae.evaluate
+
+        def noted(self, *args, **kwargs):
+            frozen_in_evaluate.append(gc.get_freeze_count())
+            return evaluate(self, *args, **kwargs)
+
+        monkeypatch.setattr(Sosae, "evaluate", noted)
+        daemon = serve_daemon(build)
+        # Fill the bus's buffer, which keeps each run's events.
+        bus = daemon.bus
+        while len(bus.events()) < bus.capacity:
+            assert daemon.run_once().ok
+        assert frozen_in_evaluate[0] == 0 < frozen_in_evaluate[-1]
+        frozen, tracked = [], []
+        for _ in range(20):
+            # What the serve loop runs after a watched spec file changed.
+            assert daemon.run_once(rebuild=True).ok
+            gc.collect()
+            frozen.append(gc.get_freeze_count())
+            tracked.append(len(gc.get_objects()))
+        # A rebuilt pipeline is evaluated with the heap unfrozen, so the
+        # pipeline it replaces is the collector's again.
+        assert frozen_in_evaluate[-20:] == [0] * 20
+        assert max(frozen) - min(frozen) < worth
+        assert max(tracked) - min(tracked) < worth
+
+    def test_a_replayed_tick_is_observed_as_a_walked_one(
+        self, serve_daemon, monkeypatch
+    ):
+        pims = build_pims()
+        architecture = pims.excised_architecture()
+        mapping = pims.mapping.rebind(architecture)
+        scenarios = ScenarioSet(pims.ontology, name="pims-x4")
+        scenarios.extend(pims.scenarios)
+        for index in range(1, 4):
+            scenarios.extend(
+                replace(scenario, name=f"{scenario.name}+r{index}")
+                for scenario in pims.scenarios
+                if scenario.alternative_of is None
+            )
+
+        def build() -> Sosae:
+            return Sosae(
+                scenarios,
+                architecture,
+                mapping,
+                constraints=pims.constraints,
+                walkthrough_options=pims.options,
+            )
+
+        # A warm index: the walked tick builds no graph, as a replay.
+        build().evaluate()
+        recorders = []
+
+        def recorder(**channels) -> Recorder:
+            recorders.append(Recorder(**channels))
+            return recorders[-1]
+
+        monkeypatch.setattr(repro.obs.serve, "Recorder", recorder)
+        daemon = serve_daemon(build)
+        for _ in range(3):
+            assert daemon.run_once().ok
+        events = [
+            [event.kind, {
+                name: value
+                for name, value in event.to_dict().items()
+                if name not in ("seq", "timestamp", "wall_seconds")
+            }]
+            for event in daemon.bus.events()
+        ]
+        starts = [
+            index for index, (kind, _) in enumerate(events)
+            if kind == "evaluation-started"
+        ]
+        walked, replayed, again = (
+            events[start:end]
+            for start, end in zip(starts, [*starts[1:], len(events)])
+        )
+        assert walked == replayed == again
+        assert any(kind == "scenario-finished" for kind, _ in walked)
+        forests = [_untimed(recorder.roots) for recorder in recorders]
+        assert forests[0] == forests[1] == forests[2]
+        digests = {recorder.coverage.digest for recorder in recorders}
+        assert len(digests) == 1
+
+
+def _untimed(spans) -> list:
+    """A span forest's names, ids and attributes, preorder."""
+    return [
+        [
+            span.name,
+            span.span_id,
+            span.parent_id,
+            list(span.attributes.items()),
+            _untimed(span.children),
+        ]
+        for span in spans
+    ]
+
