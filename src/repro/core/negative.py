@@ -46,7 +46,15 @@ def evaluate_negative_scenario(
     # returned here, not the raw walk.
     with engine.session():
         raw = engine.walk_scenario(scenario, scenario_set)
-        verdict = _inverted(engine, scenario, raw)
+        # A replayed walk returns the same raw verdict, so it gets the
+        # same inverted one: what is kept per verdict object (its
+        # observation parts, its report document) is reused. The entry
+        # holds the raw verdict, which keeps its id from being reused.
+        inverted = engine.memo().setdefault("negative", {})
+        entry = inverted.get(id(raw))
+        if entry is None or entry[0] is not raw:
+            entry = inverted[id(raw)] = (raw, _inverted(engine, scenario, raw))
+        verdict = entry[1]
         engine.settle(raw, verdict)
     return verdict
 

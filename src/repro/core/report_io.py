@@ -48,19 +48,43 @@ _encode_string = json.encoder.encode_basestring_ascii
 # Serialization
 # ----------------------------------------------------------------------
 
-def report_to_dict(report: EvaluationReport) -> dict:
+def report_to_dict(
+    report: EvaluationReport, kept: Optional[dict] = None
+) -> dict:
     """A JSON-serializable representation of a report.
 
     Dynamic verdicts keep their pass/fail outcome and findings; the
     message traces are intentionally dropped.
+
+    Without ``kept`` every part of the document is built afresh, so the
+    caller may mutate it. ``kept`` maps a scenario verdict's ``id`` to
+    ``(verdict, document)``: a verdict that is the same object as its
+    entry's reuses the entry's document, any other is built, and the
+    map is then cut down to exactly this report's verdicts (holding the
+    verdict keeps its ``id`` from being reused). A verdict and all it
+    holds are frozen and tuple-valued, so its document depends only on
+    the object; the documents are shared with the map's next callers,
+    so a caller that passes ``kept`` must not mutate the result.
     """
+    verdicts = report.scenario_verdicts
+    if kept is None:
+        documents = [_verdict_to_dict(verdict) for verdict in verdicts]
+    else:
+        entries = {}
+        documents = []
+        for verdict in verdicts:
+            entry = kept.get(id(verdict))
+            if entry is None or entry[0] is not verdict:
+                entry = (verdict, _verdict_to_dict(verdict))
+            entries[id(verdict)] = entry
+            documents.append(entry[1])
+        kept.clear()
+        kept.update(entries)
     return {
         "format": _FORMAT_VERSION,
         "architecture": report.architecture,
         "findings": [_inconsistency_to_dict(f) for f in report.findings],
-        "scenario_verdicts": [
-            _verdict_to_dict(verdict) for verdict in report.scenario_verdicts
-        ],
+        "scenario_verdicts": documents,
         "dynamic_verdicts": [
             _dynamic_verdict_to_dict(verdict)
             for verdict in report.dynamic_verdicts
@@ -280,11 +304,20 @@ def _key_text(key) -> str:
 
 class _FieldTexts(dict):
     """Step field values -> their text at a step key's depth, rendered
-    on first lookup. The memoized fields hold str, None and tuples of
-    str, so equal values have equal text."""
+    on first lookup. Only str, None and tuples of str are kept: a value
+    equal to one of those has its text, but equal values of other types
+    need not (``1 == True``, written ``1`` and ``true``), so any other
+    value is rendered on every lookup."""
 
     def __missing__(self, value) -> str:
-        text = self[value] = _subtree(value, 7)
+        text = _subtree(value, 7)
+        if (
+            value is None
+            or value.__class__ is str
+            or value.__class__ is tuple
+            and all(item.__class__ is str for item in value)
+        ):
+            self[value] = text
         return text
 
 

@@ -286,7 +286,8 @@ class WalkthroughEngine:
     def memo(self) -> dict:
         """The open session's memo for answers that depend only on the
         step table's key and its suite (the evaluator keeps the
-        coverage findings there); call it inside a :meth:`session`,
+        coverage findings there, and a negative scenario's evaluation
+        its inverted verdicts); call it inside a :meth:`session`,
         after :meth:`compiled`. It empties whenever the table or its
         suite is replaced."""
         return self._table.memo

@@ -280,6 +280,17 @@ class ReportMemo:
     ``digest``, its :func:`_report_digest`. ``text``, the indent-2
     text of serve's ``/report``, is rendered on first read.
 
+    The memo keeps each scenario verdict's document for as long as the
+    verdict is in the last report (``report_to_dict``'s ``kept`` map), so
+    a replayed evaluation, whose verdicts are the same objects, builds
+    only the report-level parts, and the comparison meets each verdict's
+    document as the same object. On an equal document it renders
+    nothing and keeps the documents it holds, for new verdict objects
+    too (a sharded tick's, a job's): the map points their entries at
+    the held documents and the new ones are freed at once, so the memo
+    holds one report's worth of state. The shared documents never leave
+    it: it hands out only the rendered texts and the digest.
+
     The serve loop and the job executor each hold one and call it under
     their evaluation lock; it takes no lock of its own.
     """
@@ -288,6 +299,8 @@ class ReportMemo:
         self._document: Optional[dict] = None
         self._report = None
         self._text: Optional[str] = None
+        # Verdict id -> (verdict, its document), for report_to_dict.
+        self._kept: dict = {}
         self.canonical = ""
         self.digest = ""
 
@@ -295,13 +308,23 @@ class ReportMemo:
         # Looked up per call, like _report_digest's: core imports obs.
         from repro.core.report_io import report_to_dict
 
-        document = report_to_dict(report)
+        kept = self._kept
+        document = report_to_dict(report, kept)
+        self._report = report
         if document != self._document:
             self._document = document
-            self._report = report
             self._text = None
             self.canonical = json.dumps(document, sort_keys=True)
             self.digest = short_digest(self.canonical)
+            return
+        # Equal content: the held documents stand for new verdict
+        # objects too, and the new ones leave no survivors for the
+        # cycle collector to scan.
+        for verdict, held in zip(
+            report.scenario_verdicts, self._document["scenario_verdicts"]
+        ):
+            if kept[id(verdict)][1] is not held:
+                kept[id(verdict)] = (verdict, held)
 
     @property
     def text(self) -> str:

@@ -339,6 +339,34 @@ class TestReplay:
         ]
         assert finished[0] != finished[1]
 
+    def test_a_replayed_negative_scenario_returns_the_same_verdict(self):
+        """What is kept per verdict object (observation parts, report
+        documents) reaches a negative scenario only if its replay
+        returns the same inverted verdict; an edit that changes the raw
+        walk gets a new one."""
+        crash = build_crash()
+        architecture = crash.insecure_architecture()
+        sosae = Sosae(
+            crash.scenarios,
+            architecture,
+            build_crash_mapping(crash.ontology, architecture),
+            walkthrough_options=crash.options,
+        )
+        name = "unauthorized-network-access"
+        first = sosae.evaluate()
+        replayed = sosae.evaluate()
+        assert replayed.verdict(name) is first.verdict(name)
+        assert not first.verdict(name).passed
+        assert report_to_json(replayed) == report_to_json(first)
+
+        assert architecture.excise_links_between(
+            "Malicious Entity", "Inter-organization Network"
+        )
+        edited = sosae.evaluate()
+        assert edited.verdict(name) is not first.verdict(name)
+        assert edited.verdict(name).passed
+        assert sosae.evaluate().verdict(name) is edited.verdict(name)
+
     def test_a_replay_reuses_the_coverage_fold(self):
         inputs = _pims(excised=True, copies=4)
         sosae = inputs.sosae()

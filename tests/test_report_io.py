@@ -131,6 +131,67 @@ class TestPersistence:
             report_from_json(text)
 
 
+class TestKeptVerdictDocuments:
+    def test_without_kept_every_call_builds_fresh_objects(
+        self, small_scenarios, chain_architecture, chain_mapping
+    ):
+        report = evaluate(small_scenarios, chain_architecture, chain_mapping)
+        expected = json.dumps(report_to_dict(report), sort_keys=True)
+        first = report_to_dict(report)
+        first["scenario_verdicts"][0]["traces"][0]["steps"][0]["ok"] = "x"
+        first["scenario_verdicts"][1]["scenario"] = "mutated"
+        first["findings"].append("mutated")
+        second = report_to_dict(report)
+        assert json.dumps(second, sort_keys=True) == expected
+        assert all(
+            a is not b
+            for a, b in zip(
+                first["scenario_verdicts"], second["scenario_verdicts"]
+            )
+        )
+
+    def test_the_same_verdict_reuses_its_document(
+        self, small_scenarios, chain_architecture, chain_mapping
+    ):
+        sosae = Sosae(small_scenarios, chain_architecture, chain_mapping)
+        first, replayed = sosae.evaluate(), sosae.evaluate()
+        assert all(
+            a is b
+            for a, b in zip(
+                first.scenario_verdicts, replayed.scenario_verdicts
+            )
+        )
+        kept: dict = {}
+        before = report_to_dict(first, kept)
+        after = report_to_dict(replayed, kept)
+        assert after == report_to_dict(replayed)
+        assert all(
+            a is b
+            for a, b in zip(
+                before["scenario_verdicts"], after["scenario_verdicts"]
+            )
+        )
+
+    def test_kept_holds_exactly_the_reports_verdicts(
+        self, small_scenarios, chain_architecture, chain_mapping
+    ):
+        kept: dict = {}
+        stale = evaluate(small_scenarios, chain_architecture, chain_mapping)
+        report_to_dict(stale, kept)
+        report = evaluate(small_scenarios, chain_architecture, chain_mapping)
+        # Equal verdicts, but other objects: each is built anew.
+        document = report_to_dict(report, kept)
+        assert document == report_to_dict(report)
+        assert kept.keys() == {id(v) for v in report.scenario_verdicts}
+        assert all(
+            kept[id(verdict)][0] is verdict
+            and kept[id(verdict)][1] is built
+            for verdict, built in zip(
+                report.scenario_verdicts, document["scenario_verdicts"]
+            )
+        )
+
+
 class TestComparison:
     def test_no_changes(self, small_scenarios, chain_architecture, chain_mapping):
         report = evaluate(small_scenarios, chain_architecture, chain_mapping)
@@ -421,6 +482,39 @@ class TestIndent2Writer:
                 ScenarioVerdict(
                     "s", (TraceWalkthrough(0, (step, step), ()),)
                 ),
+            ),
+        )
+        assert_stdlib_bytes(report)
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("event_label", (1, True, 1.0)),
+            ("event_label", (True, 1)),
+            ("components", (("a", 1), ("a", True))),
+            ("path", ((0,), (False,), (0.0,))),
+        ],
+    )
+    def test_equal_field_values_of_different_types_keep_their_text(
+        self, field, values
+    ):
+        # 1 == True == 1.0 and they hash alike, but JSON writes 1, true
+        # and 1.0.
+        fields = dict(
+            event_rendering="e",
+            event_label="l",
+            event_type="t",
+            components=("a",),
+            path=None,
+            ok=True,
+        )
+        steps = tuple(
+            WalkthroughStep(**{**fields, field: value}) for value in values
+        )
+        report = EvaluationReport(
+            "a",
+            scenario_verdicts=(
+                ScenarioVerdict("s", (TraceWalkthrough(0, steps, ()),)),
             ),
         )
         assert_stdlib_bytes(report)

@@ -2,14 +2,18 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+import repro.core.report_io
 import repro.obs.runs
 from repro.adl.xadl import to_xadl_xml
 from repro.cli import main
+from repro.core.consistency import Inconsistency, InconsistencyKind
 from repro.core.evaluator import Sosae
+from repro.core.report_io import report_to_dict
 from repro.errors import ReproError
 from repro.obs import (
     AuditLog,
@@ -29,8 +33,11 @@ from repro.obs import (
     stage_summary,
     use,
 )
+from repro.obs.provenance import Provenance
 from repro.obs.spans import Span
+from repro.obs.runs import ReportMemo, _report_digest
 from repro.obs.store import short_digest
+from repro.scenarioml.scenario import ScenarioSet
 from repro.scenarioml.xml_io import to_scenarioml_xml
 from repro.systems.pims import build_pims, excise_data_access_loader_link
 
@@ -485,13 +492,25 @@ class TestAttributeRuns:
         assert "per-scenario costs" in attribution.render()
 
 
-def _pims_sosae(excised: bool = False) -> Sosae:
+def _pims_sosae(excised: bool = False, copies: int = 1) -> Sosae:
+    """PIMS with constraints; ``copies > 1`` adds renamed replicas of
+    every top-level scenario (``copies=40`` is serve_pims_x40's size)."""
     pims = build_pims()
     architecture = pims.architecture
     if excised:
         architecture = excise_data_access_loader_link(architecture)
+    scenarios = pims.scenarios
+    if copies > 1:
+        scenarios = ScenarioSet(pims.ontology, name=f"pims-x{copies}")
+        scenarios.extend(pims.scenarios)
+        for index in range(1, copies):
+            scenarios.extend(
+                dataclasses.replace(scenario, name=f"{scenario.name}+r{index}")
+                for scenario in pims.scenarios
+                if scenario.alternative_of is None
+            )
     return Sosae(
-        pims.scenarios, architecture, pims.mapping.rebind(architecture),
+        scenarios, architecture, pims.mapping.rebind(architecture),
         constraints=pims.constraints, walkthrough_options=pims.options,
     )
 
@@ -995,3 +1014,124 @@ class TestGitShaLookup:
         assert [record.git_sha for record in registry.load()] == [
             None, None, "abc123"
         ]
+
+
+class TestReportMemo:
+    """The memo keeps each verdict's document while the verdict is in
+    the last report, and renders only a changed document."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        """Counts verdict documents built and canonical texts rendered
+        (``update`` digests each text it renders)."""
+        calls = {"documents": 0, "renders": 0}
+        build = repro.core.report_io._verdict_to_dict
+        digest = repro.obs.runs.short_digest
+
+        def building(verdict):
+            calls["documents"] += 1
+            return build(verdict)
+
+        def digesting(text):
+            calls["renders"] += 1
+            return digest(text)
+
+        monkeypatch.setattr(repro.core.report_io, "_verdict_to_dict", building)
+        monkeypatch.setattr(repro.obs.runs, "short_digest", digesting)
+        return calls
+
+    def test_replayed_pims_x40_reports_reuse_every_document(self, counted):
+        sosae = _pims_sosae(excised=True, copies=40)
+        memo = ReportMemo()
+        first = sosae.evaluate()
+        memo.update(first)
+        verdicts = len(first.scenario_verdicts)
+        assert verdicts > 500
+        assert counted == {"documents": verdicts, "renders": 1}
+        canonical, text = memo.canonical, memo.text
+        for _ in range(3):
+            report = sosae.evaluate()
+            assert report.scenario_verdicts == first.scenario_verdicts
+            memo.update(report)
+        assert counted == {"documents": verdicts, "renders": 1}
+        assert memo.canonical is canonical and memo.text is text
+        assert memo.digest == _report_digest(report)
+        assert memo.canonical == json.dumps(
+            report_to_dict(report), sort_keys=True
+        )
+
+    def test_a_rebuilt_pipeline_with_equal_content_keeps_the_digest(
+        self, counted
+    ):
+        memo = ReportMemo()
+        memo.update(_pims_sosae(excised=True).evaluate())
+        canonical, digest = memo.canonical, memo.digest
+        rebuilt = _pims_sosae(excised=True).evaluate()
+        memo.update(rebuilt)
+        assert counted["renders"] == 1
+        assert counted["documents"] == 2 * len(rebuilt.scenario_verdicts)
+        assert memo.canonical is canonical and memo.digest == digest
+        assert digest == _report_digest(rebuilt)
+
+    def test_one_changed_verdict_rerenders_alone(self, counted):
+        memo = ReportMemo()
+        report = _pims_sosae().evaluate()
+        memo.update(report)
+        first, *rest = report.scenario_verdicts
+        changed = dataclasses.replace(
+            report,
+            scenario_verdicts=(
+                dataclasses.replace(first, blocked=not first.blocked),
+                *rest,
+            ),
+        )
+        memo.update(changed)
+        assert counted["documents"] == len(report.scenario_verdicts) + 1
+        assert counted["renders"] == 2
+        assert memo.digest == _report_digest(changed) != (
+            _report_digest(report)
+        )
+        assert memo.text == json.dumps(report_to_dict(changed), indent=2)
+
+    def test_a_verdicts_provenance_reaches_the_digest(self):
+        report = _pims_sosae().evaluate()
+        first, *rest = report.scenario_verdicts
+
+        def variant(conclusion):
+            finding = Inconsistency(
+                kind=InconsistencyKind.MISSING_LINK,
+                message="no path",
+                scenario=first.scenario,
+                elements=("a", "b"),
+                provenance=Provenance(conclusion=conclusion),
+            )
+            verdict = dataclasses.replace(first, inconsistencies=(finding,))
+            return dataclasses.replace(
+                report, scenario_verdicts=(verdict, *rest)
+            )
+
+        before, after = variant("first cause"), variant("second cause")
+        assert before == after  # report equality ignores provenance
+        memo = ReportMemo()
+        memo.update(before)
+        memo.update(after)
+        assert memo.digest == _report_digest(after) != _report_digest(before)
+
+    def test_the_memo_keeps_one_reports_worth(self):
+        """After each rebuilt pipeline's report, equal to the last or
+        not, the memo holds that report's verdicts and one document
+        for each."""
+        memo = ReportMemo()
+        for tick in range(20):
+            report = _pims_sosae(excised=tick % 3 == 0).evaluate()
+            memo.update(report)
+            assert memo._kept.keys() == {
+                id(verdict) for verdict in report.scenario_verdicts
+            }
+            held = memo._document["scenario_verdicts"]
+            assert all(
+                memo._kept[id(verdict)][0] is verdict
+                and memo._kept[id(verdict)][1] is document
+                for verdict, document in zip(report.scenario_verdicts, held)
+            )
+        assert memo.digest == _report_digest(report)

@@ -507,6 +507,57 @@ class TestReportRendering:
         assert len(counted_renders) == 2
         assert daemon.report_json() == indent2(build().evaluate())
 
+    def test_replayed_pims_x40_ticks_reuse_every_verdict_document(
+        self, monkeypatch, tmp_path, counted_renders
+    ):
+        pims = build_pims()
+        architecture = pims.excised_architecture()
+        scenarios = ScenarioSet(pims.ontology, name="pims-x40")
+        scenarios.extend(pims.scenarios)
+        for index in range(1, 40):
+            scenarios.extend(
+                replace(scenario, name=f"{scenario.name}+r{index}")
+                for scenario in pims.scenarios
+                if scenario.alternative_of is None
+            )
+        daemon = ServeDaemon(
+            lambda: Sosae(
+                scenarios,
+                architecture,
+                pims.mapping.rebind(architecture),
+                constraints=pims.constraints,
+                walkthrough_options=pims.options,
+            ),
+            registry=RunRegistry(tmp_path / "runs"),
+            jobs=True,
+            job_executors=0,
+        )
+        built = []
+        build = repro.core.report_io._verdict_to_dict
+
+        def building(verdict):
+            built.append(verdict)
+            return build(verdict)
+
+        monkeypatch.setattr(repro.core.report_io, "_verdict_to_dict", building)
+        try:
+            first = daemon.run_once()
+            assert first.ok and len(built) > 500
+            canonical = daemon.jobs.report_json(first.run_id)
+            text = daemon.report_json()
+            del built[:]
+            for _ in range(3):
+                tick = daemon.run_once()
+                assert tick.ok
+                assert daemon.jobs.report_json(tick.run_id) is canonical
+            assert built == []
+            assert len(counted_renders) == 1
+            assert daemon.report_json() is text
+            digests = {r.report_digest for r in daemon.registry.load()}
+            assert digests == {short_digest(canonical)}
+        finally:
+            daemon.shutdown()
+
     def test_a_provenance_only_change_reaches_digest_report_and_jobs(
         self, monkeypatch, tmp_path, build, small_scenarios,
         chain_architecture, chain_mapping,
