@@ -156,13 +156,15 @@ def structural_fingerprint(architecture: Architecture) -> tuple:
     Two architectures with equal fingerprints induce identical undirected
     *and* directed communication graphs: element names, per-element
     interface names and directions, and link endpoints all participate.
-    Descriptions, properties, behaviors, and subarchitectures do not —
-    they cannot change connectivity.
+    So do subarchitectures, whose components decide
+    :meth:`CommunicationIndex.top_levels`. Descriptions, properties and
+    behaviors do not.
 
     This runs on the warm query path (every unpinned index query
     recomputes it to detect mutation), so it is a flat tuple of interned
-    names and :class:`~repro.adl.structure.Direction` members — no nested
-    tuples, no enum ``.value`` lookups.
+    names and :class:`~repro.adl.structure.Direction` members (with a
+    nested fingerprint per decomposed component), no enum ``.value``
+    lookups.
     """
     parts: list = []
     append = parts.append
@@ -171,6 +173,8 @@ def structural_fingerprint(architecture: Architecture) -> tuple:
         for interface_name, interface in component.interfaces.items():
             append(interface_name)
             append(interface.direction)
+        if component.subarchitecture is not None:
+            append(structural_fingerprint(component.subarchitecture))
     append(_SECTION_BREAK)
     for name, connector in architecture._connectors.items():
         append(name)
@@ -209,6 +213,7 @@ class CommunicationIndex:
         self._best_paths: dict[tuple, Optional[tuple[str, ...]]] = {}
         self._articulation: Optional[frozenset[str]] = None
         self._connected: Optional[bool] = None
+        self._top_levels: Optional[dict[str, str]] = None
         self._pins: int = 0
         # Cache-behavior accounting (snapshotted by `stats()`); plain int
         # increments so the warm query path stays allocation-free.
@@ -255,6 +260,7 @@ class CommunicationIndex:
             self._best_paths.clear()
             self._articulation = None
             self._connected = None
+            self._top_levels = None
 
     @contextmanager
     def pinned(self) -> Iterator["CommunicationIndex"]:
@@ -504,6 +510,23 @@ class CommunicationIndex:
         if self.memoize:
             self._connected = result
         return result
+
+    def top_levels(self) -> dict[str, str]:
+        """Each component name, nested ones included (depth-first; the
+        first declaration wins), to its top-level component. Read-only."""
+        self._refresh()
+        tops = self._top_levels
+        if tops is None:
+            tops = {}
+            for component in self.architecture.components:
+                tops.setdefault(component.name, component.name)
+                inside = component.subarchitecture
+                if inside is not None:
+                    for nested in inside.all_components(recursive=True):
+                        tops.setdefault(nested.name, component.name)
+            if self.memoize:
+                self._top_levels = tops
+        return tops
 
     # ------------------------------------------------------------------
     # Statistics

@@ -1292,11 +1292,10 @@ def _build_demo(system: str, variant: str) -> _Demo:
         architecture = (
             pims.excised_architecture() if variant == "excised" else pims.architecture
         )
-        mapping = pims.mapping.rebind(architecture)
         return _Demo(
             pims.scenarios,
             architecture,
-            mapping,
+            pims.mapping,
             pims.options,
             pims.bindings,
             RuntimeConfig(policy=ChannelPolicy(latency=1.0)),

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping as MappingABC, Optional
 
 from repro.adl.behavior import Statechart
+from repro.adl.index import communication_index
 from repro.adl.structure import Architecture
 from repro.core.consistency import (
     Inconsistency,
@@ -66,10 +67,11 @@ def check_behavioral_support(
     """
     options = options or BehaviorCheckOptions()
     findings: list[Inconsistency] = []
-    for scenario in scenario_set:
-        findings.extend(
-            _check_scenario(scenario, architecture, mapping, options)
-        )
+    with communication_index(architecture).pinned():
+        for scenario in scenario_set:
+            findings.extend(
+                _check_scenario(scenario, architecture, mapping, options)
+            )
     return findings
 
 
@@ -87,7 +89,7 @@ def _check_scenario(
         components = mapping.components_for(event.type_name)
         if not components:
             continue  # the structural walkthrough already reports this
-        charts = _charts_of(components, architecture, mapping)
+        charts = _charts_of(components, architecture)
         if not charts:
             if options.require_charts:
                 findings.append(
@@ -123,16 +125,15 @@ def _check_scenario(
 
 
 def _charts_of(
-    components: tuple[str, ...],
-    architecture: Architecture,
-    mapping: Mapping,
+    components: tuple[str, ...], architecture: Architecture
 ) -> list[tuple[str, Statechart]]:
     """Statecharts attached to the mapped components (resolved to their
     top-level elements, where behavior lives at run time)."""
+    tops = communication_index(architecture).top_levels()
     charts: list[tuple[str, Statechart]] = []
     seen: set[str] = set()
     for component in components:
-        top = mapping.top_level_component(component)
+        top = tops[component]
         if top in seen:
             continue
         seen.add(top)

@@ -42,6 +42,7 @@ import time
 from contextlib import contextmanager
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
+from repro.adl.index import CommunicationIndex
 from repro.adl.structure import Architecture
 from repro.adl.styles import check_style
 from repro.core.behavior_check import (
@@ -61,7 +62,7 @@ from repro.core.dynamic import (
     DynamicVerdict,
     ScenarioBindings,
 )
-from repro.core.mapping import Mapping
+from repro.core.mapping import Mapping, unmapped_components_of
 from repro.core.negative import evaluate_negative_scenario
 from repro.core.walkthrough import (
     WalkthroughEngine,
@@ -128,23 +129,20 @@ def style_findings(architecture: Architecture) -> list[Inconsistency]:
 
 
 def coverage_findings(
-    mapping: Mapping, suite: CompiledSuite, memo: Optional[dict] = None
+    index: CommunicationIndex, mapping: Mapping, suite: CompiledSuite,
+    memo: Optional[dict] = None,
 ) -> list[Inconsistency]:
     """Findings from checking mapping coverage: used event types that map
-    to no component, and components no event type can exercise. The used
-    types are the compiled view's event-type names, in first-use order.
+    to no component, and components of the architecture of ``index`` no
+    event type can exercise. The used types are the compiled view's
+    event-type names, in first-use order.
 
     ``memo`` is an engine session's :meth:`WalkthroughEngine.memo`, from
-    an engine whose mapping is ``mapping``: its step table is keyed by
-    everything else the findings read, so they are computed once while
-    the table and ``suite`` are kept."""
-    if memo is not None:
-        findings = memo.get("coverage")
-        if findings is None:
-            findings = memo["coverage"] = tuple(
-                coverage_findings(mapping, suite)
-            )
-        return list(findings)
+    an engine with this ``index`` and ``mapping``: its step table is
+    keyed by everything else the findings read, so they are computed
+    once while the table and ``suite`` are kept."""
+    if memo is not None and "coverage" in memo:
+        return list(memo["coverage"])
     findings = []
     for name in mapping.unmapped_event_types(suite):
         _, hops = mapping.resolution_for(name)
@@ -182,8 +180,10 @@ def coverage_findings(
                 ),
             ),
         )
-        for name in mapping.unmapped_components()
+        for name in unmapped_components_of(index, mapping)
     )
+    if memo is not None:
+        memo["coverage"] = tuple(findings)
     return findings
 
 
@@ -394,17 +394,15 @@ class Sosae:
         recorder, bus = instruments.recorder, instruments.events
         findings: list[Inconsistency] = []
         suite = self.engine.compiled(self.scenario_set)
-        # The engine's table answers for the engine's mapping, which is
-        # a rebound copy when ours is bound to another architecture.
-        memo = (
-            self.engine.memo() if self.mapping is self.engine.mapping else None
-        )
+        memo = self.engine.memo()
         stages = [
             ("validation", lambda: validation_findings(suite), {}),
             ("style_check", lambda: style_findings(self.architecture), {}),
             (
                 "coverage",
-                lambda: coverage_findings(self.mapping, suite, memo),
+                lambda: coverage_findings(
+                    self.index, self.mapping, suite, memo
+                ),
                 {},
             ),
             (
@@ -458,7 +456,9 @@ class Sosae:
 
         coverage = instruments.coverage
         if coverage.enabled:
-            coverage.record_verdicts(verdicts, self.mapping, memo)
+            coverage.record_verdicts(
+                verdicts, self.architecture, self.mapping, memo
+            )
 
         return EvaluationReport(
             architecture=self.architecture.name,

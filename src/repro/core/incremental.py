@@ -15,11 +15,13 @@ each scenario's verdict actually consumed:
   supertypes consulted) — so a mapping-entry edit dirties exactly the
   scenarios that resolved through the edited type. Each entry is
   snapshotted with the top-level component every (possibly nested)
-  component of it resolves to, so moving a mapped subcomponent to
-  another top-level component counts as an edit of the entries naming
-  it, although the top-level structure is unchanged;
+  component of it resolves to, then in the new pipeline's architecture,
+  so moving a mapped subcomponent to another top-level component counts
+  as an edit of the entries naming it, although the top-level structure
+  is unchanged;
 * the mapped components and the *witness paths* justifying every passing
-  connectivity check, stored as element sets and consecutive-pair edge
+  connectivity check (a failing intra-event chain's hops up to its
+  break included), stored as element sets and consecutive-pair edge
   sets — so a removed link dirties a scenario only when the removed
   adjacency lies on one of its witness paths;
 * whether the scenario is *addition-sensitive* — it has a failing step,
@@ -136,15 +138,16 @@ def _absorb_path(
 
 
 def _resolved_entries(
-    mapping: Mapping,
-) -> dict[str, tuple[tuple[str, str], ...]]:
+    mapping: Mapping, index: CommunicationIndex
+) -> dict[str, tuple[tuple[str, Optional[str]], ...]]:
     """Each direct mapping entry as ``(component, top-level component)``
-    pairs: the walkthrough places an event on the top-level ancestors of
-    its entry's components, so an entry's meaning depends on both."""
+    pairs placed by ``index`` (``None`` where its architecture lacks the
+    component): the walkthrough places an event on the top-level
+    ancestors of its entry's components, so its meaning depends on both."""
+    tops = index.top_levels()
     return {
         event_type: tuple(
-            (component, mapping.top_level_component(component))
-            for component in components
+            (component, tops.get(component)) for component in components
         )
         for event_type, components in mapping.entries.items()
     }
@@ -202,9 +205,8 @@ class DependencyTracker:
                 scenarios[verdict.scenario] = cls._dependencies_of(
                     verdict, index, mapping, options
                 )
-        return cls(
-            report, architecture, scenarios, _resolved_entries(mapping)
-        )
+            entries = _resolved_entries(mapping, index)
+        return cls(report, architecture, scenarios, entries)
 
     @staticmethod
     def _dependencies_of(
@@ -231,12 +233,12 @@ class DependencyTracker:
                     _absorb_path(step.path, witness_elements, witness_edges)
                 if (
                     options.check_intra_event_chain
-                    and step.ok
                     and len(step.components) > 1
                 ):
                     # The walkthrough checks intra-event chain hops with
-                    # can_communicate (no path recorded); reconstruct the
-                    # witnesses from the same warm index.
+                    # can_communicate (no path recorded) up to the first
+                    # broken one; reconstruct the witnesses of those that
+                    # held (a cut one moves the break) from the same index.
                     for source, target in zip(
                         step.components, step.components[1:]
                     ):
@@ -247,10 +249,9 @@ class DependencyTracker:
                             target,
                             respect_directions=options.intra_event_directed,
                         )
-                        if path:
-                            _absorb_path(
-                                path, witness_elements, witness_edges
-                            )
+                        if path is None:
+                            break
+                        _absorb_path(path, witness_elements, witness_edges)
         return ScenarioDependencies(
             scenario=verdict.scenario,
             event_types=frozenset(event_types),
@@ -269,12 +270,16 @@ class DependencyTracker:
         """The scenarios with recorded dependencies."""
         return tuple(self._scenarios)
 
-    def changed_event_types(self, mapping: Mapping) -> frozenset[str]:
-        """Event types whose direct mapping entry differs from the
-        snapshot taken at tracker-build time: added, removed or
-        re-targeted entries, and entries with a (nested) component that
-        now resolves to a different top-level component."""
-        new_entries = _resolved_entries(mapping)
+    def changed_event_types(
+        self, mapping: Mapping, architecture: Architecture
+    ) -> frozenset[str]:
+        """Event types whose direct entry in ``mapping``, placed on
+        ``architecture``, differs from the snapshot taken at tracker-build
+        time: added, removed or re-targeted entries, and entries with a
+        (nested) component that now has another top-level component."""
+        new_entries = _resolved_entries(
+            mapping, communication_index(architecture)
+        )
         names = set(self._mapping_entries) | set(new_entries)
         return frozenset(
             name
@@ -285,10 +290,11 @@ class DependencyTracker:
     def dirty_scenarios(
         self,
         diff: ArchitectureDiff,
-        mapping: Optional[Mapping] = None,
+        changed_types: frozenset[str] = frozenset(),
     ) -> frozenset[str]:
-        """Scenarios whose verdicts may change under ``diff`` (and, when
-        ``mapping`` is given, under its entry edits).
+        """Scenarios whose verdicts may change under ``diff`` and under
+        edits to the mapping entries of ``changed_types`` (see
+        :meth:`changed_event_types`).
 
         A scenario is dirty when
 
@@ -326,11 +332,6 @@ class DependencyTracker:
             diff.added_components or diff.added_connectors or seeds
         )
         grown = self._linked_to(seeds)
-        changed_types = (
-            self.changed_event_types(mapping)
-            if mapping is not None
-            else frozenset()
-        )
         # One pass with no per-scenario set built: a test against an
         # empty key set returns at once.
         elements = removed_elements | grown
@@ -411,11 +412,13 @@ def reevaluate(tracker: DependencyTracker, sosae: Sosae) -> IncrementalResult:
     previous = tracker.report
     diff = diff_architectures(tracker.architecture, sosae.architecture)
     reordered = _reordered(tracker.architecture, sosae.architecture)
-    changed_types = tracker.changed_event_types(sosae.mapping)
+    changed_types = tracker.changed_event_types(
+        sosae.mapping, sosae.architecture
+    )
     impacted = (
         frozenset(tracker.scenario_names)
         if reordered
-        else tracker.dirty_scenarios(diff, sosae.mapping)
+        else tracker.dirty_scenarios(diff, changed_types)
     )
     carried = {
         verdict.scenario: verdict

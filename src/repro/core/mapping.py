@@ -19,6 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping as MappingABC, Optional
 
+from repro.adl.index import CommunicationIndex, communication_index
 from repro.adl.structure import Architecture
 from repro.errors import MappingError
 from repro.scenarioml.compiled import CompiledSuite
@@ -28,12 +29,14 @@ from repro.scenarioml.scenario import ScenarioSet
 
 
 class Mapping:
-    """A many-to-many map from ontology event types to components.
-
-    Components may live in the top-level architecture or in a nested
-    sub-architecture (the paper's §3.3 subcomponent-level mapping);
-    :meth:`top_level_component` resolves a nested component to its
-    top-level ancestor for connectivity checks.
+    """A many-to-many map from ontology event types to components: the
+    ontology, the entries, and the architecture they were written
+    against, which it reads live (its communication index) to check
+    entries and for the analyses that take a mapping alone. Components
+    may be nested in a sub-architecture (the paper's §3.3
+    subcomponent-level mapping). An evaluation pipeline asks its own
+    architecture instead, so a mapping written against another object
+    (a pre-evolution original) evaluates as one written against it.
     """
 
     def __init__(
@@ -46,28 +49,10 @@ class Mapping:
         self.architecture = architecture
         self.name = name
         self._event_to_components: dict[str, tuple[str, ...]] = {}
-        self._component_index: dict[str, str] = {}  # component -> top-level ancestor
         #: Bumped by :meth:`map_event` (and so by :meth:`update`) and
         #: :meth:`unmap_event`, so a cache of resolutions can tell that
         #: the entries changed.
         self.version = 0
-        self._index_components(architecture, ancestor=None)
-
-    def _index_components(
-        self, architecture: Architecture, ancestor: Optional[str]
-    ) -> None:
-        for component in architecture.components:
-            top = ancestor or component.name
-            if component.name not in self._component_index:
-                self._component_index[component.name] = top
-            if component.subarchitecture is not None:
-                self._index_nested(component.subarchitecture, top)
-
-    def _index_nested(self, architecture: Architecture, top: str) -> None:
-        for component in architecture.components:
-            self._component_index.setdefault(component.name, top)
-            if component.subarchitecture is not None:
-                self._index_nested(component.subarchitecture, top)
 
     # ------------------------------------------------------------------
     # Construction
@@ -89,8 +74,9 @@ class Mapping:
                 f"event type {event_type_name!r} must map to at least one "
                 "component"
             )
+        known = communication_index(self.architecture).top_levels()
         for component_name in component_names:
-            if component_name not in self._component_index:
+            if component_name not in known:
                 raise MappingError(
                     f"cannot map event type {event_type_name!r} to unknown "
                     f"component {component_name!r}"
@@ -110,9 +96,10 @@ class Mapping:
 
     def update(self, entries: MappingABC[str, Iterable[str]]) -> None:
         """Bulk :meth:`map_event` from a ``{event_type: components}``
-        mapping."""
-        for event_type_name, component_names in entries.items():
-            self.map_event(event_type_name, *component_names)
+        mapping, under one look at the architecture."""
+        with communication_index(self.architecture).pinned():
+            for event_type_name, component_names in entries.items():
+                self.map_event(event_type_name, *component_names)
 
     # ------------------------------------------------------------------
     # Resolution
@@ -128,15 +115,7 @@ class Mapping:
         paper's §5 generalization mechanism (map the abstract action once;
         specializations follow).
         """
-        direct = self._event_to_components.get(event_type_name)
-        if direct is not None:
-            return direct
-        if use_supertypes and self.ontology.has_event_type(event_type_name):
-            for ancestor in self.ontology.event_type_ancestors(event_type_name):
-                inherited = self._event_to_components.get(ancestor)
-                if inherited is not None:
-                    return inherited
-        return ()
+        return self.resolution_for(event_type_name, use_supertypes)[0]
 
     def resolution_for(
         self, event_type_name: str, use_supertypes: bool = True
@@ -187,12 +166,10 @@ class Mapping:
 
     def top_level_component(self, component_name: str) -> str:
         """The top-level ancestor of a (possibly nested) component."""
-        try:
-            return self._component_index[component_name]
-        except KeyError:
-            raise MappingError(
-                f"unknown component {component_name!r}"
-            ) from None
+        tops = communication_index(self.architecture).top_levels()
+        if component_name not in tops:
+            raise MappingError(f"unknown component {component_name!r}")
+        return tops[component_name]
 
     # ------------------------------------------------------------------
     # Coverage checks (paper §4.1: every event type maps to at least one
@@ -218,31 +195,28 @@ class Mapping:
     def unmapped_components(self) -> tuple[str, ...]:
         """Top-level components no event type maps to (directly or through
         a nested subcomponent)."""
-        mapped_tops = {
-            self.top_level_component(component)
-            for components in self._event_to_components.values()
-            for component in components
-        }
-        return tuple(
-            component.name
-            for component in self.architecture.components
-            if component.name not in mapped_tops
+        return unmapped_components_of(
+            communication_index(self.architecture), self
         )
 
-    def validate(self) -> None:
-        """Re-check that every entry still resolves (useful after the
-        architecture or ontology evolved)."""
+    def check_components(self, index: CommunicationIndex) -> None:
+        """Raise :class:`~repro.errors.MappingError` unless the
+        architecture of ``index`` has every component an entry names
+        (nested ones count)."""
+        known = index.top_levels()
         for event_type_name, components in self._event_to_components.items():
-            if not self.ontology.has_event_type(event_type_name):
-                raise MappingError(
-                    f"mapping references unknown event type {event_type_name!r}"
-                )
             for component_name in components:
-                if component_name not in self._component_index:
+                if component_name not in known:
                     raise MappingError(
-                        f"mapping references unknown component "
-                        f"{component_name!r} (for {event_type_name!r})"
+                        f"architecture {index.architecture.name!r} has no "
+                        f"component {component_name!r} (mapped by "
+                        f"{event_type_name!r})"
                     )
+
+    def validate(self) -> None:
+        """Re-check every entry as :meth:`map_event` checked it (useful
+        after the architecture or ontology evolved)."""
+        Mapping.from_dict(self.to_dict(), self.ontology, self.architecture)
 
     # ------------------------------------------------------------------
     # Complexity metrics (paper §1: the ontology reduces the number of
@@ -295,11 +269,9 @@ class Mapping:
         else:
             rows = list(self._event_to_components)
         columns = [component.name for component in self.architecture.components]
+        tops = communication_index(self.architecture).top_levels()
         cells = {
-            row: frozenset(
-                self.top_level_component(component)
-                for component in self.components_for(row)
-            )
+            row: frozenset(map(tops.__getitem__, self.components_for(row)))
             for row in rows
         }
         return MappingTable(tuple(rows), tuple(columns), cells)
@@ -330,8 +302,7 @@ class Mapping:
         """Rebuild a mapping from :meth:`to_dict` output, re-validating
         every entry against the given ontology and architecture."""
         mapping = cls(ontology, architecture, name=data.get("name", "mapping"))
-        for event_type_name, components in data.get("entries", {}).items():
-            mapping.map_event(event_type_name, *components)
+        mapping.update(data.get("entries", {}))
         return mapping
 
     @classmethod
@@ -341,41 +312,38 @@ class Mapping:
         """Rebuild a mapping from :meth:`to_json` output."""
         return cls.from_dict(json.loads(text), ontology, architecture)
 
-    def rebind(
-        self, architecture: Architecture, name: Optional[str] = None
-    ) -> "Mapping":
-        """This mapping's entries bound to another architecture object
-        (typically an evolved clone).
-
-        Equivalent to ``Mapping.from_dict(self.to_dict(), ...)`` minus the
-        serialization round-trip: entries are copied directly after
-        checking that every referenced component still exists in the new
-        architecture. Raises :class:`~repro.errors.MappingError` when one
-        does not (the mapping must be repaired before re-binding). Binding
-        back to the same architecture object returns ``self`` unchanged.
-        """
+    def rebind(self, architecture: Architecture) -> "Mapping":
+        """These entries written against ``architecture`` (``self`` for
+        their own), each checked as :meth:`map_event` checks it. An
+        evaluation needs no rebinding; this names the architecture in
+        :meth:`to_dict` and the analyses that take a mapping alone."""
         if architecture is self.architecture:
             return self
-        rebound = Mapping(
-            self.ontology, architecture, name=name or self.name
-        )
-        for event_type_name, components in self._event_to_components.items():
-            for component_name in components:
-                if component_name not in rebound._component_index:
-                    raise MappingError(
-                        f"cannot rebind: architecture "
-                        f"{architecture.name!r} has no component "
-                        f"{component_name!r} (mapped by "
-                        f"{event_type_name!r})"
-                    )
-            rebound._event_to_components[event_type_name] = components
-        return rebound
+        return Mapping.from_dict(self.to_dict(), self.ontology, architecture)
 
     def __repr__(self) -> str:
         return (
             f"Mapping({self.name!r}: {len(self._event_to_components)} event "
             f"types -> {self.link_count()} links)"
         )
+
+
+def unmapped_components_of(
+    index: CommunicationIndex, mapping: Mapping
+) -> tuple[str, ...]:
+    """Top-level components of the architecture of ``index`` no entry of
+    ``mapping`` names, directly or through a nested one (paper §4.1)."""
+    tops = index.top_levels()
+    mapped = {
+        tops.get(component)
+        for components in mapping._event_to_components.values()
+        for component in components
+    }
+    return tuple(
+        component.name
+        for component in index.architecture.components
+        if component.name not in mapped
+    )
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.adl.graph import articulation_components
+from repro.adl.index import communication_index
 from repro.core.mapping import Mapping
 from repro.scenarioml.query import event_type_usage
 from repro.scenarioml.scenario import QualityAttribute, Scenario, ScenarioSet
@@ -92,13 +93,14 @@ def rank_scenarios(
     weights = weights or RankingWeights()
     architecture = mapping.architecture
     critical = articulation_components(architecture)
+    tops = communication_index(architecture).top_levels()
     usage = event_type_usage(scenario_set.scenarios)
     max_usage = max(usage.values(), default=1)
     component_count = max(len(architecture.components), 1)
 
     scores = []
     for scenario in scenario_set:
-        components = _components_touched(scenario, mapping)
+        components = _components_touched(scenario, mapping, tops)
         criticality = (
             len(components & critical) / len(critical) if critical else 0.0
         )
@@ -137,11 +139,13 @@ def top_scenarios(
     return tuple(score.scenario for score in ranked[:count])
 
 
-def _components_touched(scenario: Scenario, mapping: Mapping) -> frozenset[str]:
+def _components_touched(
+    scenario: Scenario, mapping: Mapping, tops: dict[str, str]
+) -> frozenset[str]:
     touched = set()
     for event_type_name in scenario.event_type_names():
         for component in mapping.components_for(event_type_name):
-            touched.add(mapping.top_level_component(component))
+            touched.add(tops[component])
     return frozenset(touched)
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from repro.adl.diff import ArchitectureDiff
+from repro.adl.index import communication_index
 from repro.core.mapping import Mapping
 from repro.scenarioml.scenario import Scenario, ScenarioSet
 
@@ -53,10 +54,11 @@ class TraceabilityMatrix:
         # and scenario -> components (insertion-ordered, deduplicated).
         self._by_component: dict[str, dict[str, None]] = {}
         self._by_scenario: dict[str, dict[str, None]] = {}
+        tops = communication_index(mapping.architecture).top_levels()
         for scenario in scenario_set:
             for event_type_name in scenario.event_type_names():
                 for component in mapping.components_for(event_type_name):
-                    top = mapping.top_level_component(component)
+                    top = tops[component]
                     key = (scenario.name, top)
                     self._links.setdefault(key, [])
                     if event_type_name not in self._links[key]:

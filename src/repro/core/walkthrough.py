@@ -52,15 +52,17 @@ change while it is held) makes the table safe inside one session. The
 table outlives the session under a key of everything it depends on:
 the mapping and its ``version``, the mapping's ontology and its
 ``version``, the index and its structural fingerprint (validated at
-pin entry) and the options. The next outermost entry reuses it only
-while that key still holds, so an evaluation of an unchanged pipeline
-resolves, checks and compiles nothing again, and edits between
-sessions are always seen. The suite has its own key, the scenario set,
-its ``version`` and its ontology's ``version``; replacing the suite
-drops the per-event renderings, the per-scenario walks and the memo
-with it, so the table never holds two suites' events. An evaluation of
-an unchanged pipeline therefore walks no scenario: each returns its
-kept verdict object. An index that does not memoize never
+pin entry) and the options. A new table first checks that the index's
+architecture has every component the mapping names: the mapping may
+have been written against another object. The next outermost entry
+reuses the table only while that key still holds, so an evaluation of
+an unchanged pipeline resolves, checks and compiles nothing again, and
+edits between sessions are always seen. The suite has its own key, the
+scenario set, its ``version`` and its ontology's ``version``; replacing
+the suite drops the per-event renderings, the per-scenario walks and
+the memo with it, so the table never holds two suites' events. An
+evaluation of an unchanged pipeline therefore walks no scenario: each
+returns its kept verdict object. An index that does not memoize never
 computes a fingerprint, so its engine keeps no table past a session.
 Every evaluation, ``walk_all`` and ``walk_scenario`` run in a session.
 
@@ -193,19 +195,16 @@ class WalkthroughEngine:
         options: Optional[WalkthroughOptions] = None,
         index: Optional[CommunicationIndex] = None,
     ) -> None:
+        # Held here: the shared index reaches it through a weak reference.
         self.architecture = architecture
-        # A mapping built against a different (e.g. pre-evolution)
-        # architecture object is fine as long as the entries resolve:
-        # the walk reads a copy bound to ours, derived again at session
-        # entry whenever the caller's mapping has been edited since.
-        self._source = mapping
-        self._source_version = mapping.version
-        self.mapping = mapping.rebind(architecture)
+        self.mapping = mapping
         self.options = options or WalkthroughOptions()
-        # One memoized index serves every connectivity query of the walk;
-        # by default it is the shared per-architecture index, so constraint
-        # checks and module-level graph queries reuse the same warm caches.
+        # One memoized index serves every connectivity query of the walk
+        # and places every mapped component; by default it is the shared
+        # per-architecture index, so constraint checks and module-level
+        # graph queries reuse the same warm caches.
         self.index = index or communication_index(architecture)
+        mapping.check_components(self.index)
         self._sessions = 0
         # The open session's step table, and the one kept between
         # sessions for the next to reuse while its key holds.
@@ -233,17 +232,10 @@ class WalkthroughEngine:
         always seen."""
         with self.index.pinned():
             if not self._sessions:
-                source = self._source
-                if (
-                    source is not self.mapping
-                    and source.version != self._source_version
-                ):
-                    # A new copy, so the table key changes with it.
-                    self.mapping = source.rebind(self.architecture)
-                    self._source_version = source.version
                 key = self._table_key()
                 table, self._kept = self._kept, None
                 if table is None or key is None or table.key != key:
+                    self.mapping.check_components(self.index)
                     table = _StepTable(self, key)
                 self._table = table
             self._sessions += 1
@@ -1063,15 +1055,13 @@ class _StepTable:
         top-level components (empty when unmapped)."""
         resolution = self.resolutions.get(type_name)
         if resolution is None:
-            mapping = self.mapping
-            components, hops = mapping.resolution_for(type_name)
+            components, hops = self.mapping.resolution_for(type_name)
+            top_level = self.index.top_levels().__getitem__
             resolution = self.resolutions[type_name] = MappingResolution(
                 event_type=type_name,
                 hops=hops,
                 entry_components=components,
-                components=tuple(
-                    dict.fromkeys(map(mapping.top_level_component, components))
-                ),
+                components=tuple(dict.fromkeys(map(top_level, components))),
             )
         return resolution
 

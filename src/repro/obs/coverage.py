@@ -42,6 +42,7 @@ from repro.obs.events import CoverageComputed
 from repro.obs.store import short_digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (obs <- core)
+    from repro.adl.structure import Architecture
     from repro.core.consistency import ScenarioVerdict
     from repro.core.mapping import Mapping
     from repro.scenarioml.scenario import ScenarioSet
@@ -150,14 +151,17 @@ class CoverageBuilder:
         self._resolutions = 0
         self._supertype_resolutions = 0
         self._unmapped_events = 0
+        self._architecture: Optional["Architecture"] = None
 
     def record_verdicts(
         self,
         verdicts: Iterable["ScenarioVerdict"],
+        architecture: "Architecture",
         mapping: "Mapping",
         memo: Optional[dict] = None,
     ) -> None:
-        """Count what the verdicts' walkthrough steps exercised.
+        """Count what the verdicts' walkthrough steps exercised on
+        ``architecture`` (which :meth:`finalize` then reads).
 
         Each typed step counts its event type, the top-level components
         the walkthrough placed it on, and the mapping entry that
@@ -170,6 +174,7 @@ class CoverageBuilder:
         engine walks for ``mapping``: the steps' fold is kept there,
         and verdicts whose traces are the very objects of the last
         fold's (a replay of an unchanged pipeline) reuse it."""
+        self._architecture = architecture
         if not self.enabled:
             return
         placements, paths = _fold(verdicts, memo)
@@ -209,9 +214,10 @@ class CoverageBuilder:
         self, scenario_set: "ScenarioSet", mapping: "Mapping"
     ) -> "CoverageMatrix":
         """Close the books against the full element universe: the
-        ontology's concrete event types, the architecture's top-level
-        components and links, and the mapping's direct entries."""
-        architecture = mapping.architecture
+        ontology's concrete event types, the recorded architecture's
+        top-level components and links, and the mapping's direct
+        entries."""
+        architecture = self._architecture
         exercised = {
             component
             for counts in self._cells.values()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 
 import pytest
+from hypothesis import HealthCheck, settings
 
 from repro.adl.structure import Architecture, Direction, Interface
 from repro.core.evaluator import Sosae
@@ -15,6 +16,17 @@ from repro.scenarioml.ontology import Ontology, Parameter
 from repro.scenarioml.scenario import Scenario, ScenarioSet
 from repro.systems.crash import build_crash
 from repro.systems.pims import build_pims
+
+#: ``pytest tests/test_stateful_oracle.py --hypothesis-profile deep``:
+#: the stateful oracle's longer, randomized run (a CI step); tier-1 runs
+#: its derandomized profile.
+settings.register_profile(
+    "deep",
+    max_examples=400,
+    stateful_step_count=30,
+    deadline=None,
+    suppress_health_check=list(HealthCheck),
+)
 
 
 @pytest.fixture

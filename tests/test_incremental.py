@@ -8,12 +8,14 @@ import zlib
 import pytest
 
 from repro.adl.diff import diff_architectures
+from repro.adl.structure import Architecture
 from repro.core.constraints import MustNotCommunicate, RequiresPath
 from repro.core.evaluator import Sosae
 from repro.core.incremental import DependencyTracker, reevaluate
 from repro.core.mapping import Mapping
 from repro.core.report_io import report_to_json
 from repro.obs import Recorder, use
+from repro.systems.crash import build_crash
 from repro.systems.generators import SyntheticSpec, build_synthetic
 from repro.systems.pims import GET_SHARE_PRICES
 
@@ -199,10 +201,10 @@ class TestDependencyTracker:
 
     def test_noop_diff_dirties_nothing(self, pims):
         tracker = tracker_for(pims_sosae(pims, pims.architecture))
-        diff = diff_architectures(
-            pims.architecture, pims.architecture.clone("same")
-        )
-        assert tracker.dirty_scenarios(diff, pims.mapping) == frozenset()
+        same = pims.architecture.clone("same")
+        diff = diff_architectures(pims.architecture, same)
+        changed = tracker.changed_event_types(pims.mapping, same)
+        assert tracker.dirty_scenarios(diff, changed) == frozenset()
 
     def test_mapping_edit_dirties_consulted_scenarios_only(
         self, small_scenarios, small_ontology, chain_architecture, chain_mapping
@@ -214,12 +216,31 @@ class TestDependencyTracker:
         edited.map_event("create", "logic", "store")
         edited.map_event("destroy", "logic")  # retargeted
         edited.map_event("notify", "ui")
-        assert tracker.changed_event_types(edited) == {"destroy"}
-        diff = diff_architectures(
-            chain_architecture, chain_architecture.clone("same")
-        )
+        same = chain_architecture.clone("same")
+        changed = tracker.changed_event_types(edited, same)
+        assert changed == {"destroy"}
+        diff = diff_architectures(chain_architecture, same)
         # Only drop-widget resolves through 'destroy'.
-        assert tracker.dirty_scenarios(diff, edited) == {"drop-widget"}
+        assert tracker.dirty_scenarios(diff, changed) == {"drop-widget"}
+
+    def test_a_removal_that_moves_a_chains_break(
+        self, small_scenarios, small_ontology, chain_architecture
+    ):
+        """A failing intra-event chain records the hops that held before
+        its break: removing one moves the break, so the finding."""
+        architecture = chain_architecture.clone("islanded")
+        architecture.add_component("island")
+        mapping = Mapping(small_ontology, architecture)
+        mapping.map_event("create", "logic", "store")
+        mapping.map_event("destroy", "ui", "logic", "island")
+        mapping.map_event("notify", "ui")
+        tracker = tracker_for(Sosae(small_scenarios, architecture, mapping))
+        evolved = architecture.clone("evolved")
+        assert evolved.excise_links_between("ui", "ui-logic")
+        result = assert_equals_full(
+            tracker, lambda: Sosae(small_scenarios, evolved, mapping)
+        )
+        assert "drop-widget" in result.rewalked
 
     def test_tracker_parity_on_pims_excision(self, pims):
         tracker = tracker_for(
@@ -260,12 +281,42 @@ class TestNestedMove:
             if "vault" in components
         }
         assert naming_vault
-        assert tracker.changed_event_types(moved_mapping) == naming_vault
-        assert tracker.dirty_scenarios(diff, moved_mapping) == {
+        changed = tracker.changed_event_types(moved_mapping, moved)
+        assert changed == naming_vault
+        assert tracker.dirty_scenarios(diff, changed) == {
             scenario.name
             for scenario in system.scenarios
             if naming_vault & {event.type_name for event in scenario.events}
         }
+
+    def test_crash_move_with_the_mapping_of_the_old_architecture(self):
+        """CRASH's nested Communication Manager moved from the Police to
+        the Fire Department command and control, evaluated with the
+        mapping written for the old architecture."""
+        crash = build_crash()
+
+        def pipeline(architecture):
+            return Sosae(
+                crash.scenarios,
+                architecture,
+                crash.mapping,
+                walkthrough_options=crash.options,
+            )
+
+        tracker = tracker_for(pipeline(crash.architecture))
+        moved = crash.architecture.clone("moved")
+        police = moved.component("Police Department Command and Control")
+        # No public removal: take it out of the subarchitecture directly.
+        manager = police.subarchitecture._components.pop(
+            "Communication Manager"
+        )
+        inside = Architecture("fire-inside")
+        inside._components[manager.name] = manager
+        moved.component(
+            "Fire Department Command and Control"
+        ).subarchitecture = inside
+        result = assert_equals_full(tracker, lambda: pipeline(moved))
+        assert result.rewalked
 
     def test_reevaluation_equals_the_full_report(self, versions):
         system, (architecture, mapping), (moved, moved_mapping) = versions
@@ -406,7 +457,7 @@ def _mutate(system, kind: str, rng: random.Random, nested_vault):
     return before, (architecture, mapping.rebind(architecture))
 
 
-def scanned_dirty(tracker, diff, mapping=None) -> frozenset[str]:
+def scanned_dirty(tracker, diff, changed_types=frozenset()) -> frozenset[str]:
     """The dirty set by the plain rule-by-rule scan: per scenario, the
     union of its touched elements intersected with each key set."""
     removed_elements = set(diff.removed_components)
@@ -432,9 +483,6 @@ def scanned_dirty(tracker, diff, mapping=None) -> frozenset[str]:
         diff.added_components or diff.added_connectors or seeds
     )
     grown = tracker._linked_to(seeds)
-    changed_types = (
-        tracker.changed_event_types(mapping) if mapping is not None else set()
-    )
     dirty = set()
     for name, deps in tracker._scenarios.items():
         touched = deps.witness_elements | deps.components
@@ -480,7 +528,8 @@ class TestTrackerParityProperties:
     @pytest.mark.parametrize("edit", EDITS)
     def test_dirty_set_equals_the_scan(self, seed, edit, nested_vault):
         """``dirty_scenarios`` finds exactly the scenarios the plain
-        rule-by-rule scan does, with and without the edited mapping."""
+        rule-by-rule scan does, with and without the edited mapping's
+        changed event types."""
         system = build_synthetic(SyntheticSpec(seed=seed, scenarios=8))
         rng = random.Random(seed * 1000 + zlib.crc32(edit.encode()) % 997)
         (architecture, mapping), (evolved, evolved_mapping) = _mutate(
@@ -488,9 +537,10 @@ class TestTrackerParityProperties:
         )
         tracker = tracker_for(Sosae(system.scenarios, architecture, mapping))
         diff = diff_architectures(architecture, evolved)
-        for edited in (None, evolved_mapping):
-            assert tracker.dirty_scenarios(diff, edited) == scanned_dirty(
-                tracker, diff, edited
+        edited = tracker.changed_event_types(evolved_mapping, evolved)
+        for changed in (frozenset(), edited):
+            assert tracker.dirty_scenarios(diff, changed) == scanned_dirty(
+                tracker, diff, changed
             )
 
     @pytest.mark.parametrize("seed", range(3))

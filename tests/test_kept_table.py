@@ -520,8 +520,8 @@ class TestOptions:
 
 class TestForeignBoundMapping:
     def test_an_edit_reaches_the_walk(self):
-        """A mapping bound to another architecture object (PIMS intact)
-        drives the excised pipeline through a copy; an edit to it
+        """A mapping written against another architecture object (PIMS
+        intact) drives the excised pipeline itself; an edit to it
         between two evaluations must reach the walk as it would a
         fresh pipeline's."""
         pims = build_pims()
@@ -543,7 +543,37 @@ class TestForeignBoundMapping:
         assert after != before
         assert after == report_to_json(pipeline().evaluate())
         assert sosae.mapping is pims.mapping
-        assert sosae.engine.mapping.architecture is excised
+        assert sosae.engine.mapping is pims.mapping
+
+
+class TestUnboundMapping:
+    """A pipeline over an edited copy of PIMS, with the mapping written
+    against the original, reports what the one with the mapping
+    rebound to the copy reports: the pipeline's own architecture
+    answers every component question."""
+
+    @pytest.mark.parametrize("edit", ["add-audit", "remove-link-1"])
+    def test_equals_the_rebound_pipeline(self, edit):
+        pims = build_pims()
+        copy = pims.architecture.clone("edited")
+        if edit == "add-audit":
+            copy.add_component("Audit")
+        else:
+            copy.remove_link("link-1")
+
+        def observed(mapping):
+            recorder = Recorder()
+            with instrumented(recorder=recorder):
+                report = Sosae(
+                    pims.scenarios,
+                    copy,
+                    mapping,
+                    constraints=pims.constraints,
+                    walkthrough_options=pims.options,
+                ).evaluate()
+            return report_to_json(report), recorder.coverage.digest
+
+        assert observed(pims.mapping) == observed(pims.mapping.rebind(copy))
 
 
 class TestEditsBetweenEvaluations:

@@ -5,11 +5,14 @@ from __future__ import annotations
 import pytest
 
 from repro.adl.structure import Architecture
+from repro.core.evaluator import Sosae
 from repro.core.mapping import Mapping
+from repro.core.report_io import report_to_json
 from repro.errors import MappingError
 from repro.scenarioml.events import TypedEvent
 from repro.scenarioml.ontology import Ontology
 from repro.scenarioml.scenario import Scenario, ScenarioSet
+from repro.systems.pims import build_pims
 
 
 class TestConstruction:
@@ -126,6 +129,35 @@ class TestNestedComponents:
         mapping.map_event("create", "worker")
         assert "host" not in mapping.unmapped_components()
         assert "flat" in mapping.unmapped_components()
+
+
+class TestLiveArchitecture:
+    """The mapping reads the architecture it was written against live:
+    a component added after the mapping was built can be mapped."""
+
+    def test_a_component_added_later_is_mapped_as_a_new_pipelines(self):
+        pims = build_pims()
+
+        def pipeline(architecture, mapping):
+            return Sosae(
+                pims.scenarios,
+                architecture,
+                mapping,
+                constraints=pims.constraints,
+                walkthrough_options=pims.options,
+            )
+
+        sosae = pipeline(pims.architecture, pims.mapping)
+        before = report_to_json(sosae.evaluate())
+        pims.architecture.add_component("Audit")
+        assert "Audit" in pims.mapping.unmapped_components()
+        pims.mapping.map_event("initiateFunction", "Audit")
+        assert "Audit" not in pims.mapping.unmapped_components()
+        after = report_to_json(sosae.evaluate())
+        assert after != before
+        copy = pims.architecture.clone()
+        loaded = Mapping.from_json(pims.mapping.to_json(), pims.ontology, copy)
+        assert after == report_to_json(pipeline(copy, loaded).evaluate())
 
 
 class TestCoverageChecks:

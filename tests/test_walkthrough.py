@@ -332,11 +332,19 @@ class TestTracesAndSupertypes:
         ]
 
     def test_mapping_rebound_to_new_architecture_object(
-        self, small_ontology, chain_architecture, chain_mapping
+        self, small_ontology, small_scenarios, chain_architecture,
+        chain_mapping
     ):
+        """An engine over a clone walks with the mapping written for the
+        original what it walks with the mapping rebound to the clone."""
         clone = chain_architecture.clone("clone")
-        engine = WalkthroughEngine(clone, chain_mapping)
-        assert engine.mapping.architecture is clone
+        clone.excise_links_between("logic-store", "store")
+        unbound = WalkthroughEngine(clone, chain_mapping)
+        rebound = WalkthroughEngine(clone, chain_mapping.rebind(clone))
+        assert unbound.mapping is chain_mapping
+        walked = unbound.walk_all(small_scenarios)
+        assert walked == rebound.walk_all(small_scenarios)
+        assert not all(verdict.passed for verdict in walked)
 
     def test_step_rendering_mentions_status(
         self, small_ontology, chain_architecture, chain_mapping
