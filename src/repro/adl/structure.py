@@ -288,7 +288,7 @@ class Architecture:
         """
         first_endpoint = self._resolve_endpoint(first)
         second_endpoint = self._resolve_endpoint(second)
-        link_name = name or f"link-{len(self._links) + 1}"
+        link_name = name or self._free_link_name()
         if link_name in self._links:
             raise ArchitectureError(
                 f"architecture {self.name!r} already has a link {link_name!r}"
@@ -297,6 +297,15 @@ class Architecture:
         self._check_link_directions(link)
         self._links[link_name] = link
         return link
+
+    def _free_link_name(self) -> str:
+        """``link-N`` for the first free ``N`` from the link count plus
+        one: the count's own name while no link was removed, and never
+        a name a remaining link holds once one was."""
+        number = len(self._links) + 1
+        while f"link-{number}" in self._links:
+            number += 1
+        return f"link-{number}"
 
     def _resolve_endpoint(self, endpoint: str | tuple[str, str]) -> Endpoint:
         if isinstance(endpoint, tuple):

@@ -20,6 +20,7 @@ process-local (use one registry per concurrent evaluation).
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, insort
 from typing import Optional
 
 from repro.errors import ReproError
@@ -89,7 +90,13 @@ class Histogram:
     long-running ``sosae serve`` loop cannot grow without bound. The
     replacement choices come from a PRNG seeded with the metric name, so
     identical observation streams yield identical snapshots.
-    ``_sorted`` caches the sort between observations.
+
+    ``_sorted`` holds the reservoir's values in order, kept as samples
+    arrive: ``observe`` inserts each retained value at its place and,
+    when it replaces one, deletes the replaced value (equal values are
+    interchangeable). So a snapshot sorts nothing, and each observation
+    costs one binary search and one list shift, however often
+    percentiles are read.
     """
 
     __slots__ = (
@@ -111,7 +118,7 @@ class Histogram:
         self.max: Optional[float] = None
         self.sample_cap = sample_cap
         self._samples: list[float] = []
-        self._sorted: Optional[list[float]] = None
+        self._sorted: list[float] = []
         self._rng = random.Random(name)
 
     def observe(self, value: float) -> None:
@@ -124,12 +131,14 @@ class Histogram:
             self.max = value
         if len(self._samples) < self.sample_cap:
             self._samples.append(value)
-            self._sorted = None
+            insort(self._sorted, value)
         else:
             slot = self._rng.randrange(self.count)
             if slot < self.sample_cap:
+                ordered = self._sorted
+                del ordered[bisect_left(ordered, self._samples[slot])]
                 self._samples[slot] = value
-                self._sorted = None
+                insort(ordered, value)
 
     @property
     def sample_count(self) -> int:
@@ -149,11 +158,9 @@ class Histogram:
             raise ReproError(
                 f"percentile fraction must be in [0, 1], got {fraction}"
             )
-        if not self._samples:
-            return None
-        if self._sorted is None:
-            self._sorted = sorted(self._samples)
         ordered = self._sorted
+        if not ordered:
+            return None
         rank = fraction * (len(ordered) - 1)
         low = int(rank)
         high = min(low + 1, len(ordered) - 1)

@@ -483,6 +483,9 @@ class RunRegistry:
         self._stored: set[str] = set()
         # The last recorded counter table, its text and its digest.
         self._last_table: tuple[dict, str, str] = ({}, "", "")
+        # The last row a mint saw, the rows seen up to it and the
+        # highest run number among them.
+        self._minted: tuple[Optional[RunRecord], int, int] = (None, 0, 0)
         self._store = JsonlStore(self.root / _RUNS_FILE, self._decode)
 
     @property
@@ -638,7 +641,7 @@ class RunRegistry:
             # = highest existing numeric id + 1, NOT line count: after
             # `runs compact` the file holds fewer lines than the
             # highest id, and counting would mint colliding ids.
-            run_id = f"r{_next_run_number(records):04d}"
+            run_id = f"r{self._next_number(records):04d}"
             if text is not None:
                 self._store_table(costs["digest"], text)
             if folded is not None:
@@ -658,6 +661,19 @@ class RunRegistry:
                 )
             )
         return record
+
+    def _next_number(self, records: tuple[RunRecord, ...]) -> int:
+        """:func:`_next_run_number` over ``records``, scanning only the
+        rows appended since the last mint when the row tuple extends
+        the one it saw (the store's cache grows by appends); a reloaded
+        or compacted tuple is scanned whole."""
+        last, seen, highest = self._minted
+        if last is None or len(records) < seen or records[seen - 1] is not last:
+            seen = highest = 0
+        number = max(highest + 1, _next_run_number(records[seen:]))
+        if records:
+            self._minted = (records[-1], len(records), number - 1)
+        return number
 
     # ------------------------------------------------------------------
     # Retention

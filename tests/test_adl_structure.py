@@ -14,6 +14,7 @@ from repro.adl.structure import (
     Link,
 )
 from repro.errors import ArchitectureError
+from repro.systems.pims import build_pims
 
 
 class TestDirections:
@@ -198,6 +199,37 @@ class TestArchitecture:
         assert len(chain_architecture.links) == before - 1
         with pytest.raises(ArchitectureError):
             chain_architecture.remove_link(removed.name)
+
+    def test_unnamed_links_are_numbered_by_count(self):
+        architecture = Architecture("arch")
+        for name in ("a", "b", "c"):
+            architecture.add_component(name)
+        names = [
+            architecture.link(("a", f"x{i}"), (peer, f"y{i}")).name
+            for i, peer in enumerate(("b", "c", "b"))
+        ]
+        assert names == ["link-1", "link-2", "link-3"]
+
+    def test_unnamed_link_after_a_removal_takes_a_free_name(self):
+        architecture = build_pims().architecture
+        names = [link.name for link in architecture.links]
+        removed = architecture.remove_link(names[3])
+        relinked = architecture.link(
+            (removed.first.element, removed.first.interface),
+            (removed.second.element, removed.second.interface),
+        )
+        assert relinked.name == f"link-{len(names) + 1}"
+        assert relinked.name not in names
+        # Removing it frees its name for the next unnamed link.
+        architecture.remove_link(relinked.name)
+        again = architecture.link(
+            (removed.first.element, removed.first.interface),
+            (removed.second.element, removed.second.interface),
+        )
+        assert again.name == relinked.name
+        assert [link.name for link in architecture.links] == (
+            names[:3] + names[4:] + [again.name]
+        )
 
     def test_excise_links_between(self, chain_architecture: Architecture):
         removed = chain_architecture.excise_links_between("ui", "ui-logic")

@@ -193,6 +193,35 @@ class TestMetrics:
 
         assert fill("same") == fill("same")
 
+    @pytest.mark.parametrize("sample_cap", [1, 10, 100])
+    def test_histogram_keeps_its_reservoir_sorted(self, sample_cap):
+        """Each observation keeps the sorted list equal to the sorted
+        reservoir, so a snapshot equals one that sorts at read time."""
+        import random
+
+        from repro.obs.metrics import Histogram
+
+        def read_time(histogram, fraction):
+            ordered = sorted(histogram._samples)
+            rank = fraction * (len(ordered) - 1)
+            low = int(rank)
+            high = min(low + 1, len(ordered) - 1)
+            weight = rank - low
+            return ordered[low] * (1.0 - weight) + ordered[high] * weight
+
+        for seed in range(5):
+            draw = random.Random(f"{sample_cap}-{seed}")
+            pool = [draw.uniform(-1e3, 1e3) for _ in range(sample_cap + 3)]
+            histogram = Histogram(f"h{seed}", sample_cap=sample_cap)
+            for _ in range(4 * sample_cap + 50):
+                value = draw.choice(pool + [float(draw.randint(-3, 3))])
+                histogram.observe(value)
+                assert histogram._sorted == sorted(histogram._samples)
+            snapshot = histogram.to_dict()
+            for key, fraction in (("p50", 0.5), ("p95", 0.95), ("p99", 0.99)):
+                assert snapshot[key] == read_time(histogram, fraction)
+            assert histogram.sample_count == sample_cap
+
     def test_histogram_rejects_nonpositive_cap(self):
         from repro.obs.metrics import Histogram
 

@@ -20,7 +20,8 @@ The steps:
 * a component added, linked and mapped; a component added inside a
   top-level component's subarchitecture and mapped; a nested component
   moved to another top-level component;
-* a link removed, and a removed link added back;
+* a link removed, and a removed link added back, under its old name or
+  unnamed;
 * an event type mapped to one more component, or unmapped;
 * the walkthrough options swapped;
 * a new kept pipeline over a copy of the architecture, keeping the
@@ -246,10 +247,14 @@ class PipelineOracle(RuleBasedStateMachine):
         link = self.removed.pop(
             data.draw(st.integers(0, len(self.removed) - 1))
         )
+        # Unnamed, the link takes the first free generated name, which
+        # may be a removed link's: that one then comes back unnamed too.
+        taken = {other.name for other in self.architecture.links}
+        named = data.draw(st.booleans()) and link.name not in taken
         self.architecture.link(
             (link.first.element, link.first.interface),
             (link.second.element, link.second.interface),
-            name=link.name,
+            name=link.name if named else None,
         )
 
     @rule(data=st.data())

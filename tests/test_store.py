@@ -174,6 +174,53 @@ class TestRunIdMinting:
                 == profiles[record.label].digest()
             )
 
+    def test_a_long_history_numbers_on(self, tmp_path, recorded_evaluation):
+        """Ids number on through a long history, a compacted one,
+        another registry's append and a non-numeric run id."""
+        report, recorder = recorded_evaluation
+
+        def mint(registry):
+            return registry.record("tick", report, recorder, git_sha="x").run_id
+
+        registry = RunRegistry(tmp_path)
+        ids = [mint(registry) for _ in range(1000)]
+        assert ids == [f"r{number:04d}" for number in range(1, 1001)]
+        assert registry.compact(keep=3) == {"kept": 3, "dropped": 997}
+        assert mint(registry) == "r1001"
+        other = RunRegistry(tmp_path)
+        assert mint(other) == "r1002"
+        line = json.loads(registry.path.read_text().splitlines()[-1])
+        with registry.path.open("a") as handle:
+            handle.write(json.dumps(dict(line, run_id="baseline")) + "\n")
+        assert mint(registry) == "r1003"
+        assert mint(other) == "r1004"
+
+    def test_a_mint_scans_only_the_new_rows(
+        self, tmp_path, recorded_evaluation, monkeypatch
+    ):
+        report, recorder = recorded_evaluation
+        registry = RunRegistry(tmp_path)
+        for _ in range(5):
+            registry.record("tick", report, recorder, git_sha="x")
+        scanned: list = []
+        mint = runs_module._next_run_number
+
+        def counting_mint(records):
+            scanned.append(len(records))
+            return mint(records)
+
+        monkeypatch.setattr(runs_module, "_next_run_number", counting_mint)
+        for _ in range(3):
+            registry.record("tick", report, recorder, git_sha="x")
+        assert scanned == [1, 1, 1]
+        # A reloaded registry scans its history once.
+        reloaded = RunRegistry(tmp_path)
+        assert (
+            reloaded.record("tick", report, recorder, git_sha="x").run_id
+            == "r0009"
+        )
+        assert scanned[-1] == 8
+
 
 class TestCostTableRace:
     def test_two_registries_recording_one_table_leave_one_valid_file(
