@@ -3,9 +3,11 @@
 The paper's maintenance argument (§5): traceability links localize what
 must be revisited when artifacts evolve. This benchmark quantifies the
 payoff: after the Fig. 4 excision, a :class:`DependencyTracker` built
-from the previous report re-walks only the scenarios whose recorded
-witness paths cross the excised link, reproducing the full pipeline's
-verdicts while skipping almost all of the work.
+from the previous report re-walks only the scenarios with a walk
+question (an event type's resolution, a move between component groups,
+an event's chain) that the excised architecture answers differently,
+reproducing the full pipeline's verdicts while skipping almost all of
+the work.
 
 Both sides measure the *same* unit of work — producing a complete
 post-evolution report (stage findings, constraints, and all) for a
@@ -18,9 +20,9 @@ positive, so the minimum estimates the true cost.
 
 The suite is the PIMS scenario set replicated to realistic size
 (:data:`SUITE_REPLICAS` copies of each top-level scenario): at the
-seed's 16 scenarios, fixed per-run costs (the structural diff, one cold
-graph build) mask the asymptotic behavior the tracker is for — dirty-set
-computation proportional to the *diff*, not the suite. The replicas walk
+seed's 16 scenarios, fixed per-run costs (one cold graph build) mask
+the asymptotic behavior the tracker is for — a dirty set computed from
+the distinct questions, not from every scenario's walk. The replicas walk
 identically to their originals, so verdict parity at scale subsumes
 parity on the plain set.
 """
@@ -134,8 +136,8 @@ def test_bench_incremental_reevaluation(benchmark):
     # byte for byte.
     assert report_to_json(incremental.report) == report_to_json(full)
 
-    # The excision dirties exactly the scenarios whose witness paths
-    # crossed the removed adjacency: get-share-prices and its replicas.
+    # The excision changes answers of get-share-prices and its replicas
+    # only: those are the scenarios re-walked.
     assert GET_SHARE_PRICES in incremental.rewalked
     assert all(
         name.startswith(GET_SHARE_PRICES) for name in incremental.rewalked

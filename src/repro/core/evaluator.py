@@ -533,7 +533,9 @@ class Sosae:
     def record_index_stats(self, recorder, before, after=None) -> None:
         """Accrue the index-cache activity from ``before`` to ``after``
         (``index.stats()`` snapshots; ``after`` defaults to now) to the
-        metrics registry (deltas, so repeated evaluations accumulate)."""
+        metrics registry (deltas, so repeated evaluations accumulate).
+        ``index.build_seconds`` gets a sample only when a graph was
+        built, so a replay adds no zero to it."""
         if after is None:
             after = self.index.stats()
         recorder.counter("index.hits").inc(after.hits - before.hits)
@@ -541,9 +543,9 @@ class Sosae:
         recorder.counter("index.invalidations").inc(
             after.invalidations - before.invalidations
         )
-        recorder.histogram("index.build_seconds").observe(
-            after.build_seconds - before.build_seconds
-        )
+        build_seconds = recorder.histogram("index.build_seconds")
+        if after.misses > before.misses:
+            build_seconds.observe(after.build_seconds - before.build_seconds)
 
     # ------------------------------------------------------------------
     # Steps

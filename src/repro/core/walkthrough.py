@@ -38,7 +38,11 @@ walked, its raw verdict, walk counters and connectivity checks, which
 a later walk of the scenario replays (paper step 4: the verdict
 depends only on the scenario's events, the mapping, the ontology and
 the architecture's structure, all of which the table's key covers).
-The table also holds a
+A walk's verdict depends only on the scenario, the options and the
+table's answers to its questions (:func:`walk_questions`,
+:meth:`WalkthroughEngine.answer`); incremental re-evaluation
+(:mod:`repro.core.incremental`) re-walks a scenario after an edit when
+one of them gets another answer. The table also holds a
 :class:`~repro.scenarioml.compiled.CompiledSuite`, the compiled view of
 the scenario set (each scenario's events and traces, the set's
 event-type names, the argument checks, the validation issues), which
@@ -373,6 +377,25 @@ class WalkthroughEngine:
         rows = table.rows if table is not None else None
         if rows and rows[-1][0] is raw:
             rows[-1] = (verdict, *rows[-1][1:])
+
+    def answer(self, question: tuple) -> object:
+        """The open session's answer to one of :func:`walk_questions`'s
+        questions, from the step table the walk reads: the type's
+        :class:`MappingResolution`, the move's path (``None`` when there
+        is none) or the chain's first break (``None`` when it holds).
+        A move naming a component that is not top-level here gets a new
+        object, unequal to every other answer: the index cannot answer
+        it, and no walk here asks it."""
+        table = self._table
+        if question[0] == "resolution":
+            return table.resolution(question[1])
+        if question[0] == "chain":
+            return table.chain_break(table.resolution(question[1]))
+        _, previous, current = question
+        tops = self.index.top_levels()
+        if any(tops.get(name) != name for name in (*previous, *current)):
+            return object()
+        return table.move(previous, current)
 
     def walk_all(self, scenario_set: ScenarioSet) -> tuple[ScenarioVerdict, ...]:
         """Walk every scenario in the set."""
@@ -761,6 +784,36 @@ _WALK_COUNTERS = (
     _UNMAPPED,
     _MISSING_LINKS,
 ) = range(len(_WALK_COUNTERS))
+
+
+def walk_questions(
+    verdict: ScenarioVerdict, options: WalkthroughOptions
+) -> tuple[tuple, ...]:
+    """The questions the walk behind ``verdict`` asked the step table,
+    each once, in walk order: ``("resolution", type)`` per typed step;
+    ``("move", previous, current)`` per step with components that
+    follows another such step in its trace, when ``check_inter_event``
+    is set; ``("chain", type)`` per step with more than one component,
+    when ``check_intra_event_chain`` is set (also where a failed move
+    skipped the chain, which only adds a question). Under ``options``,
+    the walk of the same scenario that gets the same answers
+    (:meth:`WalkthroughEngine.answer`) returns the same verdict."""
+    questions: dict[tuple, None] = {}
+    for trace in verdict.traces:
+        previous = None
+        for step in trace.steps:
+            if step.event_type is None:
+                continue
+            questions[("resolution", step.event_type)] = None
+            components = step.components
+            if not components:
+                continue
+            if previous is not None and options.check_inter_event:
+                questions[("move", previous, components)] = None
+            if len(components) > 1 and options.check_intra_event_chain:
+                questions[("chain", step.event_type)] = None
+            previous = components
+    return tuple(questions)
 
 
 def _add(tally: list[int], counts: Sequence[int]) -> None:

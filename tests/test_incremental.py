@@ -13,7 +13,12 @@ from repro.core.constraints import MustNotCommunicate, RequiresPath
 from repro.core.evaluator import Sosae
 from repro.core.incremental import DependencyTracker, reevaluate
 from repro.core.mapping import Mapping
-from repro.core.report_io import report_to_json
+from repro.core.report_io import report_to_dict, report_to_json
+from repro.core.walkthrough import (
+    WalkthroughEngine,
+    WalkthroughOptions,
+    walk_questions,
+)
 from repro.obs import Recorder, use
 from repro.systems.crash import build_crash
 from repro.systems.generators import SyntheticSpec, build_synthetic
@@ -173,38 +178,107 @@ class TestReevaluate:
         tracker = tracker_for(
             Sosae(scenarios, chain_architecture, chain_mapping)
         )
+        assert not tracker.report.verdict("forbidden").passed  # admitted
         evolved = chain_architecture.clone("evolved")
-        # An interface change on a mapped component dirties the scenario
-        # without severing anything.
+        # Cutting logic -> store breaks the event's chain: the answer
+        # to its chain question changes.
+        evolved.excise_links_between("logic", "logic-store")
+        result = assert_equals_full(
+            tracker,
+            lambda: Sosae(scenarios, evolved, chain_mapping.rebind(evolved)),
+        )
+        assert result.rewalked == ("forbidden",)
+        verdict = result.report.verdict("forbidden")
+        assert verdict.negative and verdict.blocked
+        assert verdict.passed  # now blocked -> the desired outcome
+
+    def test_an_interface_only_addition_carries_a_negative_scenario(
+        self, small_ontology, chain_architecture, chain_mapping
+    ):
+        from repro.scenarioml.events import TypedEvent
+        from repro.scenarioml.scenario import (
+            Scenario,
+            ScenarioKind,
+            ScenarioSet,
+        )
+
+        scenarios = ScenarioSet(small_ontology)
+        scenarios.add(
+            Scenario(
+                name="forbidden",
+                kind=ScenarioKind.NEGATIVE,
+                events=(
+                    TypedEvent(type_name="create", arguments={"subject": "x"}),
+                ),
+            )
+        )
+        tracker = tracker_for(
+            Sosae(scenarios, chain_architecture, chain_mapping)
+        )
+        evolved = chain_architecture.clone("evolved")
+        # A new unlinked interface answers every question as before.
         evolved.component("logic").add_interface("spare")
         result = assert_equals_full(
             tracker,
             lambda: Sosae(scenarios, evolved, chain_mapping.rebind(evolved)),
         )
-        assert "forbidden" in result.rewalked
-        verdict = result.report.verdict("forbidden")
-        assert verdict.negative
-        assert not verdict.passed  # still admitted -> still flagged
+        assert result.carried_over == ("forbidden",)
+        assert not result.report.verdict("forbidden").passed
+
+    def test_other_walkthrough_options_rewalk_everything(self, pims):
+        """The tracker's answers hold under its own options only: the
+        excised PIMS recorded under fully directed checks (8 scenarios
+        pass) and re-evaluated under the defaults (all 16 pass)."""
+        excised = pims.excised_architecture()
+        directed = WalkthroughOptions(respect_directions=True)
+        tracker = tracker_for(
+            Sosae(pims.scenarios, excised, pims.mapping,
+                  walkthrough_options=directed)
+        )
+        assert len(tracker.report.passed_scenarios) == 8
+        result = assert_equals_full(
+            tracker,
+            lambda: Sosae(pims.scenarios, excised.clone(), pims.mapping),
+        )
+        assert result.carried_over == ()
+        assert result.reused_stages == ()
+        assert len(result.report.passed_scenarios) == 16
+
+    def test_the_graphs_built_to_answer_reach_the_index_counters(self, pims):
+        tracker = tracker_for(pims_sosae(pims, pims.architecture))
+        evolved = pims_sosae(pims, pims.excised_architecture())
+        before = evolved.index.stats()
+        recorder = Recorder()
+        with use(recorder):
+            result = reevaluate(tracker, evolved)
+        after = evolved.index.stats()
+        assert result.rewalked
+        assert after.misses > before.misses
+        assert recorder.metrics.value("index.misses") == (
+            after.misses - before.misses
+        )
+        assert recorder.metrics.value("index.hits") == (
+            after.hits - before.hits
+        )
 
 
 class TestDependencyTracker:
     def test_excision_dirty_set_is_exact(self, pims):
         tracker = tracker_for(pims_sosae(pims, pims.architecture))
-        diff = diff_architectures(
-            pims.architecture, pims.excised_architecture()
+        result = reevaluate(
+            tracker, pims_sosae(pims, pims.excised_architecture())
         )
-        dirty = tracker.dirty_scenarios(diff)
-        # Only the scenario family whose witness paths crossed the
-        # excised adjacency is dirtied — no widening to neighbors.
-        assert GET_SHARE_PRICES in dirty
-        assert all(name.startswith(GET_SHARE_PRICES) for name in dirty)
+        # Only the scenario family whose moves crossed the excised
+        # adjacency gets another answer: no widening to neighbors.
+        assert GET_SHARE_PRICES in result.rewalked
+        assert all(
+            name.startswith(GET_SHARE_PRICES) for name in result.rewalked
+        )
 
     def test_noop_diff_dirties_nothing(self, pims):
         tracker = tracker_for(pims_sosae(pims, pims.architecture))
         same = pims.architecture.clone("same")
-        diff = diff_architectures(pims.architecture, same)
-        changed = tracker.changed_event_types(pims.mapping, same)
-        assert tracker.dirty_scenarios(diff, changed) == frozenset()
+        assert reevaluate(tracker, pims_sosae(pims, same)).rewalked == ()
 
     def test_mapping_edit_dirties_consulted_scenarios_only(
         self, small_scenarios, small_ontology, chain_architecture, chain_mapping
@@ -217,11 +291,41 @@ class TestDependencyTracker:
         edited.map_event("destroy", "logic")  # retargeted
         edited.map_event("notify", "ui")
         same = chain_architecture.clone("same")
-        changed = tracker.changed_event_types(edited, same)
-        assert changed == {"destroy"}
-        diff = diff_architectures(chain_architecture, same)
+        result = assert_equals_full(
+            tracker, lambda: Sosae(small_scenarios, same, edited)
+        )
         # Only drop-widget resolves through 'destroy'.
-        assert tracker.dirty_scenarios(diff, changed) == {"drop-widget"}
+        assert result.rewalked == ("drop-widget",)
+
+    def test_questions_follow_the_walk(
+        self, small_scenarios, chain_architecture, chain_mapping
+    ):
+        report = Sosae(
+            small_scenarios, chain_architecture, chain_mapping
+        ).evaluate()
+        verdict = report.verdict("make-widget")
+        assert walk_questions(verdict, WalkthroughOptions()) == (
+            ("resolution", "create"),
+            ("chain", "create"),
+            ("resolution", "notify"),
+            ("move", ("logic", "store"), ("ui",)),
+        )
+        assert walk_questions(
+            verdict,
+            WalkthroughOptions(
+                check_inter_event=False, check_intra_event_chain=False
+            ),
+        ) == (("resolution", "create"), ("resolution", "notify"))
+
+    def test_a_move_naming_a_lost_component_answers_changed(
+        self, chain_architecture, chain_mapping
+    ):
+        engine = WalkthroughEngine(chain_architecture, chain_mapping)
+        with engine.session():
+            known = ("move", ("ui",), ("store",))
+            assert engine.answer(known) == engine.answer(known)
+            lost = ("move", ("ui",), ("vault",))
+            assert engine.answer(lost) != engine.answer(lost)
 
     def test_a_removal_that_moves_a_chains_break(
         self, small_scenarios, small_ontology, chain_architecture
@@ -273,17 +377,17 @@ class TestNestedMove:
     ):
         system, (architecture, mapping), (moved, moved_mapping) = versions
         tracker = tracker_for(Sosae(system.scenarios, architecture, mapping))
-        diff = diff_architectures(architecture, moved)
-        assert diff.is_empty
+        assert diff_architectures(architecture, moved).is_empty
         naming_vault = {
             event_type
             for event_type, components in mapping.entries.items()
             if "vault" in components
         }
         assert naming_vault
-        changed = tracker.changed_event_types(moved_mapping, moved)
-        assert changed == naming_vault
-        assert tracker.dirty_scenarios(diff, changed) == {
+        result = reevaluate(
+            tracker, Sosae(system.scenarios, moved, moved_mapping)
+        )
+        assert set(result.rewalked) == {
             scenario.name
             for scenario in system.scenarios
             if naming_vault & {event.type_name for event in scenario.events}
@@ -457,44 +561,18 @@ def _mutate(system, kind: str, rng: random.Random, nested_vault):
     return before, (architecture, mapping.rebind(architecture))
 
 
-def scanned_dirty(tracker, diff, changed_types=frozenset()) -> frozenset[str]:
-    """The dirty set by the plain rule-by-rule scan: per scenario, the
-    union of its touched elements intersected with each key set."""
-    removed_elements = set(diff.removed_components)
-    removed_elements.update(diff.removed_connectors)
-
-    def top(endpoint):
-        return endpoint.split(".", 1)[0]
-
-    def edge(first, second):
-        return (first, second) if first <= second else (second, first)
-
-    removed_pairs = {
-        edge(top(first), top(second)) for first, second in diff.removed_links
+def changed_verdicts(before, after) -> frozenset[str]:
+    """The scenarios whose verdict documents differ between two
+    reports: the brute-force dirty set."""
+    documents = {
+        document["scenario"]: document
+        for document in report_to_dict(before)["scenario_verdicts"]
     }
-    seeds = {
-        change.element
-        for change in diff.changed_elements
-        if change.attribute == "interfaces"
-    }
-    for first, second in diff.added_links:
-        seeds.update((top(first), top(second)))
-    has_additions = bool(
-        diff.added_components or diff.added_connectors or seeds
+    return frozenset(
+        document["scenario"]
+        for document in report_to_dict(after)["scenario_verdicts"]
+        if documents.get(document["scenario"]) != document
     )
-    grown = tracker._linked_to(seeds)
-    dirty = set()
-    for name, deps in tracker._scenarios.items():
-        touched = deps.witness_elements | deps.components
-        if (
-            (removed_elements & touched)
-            or (removed_pairs & deps.witness_edges)
-            or (has_additions and deps.addition_sensitive)
-            or (grown & touched)
-            or (changed_types & deps.event_types)
-        ):
-            dirty.add(name)
-    return frozenset(dirty)
 
 
 class TestTrackerParityProperties:
@@ -527,21 +605,19 @@ class TestTrackerParityProperties:
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("edit", EDITS)
     def test_dirty_set_equals_the_scan(self, seed, edit, nested_vault):
-        """``dirty_scenarios`` finds exactly the scenarios the plain
-        rule-by-rule scan does, with and without the edited mapping's
-        changed event types."""
+        """The re-walked scenarios are exactly those whose verdicts a
+        full evaluation of the edited pipeline changes."""
         system = build_synthetic(SyntheticSpec(seed=seed, scenarios=8))
         rng = random.Random(seed * 1000 + zlib.crc32(edit.encode()) % 997)
         (architecture, mapping), (evolved, evolved_mapping) = _mutate(
             system, edit, rng, nested_vault
         )
         tracker = tracker_for(Sosae(system.scenarios, architecture, mapping))
-        diff = diff_architectures(architecture, evolved)
-        edited = tracker.changed_event_types(evolved_mapping, evolved)
-        for changed in (frozenset(), edited):
-            assert tracker.dirty_scenarios(diff, changed) == scanned_dirty(
-                tracker, diff, changed
-            )
+        result = reevaluate(
+            tracker, Sosae(system.scenarios, evolved, evolved_mapping)
+        )
+        full = Sosae(system.scenarios, evolved, evolved_mapping).evaluate()
+        assert set(result.rewalked) == changed_verdicts(tracker.report, full)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_noop_diff_carries_everything(self, seed):

@@ -337,3 +337,22 @@ class TestIndexStatsAccrual:
         # The second evaluation hit the memoized index: more hits
         # accrued, and the counters grew monotonically between calls.
         assert recorder.metrics.value("index.hits") > 0
+
+    def test_only_an_evaluation_that_builds_a_graph_times_a_build(
+        self, pims
+    ):
+        from repro.core.evaluator import Sosae
+
+        sosae = Sosae(
+            pims.scenarios,
+            pims.excised_architecture(),
+            pims.mapping,
+            walkthrough_options=pims.options,
+        )
+        recorder = Recorder()
+        with use(recorder):
+            for _ in range(3):
+                sosae.evaluate()
+        build_seconds = recorder.metrics.to_dict()["index.build_seconds"]
+        assert build_seconds["count"] == 1
+        assert recorder.metrics.value("evaluate.runs") == 3

@@ -22,12 +22,14 @@ The steps:
   moved to another top-level component;
 * a link removed, and a removed link added back, under its old name or
   unnamed;
+* an interface of a component or connector given another direction;
 * an event type mapped to one more component, or unmapped;
 * the walkthrough options swapped;
 * a new kept pipeline over a copy of the architecture, keeping the
   mapping written against the old one (later component additions reach
   both architectures, so the mapping can name them);
-* ``reevaluate`` after a structural edit to a copy, against a full
+* ``reevaluate`` after a structural edit to a copy (a link removed, a
+  nested component moved, an interface direction flipped), against a full
   evaluation of it; the pipeline over the copy is kept after.
 
 The tier-1 run is derandomized, so it checks the same sequences every
@@ -50,7 +52,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.adl.structure import Architecture
+from repro.adl.structure import Architecture, Direction
 from repro.core.evaluator import Sosae
 from repro.core.incremental import DependencyTracker, reevaluate
 from repro.core.mapping import Mapping
@@ -128,6 +130,38 @@ def _unnest(architecture: Architecture, host: str, name: str) -> None:
         for nested in remaining:
             inside.add_component(nested)
     component.subarchitecture = inside
+
+
+def _flip_a_direction(architecture: Architecture, data) -> None:
+    """Give one interface of a component or connector another
+    direction."""
+    elements = [
+        element
+        for element in (*architecture.components, *architecture.connectors)
+        if element.interfaces
+    ]
+    assume(elements)
+    element = data.draw(st.sampled_from(elements))
+    name = data.draw(st.sampled_from(sorted(element.interfaces)))
+    interface = element.interfaces[name]
+    direction = data.draw(st.sampled_from(
+        [other for other in Direction if other is not interface.direction]
+    ))
+    element.interfaces[name] = dataclasses.replace(
+        interface, direction=direction
+    )
+
+
+def _joinable(architecture: Architecture, link) -> bool:
+    """Whether the interface directions at ``link``'s ends let it be
+    linked again."""
+    first, second = (
+        architecture.element(end.element).interface(end.interface)
+        for end in (link.first, link.second)
+    )
+    return (
+        first.direction.initiates() and second.direction.accepts()
+    ) or (second.direction.initiates() and first.direction.accepts())
 
 
 class PipelineOracle(RuleBasedStateMachine):
@@ -244,9 +278,15 @@ class PipelineOracle(RuleBasedStateMachine):
     @precondition(lambda self: self.removed)
     @rule(data=st.data())
     def add_a_removed_link_back(self, data):
-        link = self.removed.pop(
-            data.draw(st.integers(0, len(self.removed) - 1))
-        )
+        # A direction flipped since the removal can leave both ends
+        # unable to initiate or to accept: such a link cannot come back.
+        joinable = [
+            position
+            for position, link in enumerate(self.removed)
+            if _joinable(self.architecture, link)
+        ]
+        assume(joinable)
+        link = self.removed.pop(data.draw(st.sampled_from(joinable)))
         # Unnamed, the link takes the first free generated name, which
         # may be a removed link's: that one then comes back unnamed too.
         taken = {other.name for other in self.architecture.links}
@@ -256,6 +296,10 @@ class PipelineOracle(RuleBasedStateMachine):
             (link.second.element, link.second.interface),
             name=link.name if named else None,
         )
+
+    @rule(data=st.data())
+    def flip_an_interface_direction(self, data):
+        _flip_a_direction(self.architecture, data)
 
     @rule(data=st.data())
     def map_an_event_type(self, data):
@@ -287,7 +331,10 @@ class PipelineOracle(RuleBasedStateMachine):
             self.architecture, self.mapping, self.sosae.walkthrough_options
         )
 
-    @rule(data=st.data(), edit=st.sampled_from(["link", "nested", "none"]))
+    @rule(
+        data=st.data(),
+        edit=st.sampled_from(["link", "nested", "direction", "none"]),
+    )
     def reevaluate_after_an_edit(self, data, edit):
         options = self.sosae.walkthrough_options
         tracker = DependencyTracker.from_report(
@@ -303,6 +350,8 @@ class PipelineOracle(RuleBasedStateMachine):
             host = data.draw(st.sampled_from(self._components()))
             _unnest(evolved, nested[name], name)
             _nest(evolved, host, name)
+        elif edit == "direction":
+            _flip_a_direction(evolved, data)
         sosae = self._pipeline(evolved, self.mapping, options)
         recorder = Recorder()
         with instrumented(recorder=recorder):
